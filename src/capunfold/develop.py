@@ -15,9 +15,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .forest import SpanningForest
-from .geom import delta_perp, eps_geom, normalize_angle, turn_angle
+from .geom import delta_perp, points_close, turn_angle
 from .mesh import ConvexCap, compute_metrics
 from .monotone import left_of
 
@@ -218,11 +219,6 @@ def layout_net(cap: ConvexCap, forest: SpanningForest) -> Net:
     return Net(placed=placed, cut_edges=cut)
 
 
-def _face_local(cap: ConvexCap, f: int) -> np.ndarray:
-    """Isometric 2D coordinates of face ``f`` in its own plane (ccw)."""
-    return _all_face_locals(cap)[f]
-
-
 def _all_face_locals(cap: ConvexCap) -> np.ndarray:
     """Isometric 2D coordinates of every face, (m, 3, 2), ccw; cached."""
     cached = getattr(cap, "_face_locals_cache", None)
@@ -249,7 +245,7 @@ def _root_placement(cap: ConvexCap, f: int) -> np.ndarray:
     """Place the seed face isometrically, anchored at its projection: first
     vertex at its projected position, first edge along its projected
     direction.  For a flat cap this reproduces the projection exactly."""
-    local = _face_local(cap, f)
+    local = _all_face_locals(cap)[f]
     tri = cap.triangles[f]
     P = cap.vertices[tri, :2].astype(float)
     d_loc = local[1] - local[0]
@@ -267,7 +263,7 @@ def _unfold_face(cap: ConvexCap, placed_f: np.ndarray, f: int, g: int) -> np.nda
     tri_g = cap.triangles[g]
     shared = sorted(set(tri_f) & set(tri_g))
     u, w = int(shared[0]), int(shared[1])
-    local = _face_local(cap, g)
+    local = _all_face_locals(cap)[g]
 
     def local_of(v):
         return local[int(np.where(tri_g == v)[0][0])]
@@ -332,7 +328,7 @@ def bank_chains(cap: ConvexCap, net: Net, vertices,
             if i + 2 < len(vs):
                 f_out = face_of(vs[i + 1], vs[i + 2])
                 nxt = net.vertex_image(f_out, vs[i + 1], T)
-                if not np.allclose(nxt, pts[-1][1], atol=1e-12):
+                if not points_close(nxt, pts[-1][1], atol=1e-12):
                     pts.append((vs[i + 1], nxt))
         if collapse:
             src = pts[0][1]
@@ -372,27 +368,45 @@ class OverlapReport:
         return not self.pairs
 
 
-def check_overlap(net: Net, eps: float | None = None) -> OverlapReport:
-    """Exhaustive pairwise triangle-overlap test with contact tolerance.
+_NARROW_CHUNK = 8192   # candidate pairs per narrow-phase batch
 
-    Shared developed edges and vertices count as contact; only genuine
-    interior penetration deeper than eps is reported.
+
+def check_overlap(net: Net, eps: float | None = None) -> OverlapReport:
+    """Triangle-overlap test with contact tolerance over every pair of
+    placed faces whose bounding boxes, grown by eps, meet.
+
+    A k-d tree over the box centres finds those candidate pairs (sparse
+    broad phase), and the separating-axis depth runs over them in fixed-size
+    chunks, so memory stays linear in the face count.  Shared developed
+    edges and vertices count as contact; only genuine interior penetration
+    deeper than eps is reported.
     """
     tris, order = net.triangle_array()
     e = _contact_tolerance(tris) if eps is None else eps
-    lo = tris.min(axis=1)
-    hi = tris.max(axis=1)
-    m = len(tris)
+    cand = _box_pairs(tris.min(axis=1), tris.max(axis=1), e)
     pairs = []
-    # vectorized bounding-box prefilter
-    ok_x = (lo[:, None, 0] <= hi[None, :, 0] + e) & (lo[None, :, 0] <= hi[:, None, 0] + e)
-    ok_y = (lo[:, None, 1] <= hi[None, :, 1] + e) & (lo[None, :, 1] <= hi[:, None, 1] + e)
-    cand = np.argwhere(np.triu(ok_x & ok_y, k=1))
-    if len(cand):
-        depths = _pairwise_penetration(tris[cand[:, 0]], tris[cand[:, 1]])
-        for (i, j), depth in zip(cand[depths > e], depths[depths > e]):
+    for k in range(0, len(cand), _NARROW_CHUNK):
+        c = cand[k:k + _NARROW_CHUNK]
+        depths = _pairwise_penetration(tris[c[:, 0]], tris[c[:, 1]])
+        for (i, j), depth in zip(c[depths > e], depths[depths > e]):
             pairs.append((order[int(i)], order[int(j)], float(depth)))
     return OverlapReport(pairs=tuple(sorted(pairs)))
+
+
+def _box_pairs(lo: np.ndarray, hi: np.ndarray, e: float) -> np.ndarray:
+    """Sorted (i, j), i < j, of the boxes ``[lo, hi]`` that meet once each
+    is grown by ``e``.  Two such boxes have centres at most
+    ``2 * max half-extent + e`` apart per axis; the tree query keeps that
+    radius (plus rounding slack) and the exact box test decides."""
+    half = float((hi - lo).max()) / 2
+    scale = float(max(np.abs(lo).max(), np.abs(hi).max())) + abs(e)
+    r = 2 * half + max(e, 0.0) + 1e-12 * scale
+    cand = cKDTree((lo + hi) / 2).query_pairs(r, p=np.inf,
+                                              output_type="ndarray")
+    i, j = cand[:, 0], cand[:, 1]
+    meet = ((lo[i] <= hi[j] + e) & (lo[j] <= hi[i] + e)).all(axis=1)
+    cand = cand[meet]
+    return cand[np.lexsort((cand[:, 1], cand[:, 0]))]
 
 
 def _pairwise_penetration(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -417,26 +431,6 @@ def _pairwise_penetration(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _contact_tolerance(tris: np.ndarray) -> float:
     scale = float(np.abs(tris).max()) or 1.0
     return 1e-7 * scale
-
-
-def _triangle_penetration(A: np.ndarray, B: np.ndarray) -> float:
-    """Penetration depth of two triangles by separating axes (0 if apart)."""
-    best = math.inf
-    for tri in (A, B):
-        for i in range(3):
-            edge = tri[(i + 1) % 3] - tri[i]
-            n = np.array([-edge[1], edge[0]])
-            norm = float(np.hypot(n[0], n[1]))
-            if norm == 0.0:
-                continue
-            n = n / norm
-            pa = A @ n
-            pb = B @ n
-            sep = max(pb.min() - pa.max(), pa.min() - pb.max())
-            if sep >= 0:
-                return 0.0
-            best = min(best, -sep)
-    return best if best < math.inf else 0.0
 
 
 def rasterize_overlap_oracle(net: Net, resolution: int = 256) -> bool:

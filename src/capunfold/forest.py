@@ -48,13 +48,17 @@ class QuadrantSystem:
             raise ValueError("quadrant index must be 0..3")
         return Wedge(base=self.base + i * self.theta, width=self.theta)
 
-    def quadrant_of(self, direction: float) -> int:
-        """Quadrant index of an absolute direction, or -1 for the gap cone.
+    def quadrant_of(self, direction):
+        """Quadrant index of an absolute direction, or -1 for the gap cone;
+        an array of directions gives an int array of indices.
 
         Quadrants are half-open: closed on their clockwise axis, open on
         their counterclockwise axis.
         """
         rel = (direction - self.base) % (2 * math.pi)
+        if isinstance(rel, np.ndarray):
+            i = (rel // self.theta).astype(int)
+            return np.where(i < 4, i, -1)
         i = int(rel // self.theta)
         return i if i < 4 else -1
 

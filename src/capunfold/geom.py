@@ -21,6 +21,7 @@ __all__ = [
     "normalize_angle",
     "omega_bound",
     "phi_budget",
+    "points_close",
     "project_angle",
     "signed_turn",
     "turn_angle",
@@ -51,6 +52,13 @@ def normalize_angle(theta: float) -> float:
     elif t > math.pi:
         t -= 2.0 * math.pi
     return t
+
+
+def points_close(p, q, atol: float = 1e-8) -> bool:
+    """``np.allclose(p, q, atol=atol)`` for two planar points, written out
+    per coordinate (numpy's default rtol 1e-5 is relative to ``q``)."""
+    return (abs(p[0] - q[0]) <= atol + 1e-5 * abs(q[0])
+            and abs(p[1] - q[1]) <= atol + 1e-5 * abs(q[1]))
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:

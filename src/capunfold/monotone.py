@@ -19,6 +19,11 @@ from .geom import eps_geom, normalize_angle
 from .forest import verify_angle_monotone
 
 
+class NotRadiallyMonotoneError(ValueError):
+    """A chain given to :func:`left_of` breaks its radial monotonicity
+    precondition."""
+
+
 # --------------------------------------------------------------------------
 # chains
 # --------------------------------------------------------------------------
@@ -298,7 +303,8 @@ def left_of(A, B, check: str = "angle") -> tuple[bool, float | None]:
         else:
             ok = circle_crossing_oracle(chain, chain[0])
         if not ok:
-            raise ValueError("left_of requires radially monotone chains")
+            raise NotRadiallyMonotoneError(
+                "left_of requires radially monotone chains")
     src = a[0]
     da = np.linalg.norm(a - src, axis=1)
     db = np.linalg.norm(b - src, axis=1)

@@ -27,7 +27,7 @@ from .develop import (
 from .forest import SpanningForest, build_forest, choose_origin, verify_forest
 from .geom import delta_perp, normalize_angle, omega_bound, phi_budget
 from .mesh import ConvexCap, compute_metrics, validate_cap
-from .monotone import left_of
+from .monotone import NotRadiallyMonotoneError, left_of
 from .strips import StripSystem, strip_certificates, waterfall_strips
 
 SCHEMA_VERSION = "1"
@@ -183,9 +183,9 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
         max_dq = max(max_dq, td.max_abs)
         L = develop_chain(cap, path, "left")
         R = develop_chain(cap, path, "right")
-        ok, _ = left_of(L, R)
+        ok = _ordered(left_of, L, R)
         paths_ordered = paths_ordered and ok
-        ok_b, _ = banks_ordered(cap, net, path)
+        ok_b = _ordered(banks_ordered, cap, net, path)
         banks_ok = banks_ok and ok_b
     diag["paths"] = {
         "max_turn_distortion": max_dq,
@@ -221,6 +221,15 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
     diag["strips"] = strip_certificates(cap, forest, strips, net)
     if not diag["strips"]["clean"]:
         diag["errors"].extend(diag["strips"]["errors"])
+
+
+def _ordered(check, *args) -> bool:
+    """Verdict of a left-of certificate; chains that are not radially
+    monotone fail it (warning over budget, error within) instead of raising."""
+    try:
+        return check(*args)[0]
+    except NotRadiallyMonotoneError:
+        return False
 
 
 def _tree_direction_spreads(cap: ConvexCap, forest: SpanningForest):

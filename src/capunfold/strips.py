@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import QuadrantSystem, SpanningForest, verify_angle_monotone
+from .geom import points_close
 from .mesh import ConvexCap
 
 
@@ -62,11 +63,6 @@ class StripSystem:
 # --------------------------------------------------------------------------
 # piecewise-linear envelope helpers (oblique coordinates)
 # --------------------------------------------------------------------------
-
-
-def _pl_eval(f: tuple[np.ndarray, np.ndarray], a):
-    xs, ys = f
-    return np.interp(a, xs, ys)
 
 
 def _pl_max(f, g):
@@ -219,7 +215,7 @@ def _quadrant_paths(cap: ConvexCap, forest: SpanningForest, quadrant: int,
         ride_a, ride_b = [], []
         for k in range(len(bks)):
             x = bks[k]
-            y = max(float(_pl_eval(env, x)) + eps, level)
+            y = max(float(np.interp(x, *env)) + eps, level)
             if k and ride_b[-1] == level == y:
                 continue   # merge the flat run
             ride_a.append(x)
@@ -233,7 +229,7 @@ def _quadrant_paths(cap: ConvexCap, forest: SpanningForest, quadrant: int,
         ab_pts += list(zip(ride_a, ride_b))
         ab_pts.append((ai, bi))
         ab = np.array([p for j, p in enumerate(ab_pts)
-                       if j == 0 or not np.allclose(p, ab_pts[j - 1])])
+                       if j == 0 or not points_close(p, ab_pts[j - 1])])
         pts = _to_global(_cartesian(ab, theta), origin, rot)
         tail3 = forest.path_to_root(leaves[i - 1])
         tail = P[tail3].astype(float)
@@ -262,26 +258,25 @@ def _epsilon(cap: ConvexCap, forest: SpanningForest, quadrant: int,
         cands.append(float(da.min()))
 
     # vertical distance from each leaf down to the projected forest edges
+    # whose abscissa span holds it (leaf x edge, edges at the leaf skipped)
     qs = forest.system
     P = cap.vertices[:, :2]
     rot = _quadrant_frame(qs, quadrant)
-    edges = list(forest.edges())
-    if edges:
-        E = np.array(edges)
-        A = _oblique(_to_local(P[E[:, 0]], P[qs.origin], rot), qs.theta)
-        B = _oblique(_to_local(P[E[:, 1]], P[qs.origin], rot), qs.theta)
-        for k, leaf in enumerate(leaves):
-            a0, b0 = float(a_leaf[k]), float(b_leaf[k])
-            for (u, v), pa, pb in zip(edges, A, B):
-                if leaf in (u, v):
-                    continue
-                lo, hi = sorted((pa[0], pb[0]))
-                if not (lo <= a0 <= hi) or hi == lo:
-                    continue
-                t = (a0 - pa[0]) / (pb[0] - pa[0])
-                b_at = pa[1] + t * (pb[1] - pa[1])
-                if 0 < b0 - b_at:
-                    cands.append(b0 - b_at)
+    E = np.array(list(forest.edges()), dtype=int).reshape(-1, 2)
+    A = _oblique(_to_local(P[E[:, 0]], P[qs.origin], rot), qs.theta)
+    B = _oblique(_to_local(P[E[:, 1]], P[qs.origin], rot), qs.theta)
+    lo = np.minimum(A[:, 0], B[:, 0])
+    hi = np.maximum(A[:, 0], B[:, 0])
+    a0, b0 = a_leaf[:, None], b_leaf[:, None]
+    lv = np.asarray(leaves)[:, None]
+    spans = ((lv != E[:, 0]) & (lv != E[:, 1])
+             & (lo <= a0) & (a0 <= hi) & (hi != lo))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (a0 - A[:, 0]) / (B[:, 0] - A[:, 0])
+        drop = b0 - (A[:, 1] + t * (B[:, 1] - A[:, 1]))
+    drop = drop[spans & (drop > 0)]
+    if len(drop):
+        cands.append(float(drop.min()))
     return min(cands) / (n + 1)
 
 
@@ -292,38 +287,31 @@ def _epsilon(cap: ConvexCap, forest: SpanningForest, quadrant: int,
 
 def _assign_faces(cap: ConvexCap, forest: SpanningForest,
                   paths: dict[int, list[WaterfallPath]]):
+    """(quadrant, strip) of every face by its projected centroid: the strip
+    index is the first path of the quadrant the centroid is not above, or
+    the path count if it is above all of them."""
     qs = forest.system
     theta = qs.theta
     P = cap.vertices[:, :2]
     origin = P[qs.origin]
     cent = P[cap.triangles].mean(axis=1)
     d = cent - origin
-    angles = np.arctan2(d[:, 1], d[:, 0])
-
-    # precompute per-quadrant envelopes of each path
-    graphs: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    quad = qs.quadrant_of(np.arctan2(d[:, 1], d[:, 0]))
+    quad[quad < 0] = 0   # the gap sits below every quadrant-0 path
+    strip = np.zeros(cap.n_triangles, dtype=int)
     for i in range(4):
+        faces = np.flatnonzero(quad == i)
+        if not paths[i]:
+            continue
         rot = _quadrant_frame(qs, i)
-        graphs[i] = []
-        for wp in paths[i]:
-            loc = _oblique(_to_local(wp.points, origin, rot), theta)
-            graphs[i].append(_path_graph(loc))
-
-    strip_of: dict[int, tuple[int, int]] = {}
-    for f in range(cap.n_triangles):
-        qi = qs.quadrant_of(float(angles[f]))
-        if qi < 0:
-            qi = 0   # the gap sits below every quadrant-0 path
-        rot = _quadrant_frame(qs, qi)
-        ab = _oblique(_to_local(cent[f], origin, rot), theta)[0]
-        s = 0
-        for g in graphs[qi]:
-            if ab[1] > float(_pl_eval(g, ab[0])):
-                s += 1
-            else:
-                break
-        strip_of[f] = (qi, s)
-    return strip_of
+        a, b = _oblique(_to_local(cent[faces], origin, rot), theta).T
+        above = np.array([
+            b > np.interp(a, *_path_graph(
+                _oblique(_to_local(wp.points, origin, rot), theta)))
+            for wp in paths[i]])
+        strip[faces] = np.where(above.all(axis=0), len(paths[i]),
+                                above.argmin(axis=0))
+    return {f: (int(quad[f]), int(strip[f])) for f in range(cap.n_triangles)}
 
 
 def _face_neighbors(cap: ConvexCap, f: int):
@@ -415,17 +403,6 @@ def develop_strip(cap: ConvexCap, strip: Strip, net) -> dict[int, np.ndarray]:
             f"strip ({strip.quadrant},{strip.index}) content is not "
             f"edge-connected: {len(seen)} of {len(faces)} reachable")
     return {f: net.placed[f] for f in strip.faces}
-
-
-def _segments_cross(p1, p2, p3, p4, tol=1e-12) -> bool:
-    d1 = p2 - p1
-    d2 = p4 - p3
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(den) < tol:
-        return False
-    t = ((p3[0] - p1[0]) * d2[1] - (p3[1] - p1[1]) * d2[0]) / den
-    u = ((p3[0] - p1[0]) * d1[1] - (p3[1] - p1[1]) * d1[0]) / den
-    return tol < t < 1 - tol and tol < u < 1 - tol
 
 
 def polylines_cross(A: np.ndarray, B: np.ndarray) -> bool:

@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from capunfold.develop import (
     Net,
+    OverlapReport,
+    _box_pairs,
+    _contact_tolerance,
+    _pairwise_penetration,
     bank_chains,
     banks_ordered,
     check_overlap,
@@ -244,3 +249,86 @@ class TestOverlap:
         forest = build_forest(cap, choose_origin(cap, "central"))
         net = layout_net(cap, forest)
         assert check_overlap(net).clean == (not rasterize_overlap_oracle(net))
+
+
+def dense_box_pairs(lo, hi, e):
+    """Reference broad phase: every pair's grown boxes tested in one dense
+    m x m matrix (quadratic memory)."""
+    ok_x = (lo[:, None, 0] <= hi[None, :, 0] + e) & (lo[None, :, 0] <= hi[:, None, 0] + e)
+    ok_y = (lo[:, None, 1] <= hi[None, :, 1] + e) & (lo[None, :, 1] <= hi[:, None, 1] + e)
+    return np.argwhere(np.triu(ok_x & ok_y, k=1))
+
+
+def dense_check_overlap(net, eps=None):
+    """Reference overlap test: dense broad phase, one unchunked narrow phase."""
+    tris, order = net.triangle_array()
+    e = _contact_tolerance(tris) if eps is None else eps
+    cand = dense_box_pairs(tris.min(axis=1), tris.max(axis=1), e)
+    pairs = []
+    if len(cand):
+        depths = _pairwise_penetration(tris[cand[:, 0]], tris[cand[:, 1]])
+        for (i, j), depth in zip(cand[depths > e], depths[depths > e]):
+            pairs.append((order[int(i)], order[int(j)], float(depth)))
+    return OverlapReport(pairs=tuple(sorted(pairs)))
+
+
+def grid_net(k):
+    """Flat k x k grid of unit squares, each split into two triangles."""
+    placed = {}
+    for x in range(k):
+        for y in range(k):
+            placed[len(placed)] = np.array([[x, y], [x + 1, y], [x, y + 1]], float)
+            placed[len(placed)] = np.array([[x + 1, y], [x + 1, y + 1], [x, y + 1]], float)
+    return Net(placed=placed, cut_edges=set())
+
+
+class TestSparseBroadPhase:
+    @staticmethod
+    def _nets():
+        for seed in range(3):
+            cap = generate_budget_cap(50, seed=seed)
+            yield layout_net(cap, build_forest(cap, choose_origin(cap, "central")))
+        for seed in (11, 4):
+            cap = generate_cap(60, phi=70 * DEG, seed=seed)
+            yield layout_net(cap, build_forest(cap, choose_origin(cap, "central")))
+        yield grid_net(6)
+
+    @pytest.mark.parametrize("eps", [None, 0.0, 1e-3, -1e-3, -0.05, 0.3])
+    def test_same_candidates_and_report_as_dense_oracle(self, eps):
+        for net in self._nets():
+            tris, _ = net.triangle_array()
+            e = _contact_tolerance(tris) if eps is None else eps
+            lo, hi = tris.min(axis=1), tris.max(axis=1)
+            assert np.array_equal(_box_pairs(lo, hi, e), dense_box_pairs(lo, hi, e))
+            assert check_overlap(net, eps) == dense_check_overlap(net, eps)
+
+    def test_steep_cap_reports_pairs_like_dense_oracle(self):
+        cap = generate_cap(200, phi=70 * DEG, seed=0)
+        net = layout_net(cap, build_forest(cap, choose_origin(cap, "central")))
+        rep = check_overlap(net, eps=-1e-3)
+        assert len(rep.pairs) > 100
+        assert rep == dense_check_overlap(net, eps=-1e-3)
+
+    def test_random_boxes_of_mixed_sizes(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m = int(rng.integers(0, 120))
+            lo = rng.uniform(-50, 50, (m, 2)) * rng.uniform(1e-3, 1e3)
+            hi = lo + rng.exponential(2.0, (m, 2)) ** 3
+            for e in (0.0, 1e-7, -0.5, 2.0):
+                assert np.array_equal(_box_pairs(lo, hi, e),
+                                      dense_box_pairs(lo, hi, e))
+
+    def test_memory_grows_linearly_with_faces(self):
+        peaks = []
+        for k in (50, 100):   # 5 000 and 20 000 triangles
+            net = grid_net(k)
+            tracemalloc.start()
+            try:
+                assert check_overlap(net).clean
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # linear growth gives 4x, a dense m x m broad phase 16x
+        assert peaks[1] / peaks[0] < 6, peaks
+        assert peaks[1] < 100e6, peaks

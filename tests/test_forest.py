@@ -29,6 +29,13 @@ class TestQuadrantSystem:
             i = qs.quadrant_of(ang)
             assert -1 <= i <= 3
 
+    def test_array_directions_match_scalar_calls(self):
+        qs = QuadrantSystem(origin=0, theta=86 * DEG, gap_direction=2.2)
+        axes = [qs.base + i * qs.theta + d for i in range(5) for d in (-1e-15, 0.0, 1e-15)]
+        ang = np.concatenate([np.linspace(-7, 7, 2001), axes])
+        got = qs.quadrant_of(ang)
+        assert got.tolist() == [qs.quadrant_of(float(a)) for a in ang]
+
     def test_gap_complements_quadrants(self):
         qs = QuadrantSystem(origin=0, theta=80 * DEG, gap_direction=0.3)
         widths = 4 * qs.theta + qs.gap_angle

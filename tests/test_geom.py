@@ -18,6 +18,7 @@ from capunfold.geom import (
     normalize_angle,
     omega_bound,
     phi_budget,
+    points_close,
     project_angle,
     signed_turn,
     turn_angle,
@@ -250,3 +251,16 @@ class TestHelpers:
         d1 = np.array([1.0, 0.2])
         d2 = np.array([-0.3, 0.9])
         assert signed_turn(d1, d2) == pytest.approx(-signed_turn(d2, d1))
+
+
+class TestPointsClose:
+    @pytest.mark.parametrize("atol", [1e-12, 1e-8])
+    def test_matches_numpy_allclose(self, atol):
+        rng = np.random.default_rng(2)
+        q = rng.uniform(-3, 3, (4000, 2)) * 10.0 ** rng.integers(-9, 4, (4000, 1))
+        tol = atol + 1e-5 * np.abs(q)
+        p = q + tol * rng.choice([0.0, 0.5, 0.999999, 1.0, 1.000001, 3.0], (4000, 2)) \
+            * rng.choice([-1.0, 1.0], (4000, 2))
+        for a, b in zip(p, q):
+            assert points_close(a, b, atol=atol) == np.allclose(a, b, atol=atol)
+            assert points_close(tuple(a), tuple(b), atol=atol) == np.allclose(a, b, atol=atol)

@@ -52,6 +52,16 @@ class TestEndToEnd:
             assert not res.proven
             assert res.diagnostics["warnings"]
 
+    def test_over_budget_chains_that_are_not_monotone_warn(self):
+        # the developed chains of these caps break left_of's radial
+        # monotonicity precondition; that fails the certificate, not the run
+        for seed in (0, 3, 7, 9, 12, 13, 21, 22, 23, 28):
+            res = cut_and_unfold(generate_cap(200, phi=70 * DEG, seed=seed))
+            diag = res.diagnostics
+            assert diag["status"] == "empirical_clean", (seed, diag["errors"])
+            assert not (diag["paths"]["chains_ordered"]
+                        and diag["paths"]["banks_ordered"]), seed
+
     def test_boundary_origin_mode(self):
         cap = generate_cap(50, phi=20 * DEG, seed=5)
         res = cut_and_unfold(cap, origin_mode="closest_to_boundary")

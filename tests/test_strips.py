@@ -6,8 +6,14 @@ import pytest
 from capunfold.develop import layout_net
 from capunfold.forest import build_forest, choose_origin, verify_angle_monotone
 from capunfold.generate import generate_budget_cap, generate_cap
+from capunfold import strips as strips_mod
 from capunfold.strips import (
     StripError,
+    _assign_faces,
+    _oblique,
+    _path_graph,
+    _quadrant_frame,
+    _to_local,
     develop_strip,
     polylines_cross,
     strip_certificates,
@@ -138,3 +144,95 @@ class TestCertificates:
         cap, forest, net, system = unfolded(seed=7, mode="closest_to_boundary")
         cert = strip_certificates(cap, forest, system, net)
         assert cert["clean"], cert["errors"]
+
+
+def assign_faces_reference(cap, forest, paths):
+    """Face-by-face strip assignment: one scalar interpolation per face and
+    path, stopping at the first path the centroid is not above."""
+    qs = forest.system
+    P = cap.vertices[:, :2]
+    origin = P[qs.origin]
+    cent = P[cap.triangles].mean(axis=1)
+    d = cent - origin
+    angles = np.arctan2(d[:, 1], d[:, 0])
+    graphs = {i: [_path_graph(_oblique(_to_local(wp.points, origin,
+                                                 _quadrant_frame(qs, i)), qs.theta))
+                  for wp in paths[i]] for i in range(4)}
+    out = {}
+    for f in range(cap.n_triangles):
+        qi = max(qs.quadrant_of(float(angles[f])), 0)
+        ab = _oblique(_to_local(cent[f], origin, _quadrant_frame(qs, qi)), qs.theta)[0]
+        s = 0
+        for g in graphs[qi]:
+            if ab[1] > float(np.interp(ab[0], *g)):
+                s += 1
+            else:
+                break
+        out[f] = (qi, s)
+    return out
+
+
+def epsilon_reference(cap, forest, quadrant, leaves, ob, r):
+    """Clearance unit with the leaf x forest-edge distances in a Python loop."""
+    n = len(leaves)
+    a_leaf, b_leaf = ob[:, 0], ob[:, 1]
+    cands = [0.9 * r, float(b_leaf.min())]
+    gaps = np.diff(np.sort(b_leaf))
+    gaps = gaps[gaps > 0]
+    if len(gaps):
+        cands.append(float(gaps.min()))
+    da = np.abs(a_leaf[:, None] - a_leaf[None, :])
+    da = da[da > 0]
+    if len(da):
+        cands.append(float(da.min()))
+    qs = forest.system
+    P = cap.vertices[:, :2]
+    rot = _quadrant_frame(qs, quadrant)
+    edges = list(forest.edges())
+    E = np.array(edges)
+    A = _oblique(_to_local(P[E[:, 0]], P[qs.origin], rot), qs.theta)
+    B = _oblique(_to_local(P[E[:, 1]], P[qs.origin], rot), qs.theta)
+    for k, leaf in enumerate(leaves):
+        a0, b0 = float(a_leaf[k]), float(b_leaf[k])
+        for (u, v), pa, pb in zip(edges, A, B):
+            if leaf in (u, v):
+                continue
+            lo, hi = sorted((pa[0], pb[0]))
+            if not (lo <= a0 <= hi) or hi == lo:
+                continue
+            t = (a0 - pa[0]) / (pb[0] - pa[0])
+            b_at = pa[1] + t * (pb[1] - pa[1])
+            if 0 < b0 - b_at:
+                cands.append(b0 - b_at)
+    return min(cands) / (n + 1)
+
+
+def reference_caps():
+    for seed in range(3):
+        yield generate_budget_cap(200, seed=seed)
+    for seed in range(3):
+        yield generate_cap(300, phi=33 * DEG, seed=seed)
+
+
+class TestVectorizedAgainstReference:
+    def test_assign_faces_matches_scalar_reference(self):
+        for cap in reference_caps():
+            forest = build_forest(cap, choose_origin(cap, "central"))
+            system = waterfall_strips(cap, forest)
+            assert (_assign_faces(cap, forest, system.paths)
+                    == assign_faces_reference(cap, forest, system.paths))
+
+    def test_epsilon_matches_loop_reference(self, monkeypatch):
+        fast = strips_mod._epsilon
+        seen = []
+
+        def both(*args):
+            eps = fast(*args)
+            assert eps == epsilon_reference(*args)
+            seen.append(eps)
+            return eps
+
+        monkeypatch.setattr(strips_mod, "_epsilon", both)
+        for cap in reference_caps():
+            waterfall_strips(cap, build_forest(cap, choose_origin(cap, "central")))
+        assert len(seen) >= 10
