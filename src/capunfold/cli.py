@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "tilt budget of the planar margin")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--jitter", type=float, default=0.25)
-    g.add_argument("--lift", choices=("paraboloid", "cone", "sphere"),
+    g.add_argument("--lift", choices=("paraboloid", "sphere"),
                    default="paraboloid")
     g.add_argument("--angle-mode", choices=("non_obtuse", "strict_acute"),
                    default="non_obtuse")
@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         c.add_argument("--origin-mode",
                        choices=("central", "closest_to_boundary"),
                        default="central")
-        c.add_argument("--out-dir", type=Path, default=Path("."))
         if name == "verify":
             c.add_argument("--rasterize", action="store_true",
                            help="also run the grid overlap oracle")
@@ -83,6 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="verify K generated caps (seeds 0..K-1) "
                                 "in parallel")
             c.add_argument("--jobs", type=int, default=None)
+        else:
+            c.add_argument("--out-dir", type=Path, default=Path("."))
         c.set_defaults(func=fn)
 
     s = sub.add_parser("stats", help="print metrics for a cap")
@@ -145,7 +146,9 @@ def cmd_unfold(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if getattr(args, "suite", None):
+    if args.suite:
+        if args.rasterize:
+            raise ValueError("--rasterize is not supported with --suite")
         return _verify_suite(args)
     cap = _load_or_generate(args)
     result = cut_and_unfold(cap, origin_mode=args.origin_mode,
@@ -185,7 +188,6 @@ def _generate(n, phi_deg, seed, **kwargs):
     if n is None or n < 4:
         raise ValueError("--n must be at least 4")
     if phi_deg is None:
-        kwargs.pop("angle_mode", None)
         return generate_budget_cap(n, seed=seed, **kwargs)
     return generate_cap(n, phi=phi_deg * DEG, seed=seed, **kwargs)
 

@@ -75,8 +75,15 @@ def path_angles(cap: ConvexCap, vertices) -> CutPath:
     return CutPath(vertices=tuple(vs), lam=lam, rho=rho, omega=omega)
 
 
-def develop_chain(cap: ConvexCap, vertices, side: str) -> np.ndarray:
+def _cut_path(cap: ConvexCap, path) -> CutPath:
+    """``path`` itself if it is a :class:`CutPath`, else its surface angles."""
+    return path if isinstance(path, CutPath) else path_angles(cap, path)
+
+
+def develop_chain(cap: ConvexCap, path, side: str) -> np.ndarray:
     """Isometric planar development of a cut path along one of its banks.
+
+    ``path`` is a vertex list or the :class:`CutPath` of one.
 
     The right chain starts along the projected direction of the first edge;
     the left chain starts rotated counterclockwise by the leaf curvature
@@ -86,7 +93,7 @@ def develop_chain(cap: ConvexCap, vertices, side: str) -> np.ndarray:
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    cp = path_angles(cap, vertices)
+    cp = _cut_path(cap, path)
     vs = cp.vertices
     V = cap.vertices
     lengths = [float(np.linalg.norm(V[b] - V[a])) for a, b in zip(vs, vs[1:])]
@@ -137,10 +144,11 @@ class TurnDistortion:
         return self.max_abs <= self.bound + 1e-9
 
 
-def turn_distortion(cap: ConvexCap, vertices, metrics=None) -> TurnDistortion:
+def turn_distortion(cap: ConvexCap, path, metrics=None) -> TurnDistortion:
     """Compare the cumulative turning of each developed chain against the
-    projected path, prefix by prefix; bound: 3*delta_perp(Phi) + 2*Omega."""
-    cp = path_angles(cap, vertices)
+    projected path (a vertex list or its :class:`CutPath`), prefix by
+    prefix; bound: 3*delta_perp(Phi) + 2*Omega."""
+    cp = _cut_path(cap, path)
     vs = cp.vertices
     P = cap.vertices[:, :2]
     k = len(vs) - 1
@@ -297,16 +305,15 @@ def net_congruent(cap: ConvexCap, net: Net, tol: float = 1e-9) -> bool:
 # --------------------------------------------------------------------------
 
 
-def bank_chains(cap: ConvexCap, net: Net, vertices,
-                collapse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def bank_chains(cap: ConvexCap, net: Net, vertices) -> tuple[np.ndarray, np.ndarray]:
     """Planar images of the two banks of a cut path as placed in the net.
 
     The left bank reads each path vertex out of the face lying left of the
     corresponding directed edge; where a junction splits the surrounding fan
-    the two images of the same vertex both appear (a double point).  With
-    ``collapse=True`` each double point keeps only its image farther from
-    the leaf (the radial upper envelope), which removes the micro radial
-    dips the opened junction gaps introduce.
+    the two images of the same vertex both appear (a double point).  Each
+    double point keeps only its image farther from the leaf (the radial
+    upper envelope), which removes the micro radial dips the opened junction
+    gaps introduce.
     """
     vs = [int(v) for v in vertices]
     T = cap.triangles
@@ -330,23 +337,21 @@ def bank_chains(cap: ConvexCap, net: Net, vertices,
                 nxt = net.vertex_image(f_out, vs[i + 1], T)
                 if not points_close(nxt, pts[-1][1], atol=1e-12):
                     pts.append((vs[i + 1], nxt))
-        if collapse:
-            src = pts[0][1]
-            kept: list[tuple[int, np.ndarray]] = []
-            for v, p in pts:
-                if kept and kept[-1][0] == v:
-                    if np.linalg.norm(p - src) > np.linalg.norm(kept[-1][1] - src):
-                        kept[-1] = (v, p)
-                else:
-                    kept.append((v, p))
-            pts = kept
-        out.append(np.array([p for _, p in pts]))
+        src = pts[0][1]
+        kept: list[tuple[int, np.ndarray]] = []
+        for v, p in pts:
+            if kept and kept[-1][0] == v:
+                if np.linalg.norm(p - src) > np.linalg.norm(kept[-1][1] - src):
+                    kept[-1] = (v, p)
+            else:
+                kept.append((v, p))
+        out.append(np.array([p for _, p in kept]))
     return out[0], out[1]
 
 
 def banks_ordered(cap: ConvexCap, net: Net, vertices) -> tuple[bool, float | None]:
     """left_of certificate for the two banks of one leaf-to-root cut path."""
-    L, R = bank_chains(cap, net, vertices, collapse=True)
+    L, R = bank_chains(cap, net, vertices)
     if not np.allclose(L[0], R[0], atol=1e-9):
         raise RuntimeError("cut banks do not share the leaf image")
     R = R.copy()

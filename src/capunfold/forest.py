@@ -10,11 +10,11 @@ quadrant's wedge; every leaf-to-root path is therefore theta-angle-monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Wedge, eps_geom, normalize_angle, wedge_contains
+from .geom import EPS_GEOM, Wedge, normalize_angle, wedge_contains
 from .mesh import ConvexCap, compute_metrics
 
 _PERTURB = 1e-6  # axis rotation step when a vertex lands on an axis
@@ -138,7 +138,7 @@ def verify_angle_monotone(points: np.ndarray, theta: float) -> float | None:
     ang = np.arctan2(d[:, 1], d[:, 0])
     rel = ang[0] + np.array([normalize_angle(a - ang[0]) for a in ang])
     spread = float(rel.max() - rel.min())
-    if spread <= theta + eps_geom():
+    if spread <= theta + EPS_GEOM:
         return float(rel.min())
     return None
 
@@ -230,7 +230,7 @@ def _angles_from(cap: ConvexCap, q: int, vertices) -> np.ndarray:
 def _gap_empty_angles(angles: np.ndarray, qs: QuadrantSystem) -> bool:
     gap = qs.gap_wedge()
     rel = np.mod(angles - gap.base, 2 * math.pi)
-    e = eps_geom()
+    e = EPS_GEOM
     return not bool(np.any((rel > -e) & (rel < gap.width + e)))
 
 
@@ -241,18 +241,13 @@ def gap_is_empty(cap: ConvexCap, qs: QuadrantSystem) -> bool:
 
 
 def _any_on_axis(angles: np.ndarray, qs: QuadrantSystem) -> bool:
-    tol = eps_geom() * 10
+    tol = EPS_GEOM * 10
     for i in range(5):
         ax = qs.base + i * qs.theta
         rel = np.mod(angles - ax + math.pi, 2 * math.pi) - math.pi
         if bool(np.any(np.abs(rel) < tol)):
             return True
     return False
-
-
-def _vertex_on_axis(cap: ConvexCap, qs: QuadrantSystem) -> bool:
-    angles = _angles_from(cap, int(qs.origin), range(cap.n_vertices))
-    return _any_on_axis(angles, qs)
 
 
 def _settle_axes(cap: ConvexCap, qs: QuadrantSystem,

@@ -15,8 +15,8 @@ import math
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .geom import phi_budget
-from .mesh import ConvexCap, compute_metrics, validate_cap
+from .geom import corner_angles, phi_budget
+from .mesh import ConvexCap, validate_cap
 
 
 def generate_cap(
@@ -50,10 +50,12 @@ def generate_cap(
 
 def generate_budget_cap(
     n: int,
-    alpha_target: float | None = None,
     seed: int = 0,
     safety: float = 0.9,
-    **kwargs,
+    jitter: float = 0.25,
+    lift: str = "paraboloid",
+    angle_mode: str = "non_obtuse",
+    max_tries: int = 20,
 ) -> ConvexCap:
     """Build a cap whose actual tilt sits at ``safety`` times the tilt budget
     of its own planar acuteness margin.
@@ -63,15 +65,14 @@ def generate_budget_cap(
     final cap is lifted to ``safety * phi_budget(alpha')``.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(kwargs.get("max_tries", 20)):
-        pts = _jittered_lattice(n, kwargs.get("jitter", 0.25), rng)
-        angles = _planar_min_margin(pts)
-        alpha_planar = math.pi / 2 - angles
+    for _ in range(max_tries):
+        pts = _jittered_lattice(n, jitter, rng)
+        alpha_planar = math.pi / 2 - corner_angles(pts[_triangulate(pts)]).max()
         if alpha_planar <= 0:
             continue
         phi = safety * phi_budget(alpha_planar)
-        cap = _lift_points(pts, phi, kwargs.get("lift", "paraboloid"))
-        if not validate_cap(cap, angle_mode=kwargs.get("angle_mode", "non_obtuse")):
+        cap = _lift_points(pts, phi, lift)
+        if not validate_cap(cap, angle_mode=angle_mode):
             return cap
     raise RuntimeError("budget cap generation failed")
 
@@ -131,21 +132,6 @@ def _triangulate(pts: np.ndarray) -> np.ndarray:
     cw = (u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]) < 0
     faces[cw] = faces[cw][:, ::-1]
     return faces
-
-
-def _planar_min_margin(pts: np.ndarray) -> float:
-    """Largest corner angle of the planar triangulation."""
-    faces = _triangulate(pts)
-    worst = 0.0
-    for i in range(3):
-        p = pts[faces[:, i]]
-        u = pts[faces[:, (i + 1) % 3]] - p
-        w = pts[faces[:, (i + 2) % 3]] - p
-        cosang = np.einsum("ij,ij->i", u, w) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1)
-        )
-        worst = max(worst, float(np.arccos(np.clip(cosang, -1, 1)).max()))
-    return worst
 
 
 def _lift_points(pts: np.ndarray, phi: float, lift: str) -> ConvexCap:

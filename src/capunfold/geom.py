@@ -1,4 +1,4 @@
-"""Scalar geometry used everywhere else: angles, turns, wedges, and the
+"""Geometry used everywhere else: angles, turns, wedges, and the
 flatness/acuteness budget arithmetic for nearly flat convex caps.
 
 All angles are radians internally.  Degrees only appear at I/O boundaries.
@@ -7,16 +7,15 @@ All angles are radians internally.  Degrees only appear at I/O boundaries.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "EPS_GEOM",
-    "eps_geom",
     "Wedge",
     "angle_between",
+    "corner_angles",
     "delta_perp",
     "normalize_angle",
     "omega_bound",
@@ -28,20 +27,8 @@ __all__ = [
     "wedge_contains",
 ]
 
-#: Default absolute tolerance for geometric predicates (see eps_geom()).
+#: Absolute tolerance for geometric predicates.
 EPS_GEOM = 1e-9
-
-
-_EPS_CACHE: tuple[str | None, float] = (None, EPS_GEOM)
-
-
-def eps_geom() -> float:
-    """Geometric tolerance; overridable via CAPUNFOLD_EPS_GEOM for testing."""
-    global _EPS_CACHE
-    raw = os.environ.get("CAPUNFOLD_EPS_GEOM")
-    if raw != _EPS_CACHE[0]:
-        _EPS_CACHE = (raw, EPS_GEOM if raw is None else float(raw))
-    return _EPS_CACHE[1]
 
 
 def normalize_angle(theta: float) -> float:
@@ -75,6 +62,17 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     else:
         cross = float(np.linalg.norm(np.cross(u, v)))
     return math.atan2(cross, float(np.dot(u, v)))
+
+
+def corner_angles(tris) -> np.ndarray:
+    """Interior angles of a batch of triangles: (m, 3, d) corners, 2D or 3D,
+    to (m, 3) angles, entry ``[f, i]`` at corner ``i`` of triangle ``f``."""
+    tris = np.asarray(tris, dtype=float)
+    u = tris[:, [1, 2, 0]] - tris
+    w = tris[:, [2, 0, 1]] - tris
+    cosang = np.einsum("mij,mij->mi", u, w) / (
+        np.linalg.norm(u, axis=2) * np.linalg.norm(w, axis=2))
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
 def signed_turn(d_in: np.ndarray, d_out: np.ndarray) -> float:
@@ -146,10 +144,8 @@ class Wedge:
         return self.base + 0.5 * self.width
 
 
-def wedge_contains(wedge: Wedge, direction: float, slack: float | None = None) -> bool:
+def wedge_contains(wedge: Wedge, direction: float, slack: float = EPS_GEOM) -> bool:
     """True if a direction angle lies in the closed wedge, within eps slack."""
-    if slack is None:
-        slack = eps_geom()
     delta = math.fmod(direction - wedge.base, 2.0 * math.pi)
     if delta < 0.0:
         delta += 2.0 * math.pi

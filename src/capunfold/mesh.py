@@ -8,11 +8,11 @@ oriented counterclockwise as seen from above (+z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import eps_geom, turn_angle
+from .geom import EPS_GEOM, corner_angles, turn_angle
 
 
 # --------------------------------------------------------------------------
@@ -87,6 +87,7 @@ class ConvexCap:
 
         self.rim = self._trace_rim()
         self._fan_cache: dict[int, tuple[list[int], np.ndarray]] = {}
+        self._angles_cache: np.ndarray | None = None
 
     def _trace_rim(self) -> np.ndarray:
         """Ordered rim vertex loop, counterclockwise seen from above.
@@ -125,43 +126,14 @@ class ConvexCap:
             raise ValueError(f"degenerate face {f}")
         return n / norm
 
-    def corner_angle(self, f: int, v: int) -> float:
-        """Interior angle of face ``f`` at vertex ``v`` (3D metric)."""
-        tri = self.triangles[f]
-        i = int(np.where(tri == v)[0][0])
-        p = self.vertices[v]
-        u = self.vertices[tri[(i + 1) % 3]] - p
-        w = self.vertices[tri[(i + 2) % 3]] - p
-        cosang = np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w))
-        return math.acos(np.clip(cosang, -1.0, 1.0))
-
     def face_angles(self) -> np.ndarray:
-        """All corner angles, shape (m, 3) matching ``triangles``."""
-        V, T = self.vertices, self.triangles
-        ang = np.empty((self.n_triangles, 3))
-        for i in range(3):
-            p = V[T[:, i]]
-            u = V[T[:, (i + 1) % 3]] - p
-            w = V[T[:, (i + 2) % 3]] - p
-            cosang = np.einsum("ij,ij->i", u, w) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1)
-            )
-            ang[:, i] = np.arccos(np.clip(cosang, -1.0, 1.0))
-        return ang
-
-    def planar_face_angles(self) -> np.ndarray:
-        """Corner angles of the projected (xy) triangles, shape (m, 3)."""
-        V, T = self.vertices[:, :2], self.triangles
-        ang = np.empty((self.n_triangles, 3))
-        for i in range(3):
-            p = V[T[:, i]]
-            u = V[T[:, (i + 1) % 3]] - p
-            w = V[T[:, (i + 2) % 3]] - p
-            cosang = np.einsum("ij,ij->i", u, w) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1)
-            )
-            ang[:, i] = np.arccos(np.clip(cosang, -1.0, 1.0))
-        return ang
+        """All corner angles, shape (m, 3) matching ``triangles``; computed
+        once per cap and returned read-only."""
+        if self._angles_cache is None:
+            ang = corner_angles(self.vertices[self.triangles])
+            ang.flags.writeable = False
+            self._angles_cache = ang
+        return self._angles_cache
 
     def vertex_fan(self, v: int) -> tuple[list[int], np.ndarray]:
         """Neighbors of ``v`` in ccw order with cumulative intrinsic angles.
@@ -177,6 +149,7 @@ class ConvexCap:
         if cached is not None:
             return cached
         # in a ccw triangle (v, a, b) the wedge at v runs ccw from v->a to v->b
+        ang = self.face_angles()
         succ = {}
         wedge = {}
         for f in self.vertex_faces[v]:
@@ -184,7 +157,7 @@ class ConvexCap:
             i = int(np.where(tri == v)[0][0])
             a, b = int(tri[(i + 1) % 3]), int(tri[(i + 2) % 3])
             succ[a] = b
-            wedge[a] = self.corner_angle(f, v)
+            wedge[a] = ang[f, i]
         if v in self.rim_vertex_set:
             start = next(iter(set(succ) - set(succ.values())))
         else:
@@ -209,8 +182,6 @@ class ConvexCap:
     def fan_total(self, v: int) -> float:
         """Total intrinsic angle around ``v`` (cone angle / rim angle psi)."""
         _, theta = self.vertex_fan(v)
-        if v in self.rim_vertex_set:
-            return float(theta[-1])
         return float(theta[-1])
 
     def fan_coordinate(self, v: int, direction: np.ndarray, face: int) -> float:
@@ -265,17 +236,6 @@ class ConvexCap:
         psi_pl = math.acos(np.clip(cosang, -1.0, 1.0))
         return psi, psi_pl
 
-    def projected(self) -> np.ndarray:
-        """Vertex positions flattened onto the xy-plane, shape (n, 2)."""
-        return self.vertices[:, :2].copy()
-
-    def edge_face(self, a: int, b: int, prefer: int | None = None) -> int:
-        """A face incident to edge ``(a, b)``; ``prefer`` wins if incident."""
-        faces = self.edge_faces[(min(a, b), max(a, b))]
-        if prefer is not None and prefer in faces:
-            return prefer
-        return faces[0]
-
 
 # --------------------------------------------------------------------------
 # metrics
@@ -300,7 +260,7 @@ def compute_metrics(cap: ConvexCap) -> CapMetrics:
     nz = n[:, 2] / np.linalg.norm(n, axis=1)
     tilts = np.arccos(np.clip(nz, -1.0, 1.0))
     ang3 = cap.face_angles()
-    ang2 = cap.planar_face_angles()
+    ang2 = corner_angles(V[:, :2][T])
     return CapMetrics(
         phi_actual=float(max(tilts)),
         alpha=float(math.pi / 2 - ang3.max()),
@@ -316,8 +276,7 @@ def compute_metrics(cap: ConvexCap) -> CapMetrics:
 # --------------------------------------------------------------------------
 
 
-def validate_cap(cap: ConvexCap, angle_mode: str = "non_obtuse",
-                 eps: float | None = None) -> list[str]:
+def validate_cap(cap: ConvexCap, angle_mode: str = "non_obtuse") -> list[str]:
     """Check every structural invariant; return a list of problems (empty
     means valid).
 
@@ -326,7 +285,7 @@ def validate_cap(cap: ConvexCap, angle_mode: str = "non_obtuse",
     """
     if angle_mode not in ("non_obtuse", "strict_acute"):
         raise ValueError(f"unknown angle_mode {angle_mode!r}")
-    e = eps_geom() if eps is None else eps
+    e = EPS_GEOM
     issues: list[str] = []
     V, T = cap.vertices, cap.triangles
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import eps_geom, normalize_angle
+from .geom import EPS_GEOM, normalize_angle
 from .forest import verify_angle_monotone
 
 
@@ -70,20 +70,6 @@ def is_simple(points) -> bool:
     return len(ii) == 0
 
 
-def _segments_cross(p1, p2, p3, p4) -> bool:
-    d1 = _orient(p3, p4, p1)
-    d2 = _orient(p3, p4, p2)
-    d3 = _orient(p1, p2, p3)
-    d4 = _orient(p1, p2, p4)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 * d2 != 0 and d3 * d4 != 0:
-        return True
-    return False
-
-
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 # --------------------------------------------------------------------------
 # radial monotonicity
 # --------------------------------------------------------------------------
@@ -134,7 +120,7 @@ def circle_crossing_oracle(points, source, radii=None) -> bool:
         vals = np.unique(dists)
         mids = 0.5 * (vals[:-1] + vals[1:])
         radii = np.concatenate([vals, mids])
-    e = eps_geom() * max(1.0, float(dists.max()))
+    e = EPS_GEOM * max(1.0, float(dists.max()))
     d0, d1 = dists[:-1], dists[1:]
     seg = pts[1:] - pts[:-1]
     f = pts[:-1] - src
@@ -178,7 +164,7 @@ def circle_crossing_oracle(points, source, radii=None) -> bool:
 
 def _circle_components(pts, dists, src, r) -> int:
     """Connected components of chain-circle intersection, by chain parameter."""
-    e = eps_geom() * max(1.0, float(dists.max()))
+    e = EPS_GEOM * max(1.0, float(dists.max()))
     hits: list[tuple[float, float]] = []  # parameter intervals touching circle
     for i in range(len(pts) - 1):
         d0, d1 = dists[i] - r, dists[i + 1] - r
@@ -229,13 +215,13 @@ def distances_nondecreasing(points, source) -> bool:
         samples.append(0.5 * (pts[i] + pts[i + 1]))
     samples.append(pts[-1])
     d = np.linalg.norm(np.asarray(samples) - src, axis=1)
-    return bool(np.all(np.diff(d) >= -eps_geom() * max(1.0, d.max())))
+    return bool(np.all(np.diff(d) >= -EPS_GEOM * max(1.0, d.max())))
 
 
 def angle_monotone_implies_rm(points, theta: float) -> bool:
     """Check the implication: a theta-monotone chain with theta <= 90deg is
     radially monotone.  A counterexample is a hard failure."""
-    if theta > math.pi / 2 + eps_geom():
+    if theta > math.pi / 2 + EPS_GEOM:
         raise ValueError("implication only claimed for theta <= pi/2")
     beta = verify_angle_monotone(points, theta)
     if beta is None:
@@ -309,10 +295,10 @@ def left_of(A, B, check: str = "angle") -> tuple[bool, float | None]:
     da = np.linalg.norm(a - src, axis=1)
     db = np.linalg.norm(b - src, axis=1)
     vals = np.unique(np.concatenate([da, db]))
-    vals = vals[vals > eps_geom()]
+    vals = vals[vals > EPS_GEOM]
     radii = np.sort(np.concatenate([vals, 0.5 * (vals[:-1] + vals[1:])]))
     r_max = min(da.max(), db.max())
-    e = eps_geom() * max(1.0, float(max(da.max(), db.max())))
+    e = EPS_GEOM * max(1.0, float(max(da.max(), db.max())))
     radii = radii[radii <= r_max + e]
     pa = _first_hits(a, da, src, np.minimum(radii, da.max()))
     pb = _first_hits(b, db, src, np.minimum(radii, db.max()))
@@ -328,7 +314,8 @@ def left_of(A, B, check: str = "angle") -> tuple[bool, float | None]:
 
 
 def _first_hits(pts, dists, src, radii):
-    """Batched :func:`_first_hit`: one (x, y) row per radius, NaN on miss."""
+    """First point along a radially monotone chain at each distance in
+    ``radii``: one (x, y) row per radius, NaN on miss."""
     d0, d1 = dists[:-1], dists[1:]
     R = np.asarray(radii)[:, None]
     hit = ((d0[None, :] <= R) & (R <= d1[None, :])) \
@@ -361,22 +348,3 @@ def _first_hits(pts, dists, src, radii):
     out[has] = res
     return out
 
-
-def _first_hit(pts, dists, src, r):
-    """First point along a radially monotone chain at distance ``r``."""
-    if r > dists.max() + eps_geom():
-        return None
-    d0 = dists[:-1]
-    d1 = dists[1:]
-    hit = ((d0 <= r) & (r <= d1)) | (np.abs(d0 - r) < 1e-12)
-    idx = np.nonzero(hit)[0]
-    if len(idx) == 0:
-        return None
-    i = int(idx[0])
-    if abs(d1[i] - d0[i]) < 1e-15:
-        return pts[i]
-    ts = _segment_circle_ts(pts[i], pts[i + 1], src, r, eps_geom())
-    if ts:
-        t = ts[0]
-        return (1 - t) * pts[i] + t * pts[i + 1]
-    return pts[i] if abs(d0[i] - r) <= abs(d1[i] - r) else pts[i + 1]

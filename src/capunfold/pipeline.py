@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .develop import (
     Net,
     banks_ordered,
@@ -21,6 +19,7 @@ from .develop import (
     develop_chain,
     layout_net,
     net_congruent,
+    path_angles,
     rasterize_overlap_oracle,
     turn_distortion,
 )
@@ -56,35 +55,31 @@ class UnfoldResult:
         return self.clean and not self.diagnostics["warnings"]
 
 
-def _stage(name):
-    def deco(fn):
-        def wrapped(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except PipelineError:
-                raise
-            except Exception as exc:
-                raise PipelineError(name, str(exc)) from exc
-        return wrapped
-    return deco
-
-
 def cut_and_unfold(cap: ConvexCap, origin_mode: str = "central",
                    rasterize: bool = False) -> UnfoldResult:
     diag: dict = {"schema_version": SCHEMA_VERSION, "warnings": [],
                   "errors": []}
 
-    _stage("validate")(lambda: _validate(cap))()
-    metrics = _stage("metrics")(lambda: _metrics(cap, diag))()
-    forest = _stage("forest")(lambda: _forest(cap, origin_mode, diag))()
-    net = _stage("develop")(lambda: layout_net(cap, forest))()
-    strips = _stage("strips")(lambda: waterfall_strips(cap, forest))()
-    net.strip_of = dict(strips.strip_of)
+    # a failure in any stage is re-raised as a PipelineError naming it
+    stage = "validate"
+    try:
+        _validate(cap)
+        stage = "metrics"
+        metrics = _metrics(cap, diag)
+        stage = "forest"
+        forest = _forest(cap, origin_mode, diag)
+        stage = "develop"
+        net = layout_net(cap, forest)
+        stage = "strips"
+        strips = waterfall_strips(cap, forest)
+        net.strip_of = dict(strips.strip_of)
+        stage = "certify"
+        _certify(cap, forest, strips, net, diag, metrics)
+        stage = "overlap"
+        report = check_overlap(net)
+    except Exception as exc:
+        raise PipelineError(stage, str(exc)) from exc
 
-    _stage("certify")(lambda: _certify(cap, forest, strips, net, diag,
-                                       metrics))()
-
-    report = _stage("overlap")(lambda: check_overlap(net))()
     diag["overlap"] = {
         "clean": report.clean,
         "pairs": [list(p) for p in report.pairs[:20]],
@@ -163,7 +158,7 @@ def _forest(cap: ConvexCap, origin_mode: str, diag: dict):
 
 
 def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
-             net: Net, diag: dict, metrics_obj=None):
+             net: Net, diag: dict, metrics):
     m = diag["metrics"]
     q = int(forest.system.origin)
 
@@ -179,10 +174,11 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
         path = forest.path_to_root(leaf)
         if len(path) < 2:
             continue
-        td = turn_distortion(cap, path, metrics=metrics_obj)
+        cp = path_angles(cap, path)
+        td = turn_distortion(cap, cp, metrics=metrics)
         max_dq = max(max_dq, td.max_abs)
-        L = develop_chain(cap, path, "left")
-        R = develop_chain(cap, path, "right")
+        L = develop_chain(cap, cp, "left")
+        R = develop_chain(cap, cp, "right")
         ok = _ordered(left_of, L, R)
         paths_ordered = paths_ordered and ok
         ok_b = _ordered(banks_ordered, cap, net, path)
@@ -194,15 +190,16 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
         "chains_ordered": paths_ordered,
         "banks_ordered": banks_ok,
     }
-    if not diag["paths"]["within_distortion_bound"]:
-        msg = "turn distortion exceeds 3*delta_perp + 2*omega"
-        (diag["warnings"] if not m["within_budget"] else diag["errors"]).append(msg)
-    if not paths_ordered:
-        msg = "left development not left of right development on some path"
-        (diag["warnings"] if not m["within_budget"] else diag["errors"]).append(msg)
-    if not banks_ok:
-        msg = "cut banks out of order on some leaf path"
-        (diag["warnings"] if not m["within_budget"] else diag["errors"]).append(msg)
+    # within the tilt budget these are theorems, so a failure is an error
+    failures = diag["errors"] if m["within_budget"] else diag["warnings"]
+    for key, msg in (
+            ("within_distortion_bound",
+             "turn distortion exceeds 3*delta_perp + 2*omega"),
+            ("chains_ordered",
+             "left development not left of right development on some path"),
+            ("banks_ordered", "cut banks out of order on some leaf path")):
+        if not diag["paths"][key]:
+            failures.append(msg)
 
     # per-tree layout preconditions
     curvs = forest.tree_curvatures(cap)

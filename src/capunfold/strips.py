@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import QuadrantSystem, SpanningForest, verify_angle_monotone
-from .geom import points_close
+from .geom import corner_angles, points_close
 from .mesh import ConvexCap
 
 
@@ -488,16 +488,10 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
 
     # apex angles at q across all strips close up the cone at q
     q = int(qs.origin)
-    total = 0.0
-    for f in cap.vertex_faces[q]:
-        img = net.placed[f]
-        t = cap.triangles[f]
-        k = int(np.where(t == q)[0][0])
-        a = img[(k + 1) % 3] - img[k]
-        b = img[(k + 2) % 3] - img[k]
-        total += math.acos(np.clip(
-            float(np.dot(a, b)) / float(np.linalg.norm(a) * np.linalg.norm(b)),
-            -1.0, 1.0))
+    fq = cap.vertex_faces[q]
+    corner = np.nonzero(cap.triangles[fq] == q)[1]
+    apex = corner_angles(np.stack([net.placed[f] for f in fq]))
+    total = float(apex[np.arange(len(fq)), corner].sum())
     out["apex_angle_error"] = abs(
         total - (2 * math.pi - cap.vertex_curvature(q)))
     if out["apex_angle_error"] > 1e-9:

@@ -37,6 +37,13 @@ class TestGenerate:
         assert run(["generate", "--n", 3, "--out-dir", tmp_path]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_cone_lift_not_offered(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--n", 40, "--lift", "cone",
+                 "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_config_file_provides_defaults(self, tmp_path):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"seed": 9, "jitter": 0.1}))
@@ -87,6 +94,11 @@ class TestVerify:
         d = json.loads(capsys.readouterr().out)
         assert len(d["runs"]) == 3
         assert d["counts"] == {"proven_clean": 3}
+
+    def test_suite_rejects_rasterize(self, capsys):
+        assert run(["verify", "--n", 30, "--suite", 2, "--rasterize"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "--rasterize" in err["error"]
 
 
 class TestRenderAndStats:

@@ -59,6 +59,10 @@ class TestBudgetCap:
         m = compute_metrics(cap)
         assert 0 < m.phi_actual <= phi_budget(m.alpha_planar)
 
+    def test_unknown_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            generate_budget_cap(60, jiter=0.9)
+
     def test_safety_scales_tilt(self):
         shallow = compute_metrics(generate_budget_cap(80, seed=1, safety=0.5))
         steep = compute_metrics(generate_budget_cap(80, seed=1, safety=0.9))

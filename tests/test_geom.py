@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from capunfold.geom import (
     Wedge,
     angle_between,
+    corner_angles,
     delta_perp,
     normalize_angle,
     omega_bound,
@@ -251,6 +252,20 @@ class TestHelpers:
         d1 = np.array([1.0, 0.2])
         d2 = np.array([-0.3, 0.9])
         assert signed_turn(d1, d2) == pytest.approx(-signed_turn(d2, d1))
+
+
+class TestCornerAngles:
+    def test_right_isosceles_2d(self):
+        tri = [[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]
+        assert np.allclose(corner_angles(tri),
+                           [[math.pi / 2, math.pi / 4, math.pi / 4]],
+                           atol=1e-15)
+
+    def test_equilateral_3d(self):
+        tri = [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]
+        ang = corner_angles(tri)
+        assert ang.shape == (1, 3)
+        assert np.allclose(ang, math.pi / 3, atol=1e-15)
 
 
 class TestPointsClose:

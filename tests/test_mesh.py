@@ -109,6 +109,20 @@ class TestCurvature:
         assert psi_pl / DEG == pytest.approx(108.0, abs=1e-9)
         assert psi >= psi_pl  # projection never widens a rim corner
 
+    def test_fan_total_matches_curvatures(self):
+        from capunfold.generate import generate_budget_cap
+
+        cap = generate_budget_cap(200, seed=0)
+        fans = [cap.fan_total(int(v)) for v in cap.interior_vertices]
+        assert np.allclose(fans, 2 * math.pi - cap.curvatures(),
+                           rtol=0, atol=1e-12)
+
+    def test_face_angles_computed_once(self):
+        cap = pentagonal_pyramid()
+        ang = cap.face_angles()
+        assert cap.face_angles() is ang
+        assert not ang.flags.writeable
+
     def test_metrics(self):
         cap = pentagonal_pyramid()
         m = compute_metrics(cap)

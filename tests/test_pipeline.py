@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from capunfold.generate import generate_budget_cap, generate_cap
+from capunfold import pipeline
 from capunfold.mesh import ConvexCap
 from capunfold.pipeline import (
     SCHEMA_VERSION,
@@ -108,6 +109,24 @@ class TestFailures:
         with pytest.raises(PipelineError) as exc:
             cut_and_unfold(bad)
         assert exc.value.stage == "validate"
+
+    @pytest.mark.parametrize("name, stage", [
+        ("layout_net", "develop"),
+        ("waterfall_strips", "strips"),
+        ("strip_certificates", "certify"),
+        ("check_overlap", "overlap"),
+    ])
+    def test_stage_failure_is_tagged(self, monkeypatch, name, stage):
+        cause = RuntimeError(f"{name} failed")
+
+        def fail(*args, **kwargs):
+            raise cause
+
+        monkeypatch.setattr(pipeline, name, fail)
+        with pytest.raises(PipelineError) as exc:
+            cut_and_unfold(generate_budget_cap(30, seed=0))
+        assert exc.value.stage == stage
+        assert exc.value.__cause__ is cause
 
     def test_trivial_cap_rejected(self):
         # a single triangle has no interior vertex to root a forest at
