@@ -11,10 +11,11 @@ extraction for the left-of certificates.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from .forest import SpanningForest
@@ -196,35 +197,38 @@ class Net:
 def layout_net(cap: ConvexCap, forest: SpanningForest) -> Net:
     """Develop the whole cap across every non-forest edge by breadth-first
     unfolding; the result is independent of traversal order because every
-    interior vertex is cut."""
+    interior vertex is cut.  Faces hang from the first face that reaches
+    them across an uncut side (sides in order 0, 1, 2), and each level of
+    that tree is placed in one array pass."""
     cut = {(min(a, b), max(a, b)) for a, b in forest.edges()}
-    placed: dict[int, np.ndarray] = {}
+    T, n, m = cap.triangles, cap.n_vertices, cap.n_triangles
+    nbr = cap.face_neighbors()
+    T1 = T[:, [1, 2, 0]]
+    side_key = np.minimum(T, T1) * n + np.maximum(T, T1)
+    uncut = (nbr >= 0) & ~np.isin(side_key, [a * n + b for a, b in cut])
+    indptr = np.concatenate([[0], np.cumsum(uncut.sum(axis=1))])
+    graph = csr_matrix((np.ones(indptr[-1]), nbr[uncut], indptr), (m, m))
+    order, pred = breadth_first_order(graph, 0, return_predecessors=True)
+    if len(order) != m:
+        raise RuntimeError(f"cut edges disconnect the surface: placed "
+                           f"{len(order)} of {m} faces")
 
-    root = 0
-    placed[root] = _root_placement(cap, root)
-    queue = deque([root])
-    while queue:
-        f = queue.popleft()
-        tri = cap.triangles[f]
-        for i in range(3):
-            a, b = int(tri[i]), int(tri[(i + 1) % 3])
-            key = (min(a, b), max(a, b))
-            if key in cut:
-                continue
-            fs = cap.edge_faces[key]
-            if len(fs) == 1:
-                continue
-            g = fs[0] if fs[1] == f else fs[1]
-            if g in placed:
-                continue
-            placed[g] = _unfold_face(cap, placed[f], f, g)
-            queue.append(g)
-    if len(placed) != cap.n_triangles:
-        raise RuntimeError(
-            f"cut edges disconnect the surface: placed {len(placed)} of "
-            f"{cap.n_triangles} faces"
-        )
-    return Net(placed=placed, cut_edges=cut)
+    # parent side kf, from corner kf to kf+1, is child side kg reversed
+    G, F = order[1:], pred[order[1:]]
+    kf = (nbr[F] == G[:, None]).argmax(axis=1)
+    kg = (nbr[G] == F[:, None]).argmax(axis=1)
+
+    depth = [0] * m
+    for g, f in zip(G.tolist(), F.tolist()):
+        depth[g] = depth[f] + 1
+    cuts = np.flatnonzero(np.diff(np.asarray(depth)[G])) + 1
+
+    local = _all_face_locals(cap)
+    pos = np.empty((m, 3, 2))
+    pos[0] = _root_placement(cap, 0)
+    for lv in np.split(np.arange(len(G)), cuts):
+        _place_level(pos, local, G[lv], F[lv], kg[lv], kf[lv])
+    return Net(placed=dict(zip(order.tolist(), pos[order])), cut_edges=cut)
 
 
 def _all_face_locals(cap: ConvexCap) -> np.ndarray:
@@ -264,28 +268,19 @@ def _root_placement(cap: ConvexCap, f: int) -> np.ndarray:
     return (local - local[0]) @ R.T + P[0]
 
 
-def _unfold_face(cap: ConvexCap, placed_f: np.ndarray, f: int, g: int) -> np.ndarray:
-    """Rigidly place face ``g`` into the plane so it shares its common edge
-    with the already placed face ``f``."""
-    tri_f = cap.triangles[f]
-    tri_g = cap.triangles[g]
-    shared = sorted(set(tri_f) & set(tri_g))
-    u, w = int(shared[0]), int(shared[1])
-    local = _all_face_locals(cap)[g]
-
-    def local_of(v):
-        return local[int(np.where(tri_g == v)[0][0])]
-
-    def placed_of(v):
-        return placed_f[int(np.where(tri_f == v)[0][0])]
-
-    src = np.array([local_of(u), local_of(w)])
-    dst = np.array([placed_of(u), placed_of(w)])
-    ds, dd = src[1] - src[0], dst[1] - dst[0]
-    ang = math.atan2(dd[1], dd[0]) - math.atan2(ds[1], ds[0])
-    c, s = math.cos(ang), math.sin(ang)
-    R = np.array([[c, -s], [s, c]])
-    return (local - src[0]) @ R.T + dst[0]
+def _place_level(pos, local, G, F, kg, kf) -> None:
+    """Rigidly place the faces ``G`` so that side ``kg`` of each lands,
+    reversed, on side ``kf`` of its already placed parent in ``F``."""
+    src = local[G, (kg + 1) % 3]
+    ds = local[G, kg] - src
+    dst = pos[F, kf]
+    dd = pos[F, (kf + 1) % 3] - dst
+    ang = np.arctan2(dd[:, 1], dd[:, 0]) - np.arctan2(ds[:, 1], ds[:, 0])
+    c, s = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    x = local[G, :, 0] - src[:, 0, None]
+    y = local[G, :, 1] - src[:, 1, None]
+    pos[G, :, 0] = c * x - s * y + dst[:, 0, None]
+    pos[G, :, 1] = s * x + c * y + dst[:, 1, None]
 
 
 def net_congruent(cap: ConvexCap, net: Net, tol: float = 1e-9) -> bool:

@@ -158,6 +158,8 @@ def choose_origin(cap: ConvexCap, mode: str = "closest_to_boundary",
     """
     if len(cap.interior_vertices) == 0:
         raise ForestError("cap has no interior vertices (trivial cap)")
+    if mode not in ("closest_to_boundary", "central"):
+        raise ValueError(f"unknown origin mode {mode!r}")
     if theta is None:
         theta = math.pi / 2 - compute_metrics(cap).alpha_planar
     if not 0 < theta <= math.pi / 2:
@@ -167,14 +169,6 @@ def choose_origin(cap: ConvexCap, mode: str = "closest_to_boundary",
     rim_pts = P[cap.rim]
     dists, dirs = _rim_distances(P[cap.interior_vertices], rim_pts)
 
-    if mode == "closest_to_boundary":
-        k = int(np.argmin(dists))
-        q = int(cap.interior_vertices[k])
-        qs = _settle_axes(cap, QuadrantSystem(q, theta, float(dirs[k])))
-        if qs is not None:
-            return qs
-        raise ForestError("could not aim an empty gap cone from the "
-                          "boundary-nearest vertex")
     if mode == "central":
         k = int(np.argmax(dists))
         q = int(cap.interior_vertices[k])
@@ -196,8 +190,14 @@ def choose_origin(cap: ConvexCap, mode: str = "closest_to_boundary",
             qs = _settle_axes(cap, QuadrantSystem(q, theta, float(gap_dir)))
             if qs is not None:
                 return qs
-        return choose_origin(cap, mode="closest_to_boundary", theta=theta)
-    raise ValueError(f"unknown origin mode {mode!r}")
+    # closest_to_boundary, also the fallback of central
+    k = int(np.argmin(dists))
+    q = int(cap.interior_vertices[k])
+    qs = _settle_axes(cap, QuadrantSystem(q, theta, float(dirs[k])))
+    if qs is not None:
+        return qs
+    raise ForestError("could not aim an empty gap cone from the "
+                      "boundary-nearest vertex")
 
 
 def _rim_distances(pts: np.ndarray, rim_pts: np.ndarray):

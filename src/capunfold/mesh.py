@@ -88,6 +88,7 @@ class ConvexCap:
         self.rim = self._trace_rim()
         self._fan_cache: dict[int, tuple[list[int], np.ndarray]] = {}
         self._angles_cache: np.ndarray | None = None
+        self._neighbors_cache: np.ndarray | None = None
 
     def _trace_rim(self) -> np.ndarray:
         """Ordered rim vertex loop, counterclockwise seen from above.
@@ -134,6 +135,22 @@ class ConvexCap:
             ang.flags.writeable = False
             self._angles_cache = ang
         return self._angles_cache
+
+    def face_neighbors(self) -> np.ndarray:
+        """Face across each side, shape (m, 3): entry ``[f, k]`` is the face
+        holding the reverse of side ``triangles[f, k] -> triangles[f, k+1]``,
+        or -1 on the rim; computed once per cap and returned read-only."""
+        if self._neighbors_cache is None:
+            T, n = self.triangles, self.n_vertices
+            a, b = T.ravel(), T[:, [1, 2, 0]].ravel()
+            order = np.argsort(a * n + b)
+            keys = (a * n + b)[order]
+            pos = np.minimum(np.searchsorted(keys, b * n + a), len(keys) - 1)
+            hit = keys[pos] == b * n + a
+            nbr = np.where(hit, order[pos] // 3, -1).reshape(-1, 3)
+            nbr.flags.writeable = False
+            self._neighbors_cache = nbr
+        return self._neighbors_cache
 
     def vertex_fan(self, v: int) -> tuple[list[int], np.ndarray]:
         """Neighbors of ``v`` in ccw order with cumulative intrinsic angles.

@@ -51,21 +51,20 @@ def load_off(path) -> tuple[ConvexCap, CutEdges]:
             if cut is not None:
                 cuts.append(cut)
             tokens.extend(body.split())
-    if not tokens or tokens[0] != "OFF":
-        raise ValueError(f"{path}: not an OFF file")
-    it = iter(tokens[1:])
-    nv, nf, _ne = int(next(it)), int(next(it)), int(next(it))
-    vertices = np.array(
-        [[float(next(it)) for _ in range(3)] for _ in range(nv)]
-    )
-    triangles = []
-    for _ in range(nf):
-        k = int(next(it))
-        face = [int(next(it)) for _ in range(k)]
-        if k != 3:
-            raise ValueError(f"{path}: face with {k} sides; triangles only")
-        triangles.append(face)
-    return ConvexCap(vertices, np.array(triangles, dtype=int)), cuts
+    if tokens[:1] != ["OFF"] or len(tokens) < 4:
+        raise ValueError(f"{path}: not an OFF file with a vertex and face count")
+    nv, nf = int(tokens[1]), int(tokens[2])
+    need = 4 + 3 * nv + 4 * nf
+    if len(tokens) < need:
+        raise ValueError(f"{path}: header declares {nv} vertices and {nf} "
+                         f"faces, file ends {need - len(tokens)} numbers short")
+    vertices = np.array(tokens[4:4 + 3 * nv], dtype=float).reshape(nv, 3)
+    F = tokens[4 + 3 * nv:need]
+    F = np.array(F, dtype=int).reshape(nf, 4)
+    if (F[:, 0] != 3).any():
+        k = int(F[F[:, 0] != 3, 0][0])
+        raise ValueError(f"{path}: face with {k} sides; triangles only")
+    return _cap(path, vertices, F[:, 1:], 0), cuts
 
 
 def save_off(path, cap: ConvexCap, cut_edges: CutEdges | None = None) -> None:
@@ -105,7 +104,7 @@ def load_obj(path) -> tuple[ConvexCap, CutEdges]:
                 if len(idx) != 3:
                     raise ValueError(f"{path}: non-triangle face; triangles only")
                 triangles.append(idx)
-    return ConvexCap(np.array(vertices), np.array(triangles, dtype=int)), cuts
+    return _cap(path, np.array(vertices), triangles, 1), cuts
 
 
 def save_obj(path, cap: ConvexCap, cut_edges: CutEdges | None = None) -> None:
@@ -116,6 +115,16 @@ def save_obj(path, cap: ConvexCap, cut_edges: CutEdges | None = None) -> None:
             fh.write("f %d %d %d\n" % tuple(t + 1))
         for a, b in cut_edges or []:
             fh.write(f"# cut {a} {b}\n")
+
+
+def _cap(path, vertices: np.ndarray, triangles, base: int) -> ConvexCap:
+    """The cap of a loaded file whose first vertex is numbered ``base``."""
+    T = np.array(triangles, dtype=int).reshape(-1, 3)
+    bad = T[(T < 0) | (T >= len(vertices))]
+    if len(bad):
+        raise ValueError(f"{path}: face vertex index {int(bad[0]) + base} "
+                         f"out of range for {len(vertices)} vertices")
+    return ConvexCap(vertices, T)
 
 
 def _parse_cut_comment(comment: str) -> tuple[int, int] | None:

@@ -67,7 +67,7 @@ def cut_and_unfold(cap: ConvexCap, origin_mode: str = "central",
         stage = "metrics"
         metrics = _metrics(cap, diag)
         stage = "forest"
-        forest = _forest(cap, origin_mode, diag)
+        forest = _forest(cap, origin_mode, diag, metrics)
         stage = "develop"
         net = layout_net(cap, forest)
         stage = "strips"
@@ -138,8 +138,9 @@ def _metrics(cap: ConvexCap, diag: dict):
     return m
 
 
-def _forest(cap: ConvexCap, origin_mode: str, diag: dict):
-    qs = choose_origin(cap, origin_mode)
+def _forest(cap: ConvexCap, origin_mode: str, diag: dict, metrics):
+    qs = choose_origin(cap, origin_mode,
+                       theta=math.pi / 2 - metrics.alpha_planar)
     forest = build_forest(cap, qs)
     violations = verify_forest(cap, forest)
     diag["forest"] = {

@@ -9,7 +9,10 @@ a target point on a small circle around q, and finishes radially.
 The paths are geometric polylines, not mesh polylines.  Strips therefore
 store whole triangles, assigned by which side of the paths their projected
 centroid lies; the actual cuts remain exactly the forest edges, and the
-paths only dictate strip ordering and certificates.
+paths only dictate strip ordering and certificates.  Pocket repair and the
+connectivity certificate find the components of all strips in one pass over
+the cap's face-neighbour array; the noncrossing certificate sweeps each
+quadrant's path segments once.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .forest import QuadrantSystem, SpanningForest, verify_angle_monotone
 from .geom import corner_angles, points_close
@@ -314,65 +319,51 @@ def _assign_faces(cap: ConvexCap, forest: SpanningForest,
     return {f: (int(quad[f]), int(strip[f])) for f in range(cap.n_triangles)}
 
 
-def _face_neighbors(cap: ConvexCap, f: int):
-    tri = cap.triangles[f]
-    for k in range(3):
-        a, b = int(tri[k]), int(tri[(k + 1) % 3])
-        for g in cap.edge_faces[(min(a, b), max(a, b))]:
-            if g != f:
-                yield g
-
-
 def _repair_connectivity(cap: ConvexCap, strip_of: dict):
     """Strips are thinner than triangles near the target circle, so
     centroid-side assignment leaves stray pockets.  Merge every minority
     component of a strip into the most common strip among its outside
-    neighbors until every strip is edge-connected."""
-    strip_of = dict(strip_of)
+    neighbors (one vote per shared side, labels as already updated, ties
+    to the smallest) until every strip is edge-connected.  A pass takes
+    strips by first face, and a strip's components by size, then first
+    face; one array pass finds all components."""
+    labels = sorted(set(strip_of.values()))
+    index = {lab: i for i, lab in enumerate(labels)}
+    code = np.array([index[strip_of[f]] for f in range(len(strip_of))])
+    nbr = cap.face_neighbors()
     for _ in range(100):
-        members: dict[tuple[int, int], list[int]] = {}
-        for f, lab in strip_of.items():
-            members.setdefault(lab, []).append(f)
+        comp = _label_components(cap, code)
+        _, first = np.unique(comp, return_index=True)   # smallest face
+        size = np.bincount(comp)
+        lab = code[first]
+        split = np.flatnonzero(np.bincount(lab)[lab] > 1)
+        lab_first = np.full(len(labels), len(code))
+        np.minimum.at(lab_first, lab, first)
+        split = split[np.lexsort((first[split], -size[split],
+                                  lab_first[lab[split]]))]
         moved = False
-        for lab, faces in members.items():
-            comps = _components(cap, set(faces))
-            if len(comps) <= 1:
-                continue
-            comps.sort(key=lambda c: (-len(c), min(c)))
-            for comp in comps[1:]:
-                votes: dict[tuple[int, int], int] = {}
-                for f in comp:
-                    for g in _face_neighbors(cap, f):
-                        other = strip_of[g]
-                        if other != lab:
-                            votes[other] = votes.get(other, 0) + 1
-                if not votes:
+        for prev, c in zip(np.r_[-1, split[:-1]], split):
+            if prev >= 0 and lab[prev] == lab[c]:   # not the majority
+                faces = np.flatnonzero(comp == c)
+                other = code[nbr[faces][nbr[faces] >= 0]]
+                other = other[other != lab[c]]
+                if not len(other):
                     continue
-                target = max(sorted(votes), key=lambda k: votes[k])
-                for f in comp:
-                    strip_of[f] = target
+                vals, votes = np.unique(other, return_counts=True)
+                code[faces] = vals[votes.argmax()]
                 moved = True
         if not moved:
-            return strip_of
+            return {f: labels[c] for f, c in enumerate(code.tolist())}
     raise StripError("strip connectivity repair did not converge")
 
 
-def _components(cap: ConvexCap, faces: set[int]) -> list[list[int]]:
-    comps = []
-    left = set(faces)
-    while left:
-        seed = min(left)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            f = frontier.pop()
-            for g in _face_neighbors(cap, f):
-                if g in left and g not in comp:
-                    comp.add(g)
-                    frontier.append(g)
-        comps.append(sorted(comp))
-        left -= comp
-    return comps
+def _label_components(cap: ConvexCap, code: np.ndarray) -> np.ndarray:
+    """Component id of every face, joining equal-``code`` faces by sides."""
+    m = cap.n_triangles
+    f, g = np.repeat(np.arange(m), 3), cap.face_neighbors().ravel()
+    same = (g >= 0) & (code[f] == code[g])
+    graph = csr_matrix((np.ones(same.sum()), (f[same], g[same])), (m, m))
+    return connected_components(graph, directed=False)[1]
 
 
 # --------------------------------------------------------------------------
@@ -384,43 +375,66 @@ def develop_strip(cap: ConvexCap, strip: Strip, net) -> dict[int, np.ndarray]:
     """Placed triangles of one strip, read out of the global development
     (which is traversal-order independent); verifies the content is
     edge-connected."""
-    faces = set(strip.faces)
-    if not faces:
-        return {}
-    seen = {next(iter(sorted(faces)))}
-    frontier = list(seen)
-    while frontier:
-        f = frontier.pop()
-        tri = cap.triangles[f]
-        for k in range(3):
-            a, b = int(tri[k]), int(tri[(k + 1) % 3])
-            for g in cap.edge_faces[(min(a, b), max(a, b))]:
-                if g in faces and g not in seen:
-                    seen.add(g)
-                    frontier.append(g)
-    if seen != faces:
-        raise StripError(
-            f"strip ({strip.quadrant},{strip.index}) content is not "
-            f"edge-connected: {len(seen)} of {len(faces)} reachable")
+    inside = np.isin(np.arange(cap.n_triangles), strip.faces)
+    _require_connected(strip, _label_components(cap, inside))
     return {f: net.placed[f] for f in strip.faces}
 
 
-def polylines_cross(A: np.ndarray, B: np.ndarray) -> bool:
-    """Brute-force proper-crossing test between two polylines (vectorized
-    over all segment pairs)."""
+def _require_connected(strip: Strip, comp: np.ndarray) -> None:
+    """Raise unless the strip's faces share one component id in ``comp``."""
+    faces = np.unique(np.asarray(strip.faces, dtype=int))
+    seen = int((comp[faces] == comp[faces[0]]).sum()) if len(faces) else 0
+    if seen != len(faces):
+        raise StripError(
+            f"strip ({strip.quadrant},{strip.index}) content is not "
+            f"edge-connected: {seen} of {len(faces)} reachable")
+
+
+def _segments_cross(p1, d1, p3, d2):
+    """Proper crossing of segments ``p1 + t d1`` and ``p3 + u d2``, per item."""
     tol = 1e-12
-    p1 = A[:-1][:, None, :]
-    d1 = (A[1:] - A[:-1])[:, None, :]
-    p3 = B[:-1][None, :, :]
-    d2 = (B[1:] - B[:-1])[None, :, :]
     den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
     w = p3 - p1
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (w[..., 0] * d2[..., 1] - w[..., 1] * d2[..., 0]) / den
         u = (w[..., 0] * d1[..., 1] - w[..., 1] * d1[..., 0]) / den
     ok = np.abs(den) >= tol
-    cross = ok & (t > tol) & (t < 1 - tol) & (u > tol) & (u < 1 - tol)
-    return bool(cross.any())
+    return ok & (t > tol) & (t < 1 - tol) & (u > tol) & (u < 1 - tol)
+
+
+_SWEEP_CHUNK = 1 << 15   # candidate segment pairs per exact-test batch
+
+
+def _crossing_pairs(polylines: list[np.ndarray]) -> list[tuple[int, int]]:
+    """Sorted pairs (j, k), j < k, of polylines that properly cross.  A sort
+    by left end and sweep (after Bentley & Ottmann) finds the segment pairs
+    whose x-extents meet; those of two polylines whose y-extents also meet
+    get the exact test of :func:`_segments_cross`, in fixed-size batches."""
+    if len(polylines) < 2:
+        return []
+    owner = np.repeat(np.arange(len(polylines)),
+                      [len(p) - 1 for p in polylines])
+    a = np.concatenate([p[:-1] for p in polylines])
+    b = np.concatenate([p[1:] for p in polylines])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    by_x = np.argsort(lo[:, 0], kind="stable")
+    # segment by_x[p] meets by_x[p+1 : p+1+count[p]] in x
+    pos = np.arange(len(by_x))
+    count = np.searchsorted(lo[by_x, 0], hi[by_x, 0], side="right") - pos - 1
+    batches = np.searchsorted(np.cumsum(count),
+                              np.arange(_SWEEP_CHUNK, count.sum(), _SWEEP_CHUNK))
+    found = []
+    for p in np.split(pos, batches):
+        first = np.repeat(np.cumsum(count[p]) - count[p], count[p])
+        i = np.repeat(p, count[p])
+        i, k = by_x[i], by_x[i + 1 + np.arange(len(i)) - first]
+        keep = ((owner[i] != owner[k]) & (lo[i, 1] <= hi[k, 1])
+                & (lo[k, 1] <= hi[i, 1]))
+        i, k = i[keep], k[keep]
+        hit = _segments_cross(a[i], b[i] - a[i], a[k], b[k] - a[k])
+        found.append(np.sort(np.stack([owner[i[hit]], owner[k[hit]]], 1), 1))
+    pairs = np.unique(np.concatenate(found), axis=0)
+    return [(int(j), int(k)) for j, k in pairs]
 
 
 def strip_certificates(cap: ConvexCap, forest: SpanningForest,
@@ -460,13 +474,11 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
                 out["paths_monotone"] = False
                 out["errors"].append(
                     f"waterfall path to leaf {wp.leaf} not angle-monotone")
-        for j in range(len(ps)):
-            for k in range(j + 1, len(ps)):
-                if polylines_cross(ps[j].points, ps[k].points):
-                    out["paths_noncrossing"] = False
-                    out["errors"].append(
-                        f"waterfall paths cross in quadrant {i} "
-                        f"(leaves {ps[j].leaf}, {ps[k].leaf})")
+        for j, k in _crossing_pairs([wp.points for wp in ps]):
+            out["paths_noncrossing"] = False
+            out["errors"].append(
+                f"waterfall paths cross in quadrant {i} "
+                f"(leaves {ps[j].leaf}, {ps[k].leaf})")
         for j in range(len(ps) - 1):
             upper = ps[j + 1].points.copy()
             lower = ps[j].points.copy()
@@ -479,9 +491,13 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
 
     # strip content: edge-connected and developable
     out["strips_connected"] = True
+    code = np.full(cap.n_triangles, -1)
+    for k, strip in enumerate(system.strips):
+        code[list(strip.faces)] = k
+    comp = _label_components(cap, code)
     for strip in system.strips:
         try:
-            develop_strip(cap, strip, net)
+            _require_connected(strip, comp)
         except StripError as exc:
             out["strips_connected"] = False
             out["errors"].append(str(exc))

@@ -1,5 +1,7 @@
-"""Hand-built caps with exactly known geometry, shared across test modules."""
+"""Hand-built caps with exactly known geometry, and the generated caps the
+oracle tests share, used across test modules."""
 
+import functools
 import math
 
 import numpy as np
@@ -42,3 +44,20 @@ def flat_hex_disk(lift: float = 0.0) -> ConvexCap:
     vertices = np.vstack([rim, center])
     triangles = np.array([(k, (k + 1) % 6, 6) for k in range(6)])
     return ConvexCap(vertices, triangles)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_set():
+    """The caps on which the array passes are checked against their loop
+    references, each with its central-origin forest: budget caps at n=200
+    (seeds 0-99) and n=500 (seeds 0-9), and n=200 caps at 33 and 70 deg
+    (seeds 0-14 each).  Built once per test session."""
+    from capunfold.forest import build_forest, choose_origin
+    from capunfold.generate import generate_budget_cap, generate_cap
+
+    caps = [generate_budget_cap(200, seed=s) for s in range(100)]
+    caps += [generate_budget_cap(500, seed=s) for s in range(10)]
+    caps += [generate_cap(200, phi=phi * DEG, seed=s)
+             for phi in (33, 70) for s in range(15)]
+    return tuple((cap, build_forest(cap, choose_origin(cap, "central")))
+                 for cap in caps)

@@ -78,6 +78,26 @@ class TestUnfold:
         assert run(["unfold", "--input", mesh, "--out-dir", tmp_path]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("short.off", "OFF\n4 2 5\n0 0 0\n1 0 0\n",
+         "header declares 4 vertices and 2 faces, file ends 14 numbers "
+         "short"),
+        ("faces.off", "OFF\n3 2 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+         "header declares 3 vertices and 2 faces, file ends 4 numbers "
+         "short"),
+        ("index.off", "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n",
+         "face vertex index 3 out of range for 3 vertices"),
+        ("index.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n",
+         "face vertex index 9 out of range for 3 vertices"),
+    ], ids=["off-short-vertices", "off-short-faces", "off-bad-index",
+            "obj-bad-index"])
+    def test_hostile_file_exit_two(self, tmp_path, capsys, name, text, message):
+        mesh = tmp_path / name
+        mesh.write_text(text)
+        assert run(["unfold", "--input", mesh, "--out-dir", tmp_path]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == f"{mesh}: {message}"
+
     def test_requires_one_input_source(self, tmp_path):
         assert run(["unfold", "--out-dir", tmp_path]) == 2
 

@@ -1,15 +1,20 @@
 import math
 import tracemalloc
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from capunfold import develop as develop_mod
 from capunfold.develop import (
     Net,
     OverlapReport,
+    _all_face_locals,
     _box_pairs,
     _contact_tolerance,
     _pairwise_penetration,
+    _root_placement,
     bank_chains,
     banks_ordered,
     check_overlap,
@@ -24,7 +29,7 @@ from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.mesh import ConvexCap, compute_metrics
 
-from fixtures import flat_hex_disk, pentagonal_pyramid
+from fixtures import flat_hex_disk, oracle_set, pentagonal_pyramid
 
 DEG = math.pi / 180
 
@@ -332,3 +337,82 @@ class TestSparseBroadPhase:
         # linear growth gives 4x, a dense m x m broad phase 16x
         assert peaks[1] / peaks[0] < 6, peaks
         assert peaks[1] < 100e6, peaks
+
+
+def layout_reference(cap, forest):
+    """Face-by-face breadth-first unfolding over a deque: each face is placed
+    from the first placed face that reaches it across an uncut edge, sides
+    taken in order 0, 1, 2.  Returns the placements in visiting order and
+    each face's parent."""
+    cut = {(min(a, b), max(a, b)) for a, b in forest.edges()}
+    placed = {0: _root_placement(cap, 0)}
+    parent = {}
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        tri = cap.triangles[f]
+        for i in range(3):
+            a, b = int(tri[i]), int(tri[(i + 1) % 3])
+            key = (min(a, b), max(a, b))
+            fs = cap.edge_faces[key]
+            if key in cut or len(fs) == 1:
+                continue
+            g = fs[0] if fs[1] == f else fs[1]
+            if g in placed:
+                continue
+            placed[g] = unfold_face_reference(cap, placed[f], f, g)
+            parent[g] = f
+            queue.append(g)
+    return placed, parent
+
+
+def unfold_face_reference(cap, placed_f, f, g):
+    """Rigidly place face ``g`` onto its shared edge with placed face ``f``,
+    anchored at the shared vertex with the smaller label."""
+    tri_f, tri_g = cap.triangles[f], cap.triangles[g]
+    u, w = sorted(set(tri_f) & set(tri_g))
+    local = _all_face_locals(cap)[g]
+    src = np.array([local[list(tri_g).index(v)] for v in (u, w)])
+    dst = np.array([placed_f[list(tri_f).index(v)] for v in (u, w)])
+    ds, dd = src[1] - src[0], dst[1] - dst[0]
+    ang = math.atan2(dd[1], dd[0]) - math.atan2(ds[1], ds[0])
+    c, s = math.cos(ang), math.sin(ang)
+    return (local - src[0]) @ np.array([[c, -s], [s, c]]).T + dst[0]
+
+
+def record_levels(monkeypatch):
+    """Wrap ``develop._place_level`` to record the faces of each pass and
+    the parent each face was placed from."""
+    passes, parent = [], {}
+    place = develop_mod._place_level
+
+    def recording(pos, local, G, F, *sides):
+        passes.append(G.tolist())
+        parent.update(zip(G.tolist(), F.tolist()))
+        return place(pos, local, G, F, *sides)
+
+    monkeypatch.setattr(develop_mod, "_place_level", recording)
+    return passes, parent
+
+
+class TestLayoutAgainstReference:
+    def test_same_tree_and_placements_as_face_by_face_layout(self, monkeypatch):
+        _, parent = record_levels(monkeypatch)
+        for cap, forest in oracle_set():
+            parent.clear()
+            net = layout_net(cap, forest)
+            ref, ref_parent = layout_reference(cap, forest)
+            assert list(net.placed) == list(ref)
+            assert parent == ref_parent
+            P = cap.vertices[:, :2]
+            diam = float(np.linalg.norm(P.max(axis=0) - P.min(axis=0)))
+            worst = max(float(np.abs(net.placed[f] - ref[f]).max())
+                        for f in ref)
+            assert worst <= 1e-12 * diam
+
+    def test_cut_isolating_the_root_face_raises(self):
+        cap = flat_hex_disk(lift=0.1)
+        a, b, c = (int(v) for v in cap.triangles[0])
+        cuts = SimpleNamespace(edges=lambda: [(a, b), (b, c), (c, a)])
+        with pytest.raises(RuntimeError, match="placed 1 of 6 faces"):
+            layout_net(cap, cuts)

@@ -93,6 +93,33 @@ class TestChooseOrigin:
         r_mid = np.linalg.norm(P[mid.origin])
         assert r_mid <= r_near  # central origin sits at least as deep
 
+    def test_given_theta_is_the_metrics_one(self):
+        cap = generate_budget_cap(150, seed=1)
+        theta = math.pi / 2 - compute_metrics(cap).alpha_planar
+        for mode in ("closest_to_boundary", "central"):
+            assert (choose_origin(cap, mode, theta=theta)
+                    == choose_origin(cap, mode))
+
+    def test_central_fallback_reuses_rim_distances(self, monkeypatch):
+        from capunfold import forest as forest_mod
+
+        # seen from the innermost vertex of a dense cap, no vertex-free
+        # angular interval is wide enough for the gap cone, so central falls
+        # back to the boundary-nearest vertex, from the same rim distances
+        cap = generate_budget_cap(150, seed=2)
+        P = cap.vertices[:, :2]
+        dists, _ = forest_mod._rim_distances(P[cap.interior_vertices],
+                                             P[cap.rim])
+        innermost = int(cap.interior_vertices[np.argmax(dists)])
+        calls = []
+        rim_distances = forest_mod._rim_distances
+        monkeypatch.setattr(forest_mod, "_rim_distances", lambda *a: (
+            calls.append(1), rim_distances(*a))[1])
+        qs = choose_origin(cap, mode="central")
+        assert len(calls) == 1
+        assert qs.origin != innermost
+        assert qs == choose_origin(cap, mode="closest_to_boundary")
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             choose_origin(pentagonal_pyramid(), mode="random")

@@ -117,6 +117,21 @@ class TestCurvature:
         assert np.allclose(fans, 2 * math.pi - cap.curvatures(),
                            rtol=0, atol=1e-12)
 
+    def test_face_neighbors_match_edge_faces(self):
+        from capunfold.generate import generate_budget_cap
+
+        for cap in (pentagonal_pyramid(), flat_hex_disk(0.1),
+                    generate_budget_cap(200, seed=4)):
+            nbr = cap.face_neighbors()
+            assert nbr.shape == (cap.n_triangles, 3)
+            assert cap.face_neighbors() is nbr and not nbr.flags.writeable
+            for f, tri in enumerate(cap.triangles):
+                for k in range(3):
+                    a, b = int(tri[k]), int(tri[(k + 1) % 3])
+                    other = [g for g in cap.edge_faces[(min(a, b), max(a, b))]
+                             if g != f]
+                    assert nbr[f, k] == (other[0] if other else -1)
+
     def test_face_angles_computed_once(self):
         cap = pentagonal_pyramid()
         ang = cap.face_angles()

@@ -142,6 +142,17 @@ class TestFailures:
             cut_and_unfold(generate_budget_cap(30, seed=0), origin_mode="nope")
         assert exc.value.stage == "forest"
 
+    def test_origin_reuses_the_metrics_stage(self, monkeypatch):
+        from capunfold import forest as forest_mod
+
+        def again(cap):
+            raise AssertionError("metrics computed a second time")
+
+        monkeypatch.setattr(forest_mod, "compute_metrics", again)
+        res = cut_and_unfold(generate_budget_cap(60, seed=1))
+        assert res.diagnostics["forest"]["theta"] == (
+            math.pi / 2 - res.diagnostics["metrics"]["alpha_planar"])
+
     def test_result_type(self):
         res = cut_and_unfold(generate_budget_cap(30, seed=1))
         assert isinstance(res, UnfoldResult)

@@ -8,19 +8,22 @@ from capunfold.forest import build_forest, choose_origin, verify_angle_monotone
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold import strips as strips_mod
 from capunfold.strips import (
+    Strip,
     StripError,
     _assign_faces,
+    _crossing_pairs,
     _oblique,
     _path_graph,
     _quadrant_frame,
+    _repair_connectivity,
+    _segments_cross,
     _to_local,
     develop_strip,
-    polylines_cross,
     strip_certificates,
     waterfall_strips,
 )
 
-from fixtures import pentagonal_pyramid
+from fixtures import flat_hex_disk, oracle_set, pentagonal_pyramid
 
 DEG = math.pi / 180
 
@@ -109,8 +112,6 @@ class TestDevelopStrip:
 
     def test_disconnected_content_raises(self):
         cap, forest, net, system = unfolded(seed=5)
-        from capunfold.strips import Strip
-
         # two faces sharing no edge
         f0 = 0
         tri0 = set(cap.triangles[0])
@@ -236,3 +237,132 @@ class TestVectorizedAgainstReference:
         for cap in reference_caps():
             waterfall_strips(cap, build_forest(cap, choose_origin(cap, "central")))
         assert len(seen) >= 10
+
+
+def face_neighbors_reference(cap, f):
+    tri = cap.triangles[f]
+    for k in range(3):
+        a, b = int(tri[k]), int(tri[(k + 1) % 3])
+        for g in cap.edge_faces[(min(a, b), max(a, b))]:
+            if g != f:
+                yield g
+
+
+def components_reference(cap, faces):
+    """Edge-connected components of a face set, each sorted, seeded from the
+    smallest face left."""
+    comps = []
+    left = set(faces)
+    while left:
+        seed = min(left)
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            f = frontier.pop()
+            for g in face_neighbors_reference(cap, f):
+                if g in left and g not in comp:
+                    comp.add(g)
+                    frontier.append(g)
+        comps.append(sorted(comp))
+        left -= comp
+    return comps
+
+
+def repair_reference(cap, strip_of):
+    """Set-based connectivity repair: every pass recomputes the components of
+    every strip and moves each minority component to the strip most of its
+    outside neighbours hold (ties to the smallest label)."""
+    strip_of = dict(strip_of)
+    for _ in range(100):
+        members = {}
+        for f, lab in strip_of.items():
+            members.setdefault(lab, []).append(f)
+        moved = False
+        for lab, faces in members.items():
+            comps = components_reference(cap, faces)
+            comps.sort(key=lambda c: (-len(c), min(c)))
+            for comp in comps[1:]:
+                votes = {}
+                for f in comp:
+                    for g in face_neighbors_reference(cap, f):
+                        if strip_of[g] != lab:
+                            votes[strip_of[g]] = votes.get(strip_of[g], 0) + 1
+                if not votes:
+                    continue
+                target = max(sorted(votes), key=lambda k: votes[k])
+                for f in comp:
+                    strip_of[f] = target
+                moved = True
+        if not moved:
+            return strip_of
+    raise StripError("strip connectivity repair did not converge")
+
+
+def polylines_cross(A, B):
+    """Brute-force proper-crossing test between two polylines, over all
+    their segment pairs at once."""
+    return bool(_segments_cross(A[:-1][:, None], (A[1:] - A[:-1])[:, None],
+                                B[:-1][None], (B[1:] - B[:-1])[None]).any())
+
+
+def crossing_reference(polylines):
+    """All-pairs crossing test, one :func:`polylines_cross` call per pair."""
+    return [(j, k) for j in range(len(polylines))
+            for k in range(j + 1, len(polylines))
+            if polylines_cross(polylines[j], polylines[k])]
+
+
+class TestArrayPassesAgainstReference:
+    def test_repair_and_crossings_match_loop_references(self):
+        for cap, forest in oracle_set():
+            system = waterfall_strips(cap, forest)
+            assigned = _assign_faces(cap, forest, system.paths)
+            assert (_repair_connectivity(cap, assigned)
+                    == repair_reference(cap, assigned) == system.strip_of)
+            for i in range(4):
+                pls = [wp.points for wp in system.paths[i]]
+                assert _crossing_pairs(pls) == crossing_reference(pls)
+
+    def test_crossing_polylines_are_reported(self):
+        zig = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
+        flat = np.array([[-1.0, 0.5], [4.0, 0.5]])
+        high = np.array([[0.0, 2.0], [3.0, 2.0]])
+        touch = np.array([[1.0, 1.0], [1.5, 1.8]])   # meets zig at a vertex
+        pls = [zig, high, flat, touch]
+        assert _crossing_pairs(pls) == crossing_reference(pls) == [(0, 2)]
+        assert _crossing_pairs([flat, zig]) == [(0, 1)]
+        assert _crossing_pairs([zig]) == []
+
+    def test_crossing_sweep_matches_all_pairs_on_random_polylines(self):
+        rng = np.random.default_rng(2)
+        for _ in range(30):
+            pls = [np.cumsum(rng.normal(size=(int(rng.integers(2, 7)), 2)),
+                             axis=0) for _ in range(int(rng.integers(0, 9)))]
+            assert _crossing_pairs(pls) == crossing_reference(pls)
+
+    def test_strip_split_into_two_pockets_is_repaired(self):
+        # a ring of six faces, face k next to k-1 and k+1: strips A and B
+        # each come in two pockets
+        cap = flat_hex_disk(lift=0.1)
+        A, B = (0, 0), (0, 1)
+        split = dict(zip(range(6), [A, A, B, A, B, B]))
+        # A's pocket {3} joins B; B's pocket {2} then sees A on one side and
+        # the updated face 3 (now B) on the other, so it joins A
+        want = dict(zip(range(6), [A, A, A, B, B, B]))
+        assert _repair_connectivity(cap, split) == want
+        assert repair_reference(cap, split) == want
+
+    def test_certificate_flags_a_split_strip(self):
+        cap = flat_hex_disk(lift=0.1)
+        forest = build_forest(cap, choose_origin(cap, "central"))
+        net = layout_net(cap, forest)
+        system = waterfall_strips(cap, forest)
+        system.strips = [Strip(quadrant=0, index=0, faces=(0, 1, 3),
+                               lower=None, upper=None),
+                         Strip(quadrant=0, index=1, faces=(2, 4, 5),
+                               lower=None, upper=None)]
+        cert = strip_certificates(cap, forest, system, net)
+        assert not cert["strips_connected"]
+        assert [e for e in cert["errors"] if "edge-connected" in e] == [
+            "strip (0,0) content is not edge-connected: 2 of 3 reachable",
+            "strip (0,1) content is not edge-connected: 1 of 3 reachable"]
