@@ -53,9 +53,12 @@ def path_angles(cap: ConvexCap, vertices) -> CutPath:
     vs = [int(v) for v in vertices]
     if len(vs) < 2:
         raise ValueError("cut path needs at least one edge")
-    for a, b in zip(vs, vs[1:]):
-        if (min(a, b), max(a, b)) not in cap.edge_faces:
-            raise ValueError(f"path edge ({a}, {b}) is not a mesh edge")
+    a, b = vs[:-1], vs[1:]
+    missing = np.flatnonzero(
+        cap.side_faces(a + b, b + a).reshape(2, -1).max(axis=0) < 0)
+    if len(missing):
+        i = missing[0]
+        raise ValueError(f"path edge ({a[i]}, {b[i]}) is not a mesh edge")
     k = len(vs) - 1
     lam = np.zeros(k + 1)
     rho = np.zeros(k + 1)
@@ -139,10 +142,6 @@ class TurnDistortion:
         if len(self.prefix_right):
             vals.append(float(np.abs(self.prefix_right).max()))
         return max(vals)
-
-    @property
-    def within_bound(self) -> bool:
-        return self.max_abs <= self.bound + 1e-9
 
 
 def turn_distortion(cap: ConvexCap, path, metrics=None) -> TurnDistortion:
@@ -312,24 +311,16 @@ def bank_chains(cap: ConvexCap, net: Net, vertices) -> tuple[np.ndarray, np.ndar
     """
     vs = [int(v) for v in vertices]
     T = cap.triangles
-
-    def face_left(a, b):
-        return cap.directed_edge_face[(a, b)]
-
-    def face_right(a, b):
-        return cap.directed_edge_face[(b, a)]
+    a, b = vs[:-1], vs[1:]
 
     out = []
-    for face_of in (face_left, face_right):
-        pts: list[tuple[int, np.ndarray]] = []  # (vertex, image)
-        first = face_of(vs[0], vs[1])
-        pts.append((vs[0], net.vertex_image(first, vs[0], T)))
+    # the face left of each path edge holds it forwards, the right one back
+    for fs in (cap.side_faces(a, b).tolist(), cap.side_faces(b, a).tolist()):
+        pts = [(vs[0], net.vertex_image(fs[0], vs[0], T))]  # (vertex, image)
         for i in range(len(vs) - 1):
-            f_in = face_of(vs[i], vs[i + 1])
-            pts.append((vs[i + 1], net.vertex_image(f_in, vs[i + 1], T)))
+            pts.append((vs[i + 1], net.vertex_image(fs[i], vs[i + 1], T)))
             if i + 2 < len(vs):
-                f_out = face_of(vs[i + 1], vs[i + 2])
-                nxt = net.vertex_image(f_out, vs[i + 1], T)
+                nxt = net.vertex_image(fs[i + 1], vs[i + 1], T)
                 if not points_close(nxt, pts[-1][1], atol=1e-12):
                     pts.append((vs[i + 1], nxt))
         src = pts[0][1]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import EPS_GEOM, Wedge, normalize_angle, wedge_contains
+from .geom import (EPS_GEOM, Wedge, normalize_angle, unwrap_directions,
+                   wedge_contains)
 from .mesh import ConvexCap, compute_metrics
 
 _PERTURB = 1e-6  # axis rotation step when a vertex lands on an axis
@@ -136,7 +137,7 @@ def verify_angle_monotone(points: np.ndarray, theta: float) -> float | None:
         raise ValueError("polyline needs at least one edge")
     d = np.diff(pts, axis=0)
     ang = np.arctan2(d[:, 1], d[:, 0])
-    rel = ang[0] + np.array([normalize_angle(a - ang[0]) for a in ang])
+    rel = ang[0] + unwrap_directions(ang)
     spread = float(rel.max() - rel.min())
     if spread <= theta + EPS_GEOM:
         return float(rel.min())
@@ -461,10 +462,10 @@ def verify_forest(cap: ConvexCap, forest: SpanningForest) -> list[str]:
         if beta is None:
             issues.append(f"path from {v} is not {qs.theta:.4f}-monotone")
 
-    for (a, b) in forest.edges():
-        key = (min(a, b), max(a, b))
-        if key not in cap.edge_faces:
-            issues.append(f"forest edge ({a}, {b}) is not a mesh edge")
+    E = np.array(forest.edges(), dtype=int).reshape(-1, 2)
+    sides = cap.side_faces(np.r_[E[:, 0], E[:, 1]], np.r_[E[:, 1], E[:, 0]])
+    for a, b in E[sides.reshape(2, -1).max(axis=0) < 0].tolist():
+        issues.append(f"forest edge ({a}, {b}) is not a mesh edge")
 
     if not gap_is_empty(cap, qs):
         issues.append("gap cone contains an interior vertex")

@@ -24,6 +24,7 @@ __all__ = [
     "project_angle",
     "signed_turn",
     "turn_angle",
+    "unwrap_directions",
     "wedge_contains",
 ]
 
@@ -39,6 +40,15 @@ def normalize_angle(theta: float) -> float:
     elif t > math.pi:
         t -= 2.0 * math.pi
     return t
+
+
+def unwrap_directions(ang) -> np.ndarray:
+    """Each direction minus the first, mapped to (-pi, pi] as by
+    :func:`normalize_angle`: an exact unwrap of directions that all lie
+    within pi of the first."""
+    t = np.fmod(np.asarray(ang, dtype=float) - ang[0], 2.0 * math.pi)
+    return np.where(t <= -math.pi, t + 2.0 * math.pi,
+                    np.where(t > math.pi, t - 2.0 * math.pi, t))
 
 
 def points_close(p, q, atol: float = 1e-8) -> bool:

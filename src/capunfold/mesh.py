@@ -1,4 +1,4 @@
-"""Triangulated convex cap: topology, validation, curvature, and circuits.
+"""Triangulated convex cap: topology, validation, curvature and metrics.
 
 A cap is a triangle mesh that is a topological disk, bulges upward over a
 planar rim, and projects injectively onto the xy-plane.  Triangles are
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import EPS_GEOM, corner_angles, turn_angle
+from .geom import EPS_GEOM, corner_angles
 
 
 # --------------------------------------------------------------------------
@@ -21,7 +21,12 @@ from .geom import EPS_GEOM, corner_angles, turn_angle
 
 
 class ConvexCap:
-    """Immutable triangle mesh with precomputed adjacency.
+    """Immutable triangle mesh and its face graph.
+
+    The one adjacency kept is the list of directed sides ``a -> b`` of all
+    faces, sorted once by ``a*n + b``: :meth:`side_faces`,
+    :meth:`face_neighbors`, the rim and the edge count all come from it.
+    :meth:`vertex_corners` reads one sort of the corners by vertex.
 
     Parameters
     ----------
@@ -31,101 +36,65 @@ class ConvexCap:
 
     def __init__(self, vertices, triangles):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=int)
+        self.triangles = T = np.asarray(triangles, dtype=int)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertices must be (n, 3)")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+        if T.ndim != 2 or T.shape[1] != 3:
             raise ValueError("triangles must be (m, 3)")
-        self._build_adjacency()
+        self.n_vertices = n = len(self.vertices)
+        self.n_triangles = len(T)
+        if T.size and (T.min() < 0 or T.max() >= n):
+            raise ValueError("triangle indices out of range")
+
+        # side k of face f runs from corner k to corner k+1 (flat index 3f+k);
+        # three faces on one edge always repeat one of its two directions
+        a, b = T.ravel(), T[:, [1, 2, 0]].ravel()
+        order = np.argsort(a * n + b, kind="stable")
+        keys = (a * n + b)[order]
+        twice = order[1:][keys[1:] == keys[:-1]]
+        if len(twice):
+            k = int(twice.min())
+            raise ValueError(
+                f"directed edge {(int(a[k]), int(b[k]))} appears twice: "
+                "inconsistent orientation or non-manifold mesh")
+        # a sentinel above every key keeps each search inside the arrays
+        self._side_keys = np.append(keys, n * n)
+        self._side_face = np.append(order // 3, -1)
+        self._neighbors = self.side_faces(b, a).reshape(-1, 3)
+        self._neighbors.flags.writeable = False
+        self._corners = np.argsort(T.ravel(), kind="stable")
+        self._corner_start = np.concatenate(
+            [[0], np.cumsum(np.bincount(T.ravel(), minlength=n))])
+
+        rim = self._neighbors.ravel() < 0
+        self.n_edges = (3 * self.n_triangles + int(rim.sum())) // 2
+        self.rim = _trace_rim(a[rim], b[rim])
+        self.rim_vertex_set = set(a[rim].tolist())
+        self.interior_vertices = np.setdiff1d(np.arange(n), a[rim])
+        self._fan_cache: dict[int, tuple[list[int], np.ndarray]] = {}
+        self._angles_cache: np.ndarray | None = None
 
     # -- adjacency ---------------------------------------------------------
 
-    def _build_adjacency(self):
-        V, T = self.vertices, self.triangles
-        self.n_vertices = len(V)
-        self.n_triangles = len(T)
+    def side_faces(self, a, b) -> np.ndarray:
+        """Face holding the directed side ``a -> b`` (counterclockwise), or
+        -1 where no face does; elementwise over arrays of vertex ids."""
+        key = np.asarray(a) * self.n_vertices + np.asarray(b)
+        pos = np.searchsorted(self._side_keys, key)
+        return np.where(self._side_keys[pos] == key, self._side_face[pos], -1)
 
-        # undirected edge -> list of incident face indices
-        edge_faces: dict[tuple[int, int], list[int]] = {}
-        # directed edge (a, b) -> face having a->b as a ccw side
-        directed: dict[tuple[int, int], int] = {}
-        for f, (a, b, c) in enumerate(T):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (min(u, v), max(u, v))
-                edge_faces.setdefault(key, []).append(f)
-                if (u, v) in directed:
-                    raise ValueError(
-                        f"directed edge {(u, v)} appears twice: inconsistent "
-                        "orientation or non-manifold mesh"
-                    )
-                directed[(u, v)] = f
-        self.edge_faces = edge_faces
-        self.directed_edge_face = directed
-        self.n_edges = len(edge_faces)
+    def face_neighbors(self) -> np.ndarray:
+        """Face across each side, shape (m, 3): entry ``[f, k]`` is the face
+        holding the reverse of side ``triangles[f, k] -> triangles[f, k+1]``,
+        or -1 on the rim; read-only."""
+        return self._neighbors
 
-        self.boundary_edges = {e for e, fs in edge_faces.items() if len(fs) == 1}
-        self.interior_edges = {e for e, fs in edge_faces.items() if len(fs) == 2}
-        bad = [e for e, fs in edge_faces.items() if len(fs) > 2]
-        if bad:
-            raise ValueError(f"non-manifold edges: {bad[:5]}")
-
-        rim_vertices = set()
-        for a, b in self.boundary_edges:
-            rim_vertices.add(a)
-            rim_vertices.add(b)
-        self.rim_vertex_set = rim_vertices
-        self.interior_vertices = np.array(
-            sorted(set(range(self.n_vertices)) - rim_vertices), dtype=int
-        )
-
-        # faces incident to each vertex
-        vf: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for f, tri in enumerate(T):
-            for v in tri:
-                vf[v].append(f)
-        self.vertex_faces = vf
-
-        self.rim = self._trace_rim()
-        self._fan_cache: dict[int, tuple[list[int], np.ndarray]] = {}
-        self._angles_cache: np.ndarray | None = None
-        self._neighbors_cache: np.ndarray | None = None
-
-    def _trace_rim(self) -> np.ndarray:
-        """Ordered rim vertex loop, counterclockwise seen from above.
-
-        A ccw face lies to the left of each of its directed edges, so
-        following boundary edges in their stored direction keeps the surface
-        on the left: counterclockwise for a cap seen from above.
-        """
-        nxt = {}
-        for a, b in self.boundary_edges:
-            if (a, b) in self.directed_edge_face:
-                nxt[a] = b
-            else:
-                nxt[b] = a
-        if not nxt:
-            raise ValueError("mesh has no boundary: not a disk with rim")
-        start = min(nxt)
-        loop = [start]
-        cur = nxt[start]
-        while cur != start:
-            loop.append(cur)
-            if len(loop) > len(nxt) + 1:
-                raise ValueError("boundary is not a single simple loop")
-            cur = nxt[cur]
-        if len(loop) != len(nxt):
-            raise ValueError("boundary splits into multiple loops")
-        return np.array(loop, dtype=int)
+    def vertex_corners(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Faces around ``v`` in ascending order, and ``v``'s corner in each."""
+        c = self._corners[self._corner_start[v]:self._corner_start[v + 1]]
+        return c // 3, c % 3
 
     # -- local geometry ----------------------------------------------------
-
-    def face_normal(self, f: int) -> np.ndarray:
-        a, b, c = self.vertices[self.triangles[f]]
-        n = np.cross(b - a, c - a)
-        norm = np.linalg.norm(n)
-        if norm == 0:
-            raise ValueError(f"degenerate face {f}")
-        return n / norm
 
     def face_angles(self) -> np.ndarray:
         """All corner angles, shape (m, 3) matching ``triangles``; computed
@@ -135,22 +104,6 @@ class ConvexCap:
             ang.flags.writeable = False
             self._angles_cache = ang
         return self._angles_cache
-
-    def face_neighbors(self) -> np.ndarray:
-        """Face across each side, shape (m, 3): entry ``[f, k]`` is the face
-        holding the reverse of side ``triangles[f, k] -> triangles[f, k+1]``,
-        or -1 on the rim; computed once per cap and returned read-only."""
-        if self._neighbors_cache is None:
-            T, n = self.triangles, self.n_vertices
-            a, b = T.ravel(), T[:, [1, 2, 0]].ravel()
-            order = np.argsort(a * n + b)
-            keys = (a * n + b)[order]
-            pos = np.minimum(np.searchsorted(keys, b * n + a), len(keys) - 1)
-            hit = keys[pos] == b * n + a
-            nbr = np.where(hit, order[pos] // 3, -1).reshape(-1, 3)
-            nbr.flags.writeable = False
-            self._neighbors_cache = nbr
-        return self._neighbors_cache
 
     def vertex_fan(self, v: int) -> tuple[list[int], np.ndarray]:
         """Neighbors of ``v`` in ccw order with cumulative intrinsic angles.
@@ -166,15 +119,11 @@ class ConvexCap:
         if cached is not None:
             return cached
         # in a ccw triangle (v, a, b) the wedge at v runs ccw from v->a to v->b
-        ang = self.face_angles()
-        succ = {}
-        wedge = {}
-        for f in self.vertex_faces[v]:
-            tri = self.triangles[f]
-            i = int(np.where(tri == v)[0][0])
-            a, b = int(tri[(i + 1) % 3]), int(tri[(i + 2) % 3])
-            succ[a] = b
-            wedge[a] = ang[f, i]
+        faces, i = self.vertex_corners(v)
+        tri, k = self.triangles[faces], np.arange(len(faces))
+        a = tri[k, (i + 1) % 3].tolist()
+        succ = dict(zip(a, tri[k, (i + 2) % 3].tolist()))
+        wedge = dict(zip(a, self.face_angles()[faces, i].tolist()))
         if v in self.rim_vertex_set:
             start = next(iter(set(succ) - set(succ.values())))
         else:
@@ -200,22 +149,6 @@ class ConvexCap:
         """Total intrinsic angle around ``v`` (cone angle / rim angle psi)."""
         _, theta = self.vertex_fan(v)
         return float(theta[-1])
-
-    def fan_coordinate(self, v: int, direction: np.ndarray, face: int) -> float:
-        """Intrinsic angular coordinate of a tangent ``direction`` at ``v``.
-
-        The direction must lie in the corner wedge of ``face`` at ``v``; the
-        coordinate is measured in the unrolled fan of :meth:`vertex_fan`.
-        """
-        neighbors, theta = self.vertex_fan(v)
-        tri = self.triangles[face]
-        i = int(np.where(tri == v)[0][0])
-        a = int(tri[(i + 1) % 3])  # wedge runs ccw from v->a
-        j = neighbors.index(a)
-        e = self.vertices[a] - self.vertices[v]
-        d = np.asarray(direction, dtype=float)
-        cosang = np.dot(e, d) / (np.linalg.norm(e) * np.linalg.norm(d))
-        return float(theta[j] + math.acos(np.clip(cosang, -1.0, 1.0)))
 
     def vertex_curvature(self, v: int) -> float:
         """Angle defect ``2*pi`` minus the cone angle (interior vertices)."""
@@ -306,9 +239,6 @@ def validate_cap(cap: ConvexCap, angle_mode: str = "non_obtuse") -> list[str]:
     issues: list[str] = []
     V, T = cap.vertices, cap.triangles
 
-    if T.min() < 0 or T.max() >= cap.n_vertices:
-        return ["triangle indices out of range"]
-
     # disk topology
     euler = cap.n_vertices - cap.n_edges + cap.n_triangles
     if euler != 1:
@@ -347,26 +277,24 @@ def validate_cap(cap: ConvexCap, angle_mode: str = "non_obtuse") -> list[str]:
     if np.any(V[cap.interior_vertices, 2] < rim_z.max() - e):
         issues.append("an interior vertex lies below the rim plane")
 
-    # convex dihedrals: across each interior edge the far vertex of one face
-    # lies (weakly) below the plane of the other
+    # convex dihedrals: across each interior edge lo-hi, between faces
+    # f < g, the far vertex of g lies (weakly) below the plane of f; edges
+    # are taken in (lo, hi) order
     diam = float(np.linalg.norm(V.max(axis=0) - V.min(axis=0))) or 1.0
-    if cap.interior_edges:
-        edges = np.array(sorted(cap.interior_edges))
-        f1 = np.array([cap.edge_faces[tuple(ed)][0] for ed in edges])
-        f2 = np.array([cap.edge_faces[tuple(ed)][1] for ed in edges])
-        opp = np.array(
-            [_opposite_vertex(cap, f, a_, b_) for f, (a_, b_) in zip(f2, edges)]
-        )
-        tri1 = T[f1]
-        normals = np.cross(V[tri1[:, 1]] - V[tri1[:, 0]], V[tri1[:, 2]] - V[tri1[:, 0]])
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
-        heights = np.einsum("ij,ij->i", normals, V[opp] - V[edges[:, 0]])
-        if np.any(heights > e * diam):
-            k = int(np.argmax(heights))
-            issues.append(
-                f"reflex fold across edge {tuple(edges[k])}: "
-                f"height {heights[k]:.3e}"
-            )
+    nbr = cap.face_neighbors()
+    f, k = np.nonzero(nbr > np.arange(cap.n_triangles)[:, None])
+    lo = np.minimum(T[f, k], T[f, (k + 1) % 3])
+    hi = np.maximum(T[f, k], T[f, (k + 1) % 3])
+    s = np.lexsort((hi, lo))
+    f, g, lo, hi = f[s], nbr[f, k][s], lo[s], hi[s]
+    opp = T[g].sum(axis=1) - lo - hi
+    normals = np.cross(V[T[f, 1]] - V[T[f, 0]], V[T[f, 2]] - V[T[f, 0]])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    heights = np.einsum("ij,ij->i", normals, V[opp] - V[lo])
+    if np.any(heights > e * diam):
+        k = int(np.argmax(heights))
+        issues.append(f"reflex fold across edge {(int(lo[k]), int(hi[k]))}: "
+                      f"height {heights[k]:.3e}")
 
     # nonnegative curvature at interior vertices
     curv = cap.curvatures()
@@ -378,14 +306,14 @@ def validate_cap(cap: ConvexCap, angle_mode: str = "non_obtuse") -> list[str]:
     ang = cap.face_angles()
     if angle_mode == "strict_acute":
         if ang.max() >= math.pi / 2 - e:
-            k = np.unravel_index(np.argmax(ang), ang.shape)
+            k = divmod(int(np.argmax(ang)), 3)
             issues.append(
                 f"face angle {math.degrees(ang.max()):.3f}deg at {k} is not "
                 "strictly acute"
             )
     else:
         if ang.max() > math.pi / 2 + e:
-            k = np.unravel_index(np.argmax(ang), ang.shape)
+            k = divmod(int(np.argmax(ang)), 3)
             issues.append(
                 f"obtuse face angle {math.degrees(ang.max()):.3f}deg at {k}"
             )
@@ -393,172 +321,21 @@ def validate_cap(cap: ConvexCap, angle_mode: str = "non_obtuse") -> list[str]:
     return issues
 
 
-def _opposite_vertex(cap: ConvexCap, f: int, a: int, b: int) -> int:
-    tri = cap.triangles[f]
-    for v in tri:
-        if v != a and v != b:
-            return int(v)
-    raise ValueError(f"face {f} does not contain edge ({a}, {b})")
-
-
-# --------------------------------------------------------------------------
-# surface circuits and their total turn
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CircuitPoint:
-    """A point of a surface polyline: a mesh vertex or a point on an edge."""
-
-    kind: str  # "vertex" | "edge"
-    index: int = -1  # vertex id when kind == "vertex"
-    edge: tuple[int, int] = (-1, -1)  # endpoints when kind == "edge"
-    t: float = 0.0  # position along edge[0] -> edge[1]
-
-
-def vertex_point(v: int) -> CircuitPoint:
-    return CircuitPoint(kind="vertex", index=int(v))
-
-
-def edge_point(a: int, b: int, t: float) -> CircuitPoint:
-    return CircuitPoint(kind="edge", edge=(int(a), int(b)), t=float(t))
-
-
-def circuit_position(cap: ConvexCap, p: CircuitPoint) -> np.ndarray:
-    if p.kind == "vertex":
-        return cap.vertices[p.index]
-    a, b = p.edge
-    return (1 - p.t) * cap.vertices[a] + p.t * cap.vertices[b]
-
-
-def _carrier_faces(cap: ConvexCap, p: CircuitPoint) -> set[int]:
-    if p.kind == "vertex":
-        return set(cap.vertex_faces[p.index])
-    a, b = p.edge
-    return set(cap.edge_faces[(min(a, b), max(a, b))])
-
-
-def _segment_face(cap: ConvexCap, p: CircuitPoint, q: CircuitPoint) -> int:
-    common = _carrier_faces(cap, p) & _carrier_faces(cap, q)
-    if not common:
-        raise ValueError(f"circuit segment {p} -> {q} does not lie in a face")
-    return min(common)
-
-
-def _face_frame(cap: ConvexCap, f: int):
-    """Orientation-preserving isometry of face ``f`` into the plane."""
-    a, b, c = cap.vertices[cap.triangles[f]]
-    ex = b - a
-    ex = ex / np.linalg.norm(ex)
-    n = cap.face_normal(f)
-    ey = np.cross(n, ex)
-
-    def to2d(p):
-        d = p - a
-        return np.array([np.dot(d, ex), np.dot(d, ey)])
-
-    return to2d
-
-
-def _turn_across_edge(cap: ConvexCap, p_prev, p, p_next, f_in, f_out) -> float:
-    """Signed turn at an edge point, unfolding ``f_out`` flat onto ``f_in``."""
-    to2d = _face_frame(cap, f_in)
-    a2, p2 = to2d(p_prev), to2d(p)
-    if f_in == f_out:
-        c2 = to2d(p_next)
-        return turn_angle(a2, p2, c2)
-    # shared edge endpoints in both frames define the unfolding isometry
-    shared = set(cap.triangles[f_in]) & set(cap.triangles[f_out])
-    if len(shared) != 2:
-        raise ValueError("faces do not share an edge")
-    u, w = sorted(shared)
-    to2d_out = _face_frame(cap, f_out)
-    src = np.array([to2d_out(cap.vertices[u]), to2d_out(cap.vertices[w])])
-    dst = np.array([to2d(cap.vertices[u]), to2d(cap.vertices[w])])
-    c_src = to2d_out(p_next)
-    c2 = _apply_rigid(src, dst, c_src)
-    return turn_angle(a2, p2, c2)
-
-
-def _apply_rigid(src: np.ndarray, dst: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Apply the orientation-preserving rigid map taking segment ``src`` to
-    ``dst`` to the point ``p`` (all 2D)."""
-    ds, dd = src[1] - src[0], dst[1] - dst[0]
-    ang = math.atan2(dd[1], dd[0]) - math.atan2(ds[1], ds[0])
-    c, s = math.cos(ang), math.sin(ang)
-    R = np.array([[c, -s], [s, c]])
-    return dst[0] + R @ (p - src[0])
-
-
-def _turn_at_vertex(cap: ConvexCap, v: int, p_prev, p_next, f_in, f_out) -> float:
-    """Signed turn at a vertex: ``pi`` minus the intrinsic angle on the left
-    of the traversal, measured ccw in the unrolled fan."""
-    u_dir = p_prev - cap.vertices[v]
-    w_dir = p_next - cap.vertices[v]
-    theta_u = cap.fan_coordinate(v, u_dir, f_in)
-    theta_w = cap.fan_coordinate(v, w_dir, f_out)
-    left = theta_u - theta_w
-    if v not in cap.rim_vertex_set:
-        total = cap.fan_total(v)
-        left = left % total
-    return math.pi - left
-
-
-def total_turn(cap: ConvexCap, circuit: list[CircuitPoint],
-               closed: bool = True) -> float:
-    """Sum of signed turn angles along a surface polyline.
-
-    Each consecutive segment must lie within a single face.  For a closed
-    counterclockwise circuit, Gauss-Bonnet gives
-    ``total_turn + enclosed_curvature == 2*pi``.
-    """
-    pts = list(circuit)
-    n = len(pts)
-    if closed:
-        rng = range(n)
-    else:
-        rng = range(1, n - 1)
-    pos = [circuit_position(cap, p) for p in pts]
-    turns = 0.0
-    for i in rng:
-        p_prev, p, p_next = pts[i - 1], pts[i], pts[(i + 1) % n]
-        f_in = _segment_face(cap, p_prev, p)
-        f_out = _segment_face(cap, p, pts[(i + 1) % n])
-        if p.kind == "vertex":
-            turns += _turn_at_vertex(
-                cap, p.index, pos[i - 1], pos[(i + 1) % n], f_in, f_out
-            )
-        else:
-            turns += _turn_across_edge(
-                cap, pos[i - 1], pos[i], pos[(i + 1) % n], f_in, f_out
-            )
-    return turns
-
-
-def enclosed_curvature(cap: ConvexCap, circuit: list[CircuitPoint]) -> float:
-    """Total angle defect of interior vertices strictly inside the projected
-    circuit polygon (circuit vertices themselves excluded)."""
-    poly = np.array([circuit_position(cap, p)[:2] for p in circuit])
-    on_circuit = {p.index for p in circuit if p.kind == "vertex"}
-    total = 0.0
-    for v in cap.interior_vertices:
-        v = int(v)
-        if v in on_circuit:
-            continue
-        if _point_in_polygon(cap.vertices[v, :2], poly):
-            total += cap.vertex_curvature(v)
-    return total
-
-
-def _point_in_polygon(pt: np.ndarray, poly: np.ndarray) -> bool:
-    x, y = pt
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xi:
-                inside = not inside
-    return inside
+def _trace_rim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rim vertex loop from the rim sides ``a -> b``, counterclockwise seen
+    from above: a ccw face lies left of each of its sides, so following the
+    rim sides in their own direction keeps the surface on the left."""
+    if not len(a):
+        raise ValueError("mesh has no boundary: not a disk with rim")
+    nxt = dict(zip(a.tolist(), b.tolist()))
+    start = min(nxt)
+    loop = [start]
+    cur = nxt[start]
+    while cur != start:
+        loop.append(cur)
+        if len(loop) > len(nxt) + 1:
+            raise ValueError("boundary is not a single simple loop")
+        cur = nxt[cur]
+    if len(loop) != len(nxt):
+        raise ValueError("boundary splits into multiple loops")
+    return np.array(loop, dtype=int)

@@ -1,22 +1,20 @@
-"""Radial monotonicity of planar chains, direction cones, and the left-of
-relation used to certify that developed cut banks never cross.
+"""Radial monotonicity of planar chains, and the left-of relation used to
+certify that developed cut banks never cross.
 
 A chain is radially monotone when, measured from each of its vertices, the
-distance to every later point of the chain never decreases.  Three
-equivalent formulations appear here: the angle test (the working predicate),
-the circle-crossing count (an independent oracle), and nondecreasing sampled
-distances (used in the property tests).
+distance to every later point of the chain never decreases.  Two equivalent
+formulations appear here: the angle test (the working predicate) and the
+circle-crossing count (an independent oracle).  The sampled-distance
+definition and direction cones are lemma checkers in ``tests/lemmas.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import EPS_GEOM, normalize_angle
-from .forest import verify_angle_monotone
+from .geom import EPS_GEOM
 
 
 class NotRadiallyMonotoneError(ValueError):
@@ -203,60 +201,6 @@ def _segment_circle_ts(a, b, c, r, e) -> list[float]:
     if len(out) == 2 and abs(out[0] - out[1]) < 1e-12:
         out = out[:1]
     return out
-
-
-def distances_nondecreasing(points, source) -> bool:
-    """Definition by distances: sampled at vertices and edge midpoints."""
-    pts = _as_chain(points)
-    src = np.asarray(source, dtype=float)
-    samples = []
-    for i in range(len(pts) - 1):
-        samples.append(pts[i])
-        samples.append(0.5 * (pts[i] + pts[i + 1]))
-    samples.append(pts[-1])
-    d = np.linalg.norm(np.asarray(samples) - src, axis=1)
-    return bool(np.all(np.diff(d) >= -EPS_GEOM * max(1.0, d.max())))
-
-
-def angle_monotone_implies_rm(points, theta: float) -> bool:
-    """Check the implication: a theta-monotone chain with theta <= 90deg is
-    radially monotone.  A counterexample is a hard failure."""
-    if theta > math.pi / 2 + EPS_GEOM:
-        raise ValueError("implication only claimed for theta <= pi/2")
-    beta = verify_angle_monotone(points, theta)
-    if beta is None:
-        raise ValueError("chain is not theta-monotone; implication vacuous")
-    ok, witness = is_radially_monotone(points)
-    if not ok:
-        raise AssertionError(
-            f"theta-monotone chain failed radial monotonicity at {witness}"
-        )
-    return True
-
-
-# --------------------------------------------------------------------------
-# direction cones
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cone:
-    sigma_min: float
-    sigma_max: float
-
-    @property
-    def measure(self) -> float:
-        return self.sigma_max - self.sigma_min
-
-
-def cone_of(points) -> Cone:
-    """Smallest direction interval covering all edge directions, unwrapped
-    relative to the first edge."""
-    pts = _as_chain(points)
-    d = np.diff(pts, axis=0)
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    rel = ang[0] + np.array([normalize_angle(a - ang[0]) for a in ang])
-    return Cone(sigma_min=float(rel.min()), sigma_max=float(rel.max()))
 
 
 # --------------------------------------------------------------------------

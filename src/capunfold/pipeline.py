@@ -24,7 +24,8 @@ from .develop import (
     turn_distortion,
 )
 from .forest import SpanningForest, build_forest, choose_origin, verify_forest
-from .geom import delta_perp, normalize_angle, omega_bound, phi_budget
+from .geom import (delta_perp, normalize_angle, omega_bound, phi_budget,
+                   unwrap_directions)
 from .mesh import ConvexCap, compute_metrics, validate_cap
 from .monotone import NotRadiallyMonotoneError, left_of
 from .strips import StripSystem, strip_certificates, waterfall_strips
@@ -231,21 +232,11 @@ def _ordered(check, *args) -> bool:
 
 
 def _tree_direction_spreads(cap: ConvexCap, forest: SpanningForest):
+    """Width of each tree's cone of edge directions, child to parent."""
     P = cap.vertices[:, :2]
     spreads = []
     for tree in forest.trees():
-        angles = []
-        for v in tree:
-            p = forest.parent.get(v)
-            if p is None:
-                continue
-            d = P[p] - P[v]
-            angles.append(math.atan2(d[1], d[0]))
-        if not angles:
-            spreads.append(0.0)
-            continue
-        base = angles[0]
-        rel = [normalize_angle(a - base) for a in angles]
-        rel = [a - 2 * math.pi if a > math.pi else a for a in rel]
-        spreads.append(max(rel) - min(rel))
+        d = [P[forest.parent[v]] - P[v] for v in tree]
+        rel = unwrap_directions([math.atan2(y, x) for x, y in d])
+        spreads.append(float(rel.max() - rel.min()))
     return spreads

@@ -35,13 +35,10 @@ class StripError(RuntimeError):
 
 @dataclass(frozen=True)
 class WaterfallPath:
-    """Polyline from q out to a leaf (global planar coordinates), plus the
-    projected tree path from that leaf to its rim root (the zero-width tail
-    shared by the two adjacent strips)."""
+    """Polyline from q out to a leaf (global planar coordinates)."""
 
     leaf: int
     points: np.ndarray          # (k, 2), q first, leaf last
-    tail: np.ndarray            # (t, 2), leaf first, rim root last
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,6 @@ class Strip:
     quadrant: int
     index: int
     faces: tuple[int, ...]
-    lower: WaterfallPath | None   # clockwise boundary (None: quadrant axis)
-    upper: WaterfallPath | None   # counterclockwise boundary
 
 
 @dataclass
@@ -131,17 +126,13 @@ def waterfall_strips(cap: ConvexCap, forest: SpanningForest) -> StripSystem:
 
     strips: list[Strip] = []
     for i in range(4):
-        n = len(paths[i])
-        members: dict[int, list[int]] = {s: [] for s in range(n + 1)}
+        members: dict[int, list[int]] = {s: [] for s in range(len(paths[i]) + 1)}
         for f, (qi, s) in strip_of.items():
             if qi == i:
                 members.setdefault(s, []).append(f)
         for s in sorted(members):
-            strips.append(Strip(
-                quadrant=i, index=s, faces=tuple(sorted(members[s])),
-                lower=paths[i][s - 1] if s >= 1 else None,
-                upper=paths[i][s] if s < n else None,
-            ))
+            strips.append(Strip(quadrant=i, index=s,
+                                faces=tuple(sorted(members[s]))))
     return StripSystem(strips=strips, paths=paths, eps=eps_q, radius=rad_q,
                        strip_of=strip_of)
 
@@ -236,9 +227,7 @@ def _quadrant_paths(cap: ConvexCap, forest: SpanningForest, quadrant: int,
         ab = np.array([p for j, p in enumerate(ab_pts)
                        if j == 0 or not points_close(p, ab_pts[j - 1])])
         pts = _to_global(_cartesian(ab, theta), origin, rot)
-        tail3 = forest.path_to_root(leaves[i - 1])
-        tail = P[tail3].astype(float)
-        out.append(WaterfallPath(leaf=leaves[i - 1], points=pts, tail=tail))
+        out.append(WaterfallPath(leaf=leaves[i - 1], points=pts))
         env = _pl_max(env, _path_graph(ab))
     return out, eps, r
 
@@ -367,27 +356,8 @@ def _label_components(cap: ConvexCap, code: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# strip development and certificates
+# certificates
 # --------------------------------------------------------------------------
-
-
-def develop_strip(cap: ConvexCap, strip: Strip, net) -> dict[int, np.ndarray]:
-    """Placed triangles of one strip, read out of the global development
-    (which is traversal-order independent); verifies the content is
-    edge-connected."""
-    inside = np.isin(np.arange(cap.n_triangles), strip.faces)
-    _require_connected(strip, _label_components(cap, inside))
-    return {f: net.placed[f] for f in strip.faces}
-
-
-def _require_connected(strip: Strip, comp: np.ndarray) -> None:
-    """Raise unless the strip's faces share one component id in ``comp``."""
-    faces = np.unique(np.asarray(strip.faces, dtype=int))
-    seen = int((comp[faces] == comp[faces[0]]).sum()) if len(faces) else 0
-    if seen != len(faces):
-        raise StripError(
-            f"strip ({strip.quadrant},{strip.index}) content is not "
-            f"edge-connected: {seen} of {len(faces)} reachable")
 
 
 def _segments_cross(p1, d1, p3, d2):
@@ -489,24 +459,25 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
                 out["errors"].append(
                     f"quadrant {i}: path {j + 1} not left of path {j}")
 
-    # strip content: edge-connected and developable
+    # strip content: each strip's faces share one edge-connected component
     out["strips_connected"] = True
     code = np.full(cap.n_triangles, -1)
     for k, strip in enumerate(system.strips):
         code[list(strip.faces)] = k
     comp = _label_components(cap, code)
     for strip in system.strips:
-        try:
-            _require_connected(strip, comp)
-        except StripError as exc:
+        faces = np.unique(np.asarray(strip.faces, dtype=int))
+        seen = int((comp[faces] == comp[faces[0]]).sum()) if len(faces) else 0
+        if seen != len(faces):
             out["strips_connected"] = False
-            out["errors"].append(str(exc))
+            out["errors"].append(
+                f"strip ({strip.quadrant},{strip.index}) content is not "
+                f"edge-connected: {seen} of {len(faces)} reachable")
 
     # apex angles at q across all strips close up the cone at q
     q = int(qs.origin)
-    fq = cap.vertex_faces[q]
-    corner = np.nonzero(cap.triangles[fq] == q)[1]
-    apex = corner_angles(np.stack([net.placed[f] for f in fq]))
+    fq, corner = cap.vertex_corners(q)
+    apex = corner_angles(np.stack([net.placed[f] for f in fq.tolist()]))
     total = float(apex[np.arange(len(fq)), corner].sum())
     out["apex_angle_error"] = abs(
         total - (2 * math.pi - cap.vertex_curvature(q)))

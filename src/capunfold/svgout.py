@@ -116,20 +116,19 @@ def render_net_svg(cap: ConvexCap, net: Net,
         cv.polygon(net.placed[f], "face")
 
     strip_segments = []
+    nbr = cap.face_neighbors()
     for f in sorted(net.placed):
         tri = cap.triangles[f]
         img = net.placed[f]
         for k in range(3):
             a, b = int(tri[k]), int(tri[(k + 1) % 3])
             pa, pb = img[k], img[(k + 1) % 3]
-            key = (min(a, b), max(a, b))
-            faces = cap.edge_faces[key]
-            if len(faces) == 1:
+            g = int(nbr[f, k])
+            if g < 0:
                 cv.line(pa, pb, "rim")
-            elif key in net.cut_edges:
+            elif (min(a, b), max(a, b)) in net.cut_edges:
                 cv.line(pa, pb, "cut")
-            elif f == min(faces):
-                g = faces[0] if faces[1] == f else faces[1]
+            elif f < g:
                 if net.strip_of and net.strip_of.get(f) != net.strip_of.get(g):
                     strip_segments.append((pa, pb))
                 else:
@@ -163,11 +162,15 @@ def render_forest_svg(cap: ConvexCap, forest: SpanningForest,
     cv = _Canvas(P, width)
 
     forest_set = {(min(v, p), max(v, p)) for v, p in forest.parent.items()}
-    for key in sorted(cap.edge_faces):
-        if key in forest_set:
-            continue
-        cls = "rim" if key in cap.boundary_edges else "mesh-edge"
-        cv.line(P[key[0]], P[key[1]], cls)
+    # every edge once: each rim side, and each interior side from face f < g
+    T, nbr = cap.triangles, cap.face_neighbors()
+    once = (nbr < 0) | (nbr > np.arange(len(T))[:, None])
+    a, b = T[once], T[:, [1, 2, 0]][once]
+    for lo, hi, rim in sorted(zip(np.minimum(a, b).tolist(),
+                                  np.maximum(a, b).tolist(),
+                                  (nbr[once] < 0).tolist())):
+        if (lo, hi) not in forest_set:
+            cv.line(P[lo], P[hi], "rim" if rim else "mesh-edge")
     for v, p in sorted(forest.parent.items()):
         cv.line(P[v], P[p], "forest-edge")
 

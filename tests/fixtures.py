@@ -3,6 +3,7 @@ oracle tests share, used across test modules."""
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,3 +62,46 @@ def oracle_set():
              for phi in (33, 70) for s in range(15)]
     return tuple((cap, build_forest(cap, choose_origin(cap, "central")))
                  for cap in caps)
+
+
+def adjacency_reference(T) -> SimpleNamespace:
+    """Cap adjacency built by a loop over the faces into Python containers:
+    ``edge_faces`` (undirected edge -> incident faces, ascending),
+    ``directed`` (directed side -> face), ``vertex_faces``,
+    ``boundary_edges``, ``interior_edges``, ``n_edges`` and the
+    counterclockwise ``rim`` loop.  Raises ``ValueError`` where the mesh is
+    not an oriented disk."""
+    T = np.asarray(T)
+    edge_faces: dict[tuple[int, int], list[int]] = {}
+    directed: dict[tuple[int, int], int] = {}
+    vertex_faces: dict[int, list[int]] = {}
+    for f, (a, b, c) in enumerate(T.tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edge_faces.setdefault((min(u, v), max(u, v)), []).append(f)
+            if (u, v) in directed:
+                raise ValueError(f"directed edge {(u, v)} appears twice")
+            directed[(u, v)] = f
+        for v in (a, b, c):
+            vertex_faces.setdefault(v, []).append(f)
+    boundary = {e for e, fs in edge_faces.items() if len(fs) == 1}
+
+    nxt = {}
+    for a, b in boundary:
+        if (a, b) in directed:
+            nxt[a] = b
+        else:
+            nxt[b] = a
+    if not nxt:
+        raise ValueError("mesh has no boundary: not a disk with rim")
+    loop = [min(nxt)]
+    while nxt[loop[-1]] != loop[0]:
+        loop.append(nxt[loop[-1]])
+        if len(loop) > len(nxt):
+            raise ValueError("boundary is not a single simple loop")
+    if len(loop) != len(nxt):
+        raise ValueError("boundary splits into multiple loops")
+    return SimpleNamespace(
+        edge_faces=edge_faces, directed=directed, vertex_faces=vertex_faces,
+        boundary_edges=boundary,
+        interior_edges={e for e, fs in edge_faces.items() if len(fs) == 2},
+        n_edges=len(edge_faces), rim=loop)

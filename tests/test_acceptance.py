@@ -1,6 +1,7 @@
 """End-to-end acceptance suite: every headline guarantee of the artifact,
 with wall-clock budgets measured inside the tests."""
 
+import gc
 import math
 import time
 
@@ -12,23 +13,21 @@ from capunfold.develop import develop_chain, layout_net, turn_distortion
 from capunfold.forest import build_forest, choose_origin, verify_angle_monotone
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.geom import delta_perp, omega_bound, phi_budget
-from capunfold.mesh import (
-    ConvexCap,
-    compute_metrics,
-    edge_point,
-    enclosed_curvature,
-    total_turn,
-    vertex_point,
-)
+from capunfold.mesh import ConvexCap, compute_metrics
 from capunfold.monotone import (
-    angle_monotone_implies_rm,
     circle_crossing_oracle,
     is_radially_monotone,
     is_simple,
 )
 from capunfold.pipeline import cut_and_unfold
 
-from fixtures import pentagonal_pyramid
+from fixtures import adjacency_reference, pentagonal_pyramid
+from lemmas import (
+    angle_monotone_implies_rm,
+    enclosed_curvature,
+    total_turn,
+    vertex_point,
+)
 from test_develop import layout_reference, record_levels
 from test_geom import sweep_projection_distortion
 from test_mesh import pyramid_circuit
@@ -220,6 +219,7 @@ class TestDefinitionEquivalence:
 def _random_disc_cycle(cap, rng):
     """Vertex cycle bounding a random edge-connected, simply connected set
     of faces; None when the grown region is not a clean disk."""
+    edge_faces = adjacency_reference(cap.triangles).edge_faces
     faces = {int(rng.integers(0, cap.n_triangles))}
     for _ in range(int(rng.integers(1, 12))):
         frontier = set()
@@ -227,7 +227,7 @@ def _random_disc_cycle(cap, rng):
             tri = cap.triangles[f]
             for k in range(3):
                 a, b = int(tri[k]), int(tri[(k + 1) % 3])
-                for g in cap.edge_faces[(min(a, b), max(a, b))]:
+                for g in edge_faces[(min(a, b), max(a, b))]:
                     if g not in faces:
                         frontier.add(g)
         if not frontier:
@@ -240,7 +240,7 @@ def _random_disc_cycle(cap, rng):
         tri = cap.triangles[f]
         for k in range(3):
             a, b = int(tri[k]), int(tri[(k + 1) % 3])
-            fs = cap.edge_faces[(min(a, b), max(a, b))]
+            fs = edge_faces[(min(a, b), max(a, b))]
             if len(fs) == 1 or not all(g in faces for g in fs):
                 if a in succ:
                     return None  # pinch vertex
@@ -360,6 +360,21 @@ class TestWorkCounts:
         assert sorted(f for level in passes for f in level) == sorted(parent)
         for k, level in enumerate(passes, start=1):
             assert {depth[g] for g in level} == {k}
+
+    def test_cap_keeps_no_container_adjacency(self):
+        # the face graph is a few arrays: building the 4,921-vertex cap
+        # gives the cyclic collector almost nothing new to walk
+        cap = generate_budget_cap(5000, seed=0)
+        V, T = cap.vertices.copy(), cap.triangles.copy()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            built = ConvexCap(V, T)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert built.n_triangles == len(T) > 9000
+        assert added < 100, added
 
 
 def quarter_turn(cap, k):

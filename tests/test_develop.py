@@ -29,7 +29,9 @@ from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.mesh import ConvexCap, compute_metrics
 
-from fixtures import flat_hex_disk, oracle_set, pentagonal_pyramid
+from fixtures import (adjacency_reference, flat_hex_disk, oracle_set,
+                      pentagonal_pyramid)
+from lemmas import within_bound
 
 DEG = math.pi / 180
 
@@ -113,14 +115,14 @@ class TestTurnDistortion:
         for path in forest_paths(cap, forest):
             td = turn_distortion(cap, path)
             assert td.max_abs < 0.05
-            assert td.within_bound
+            assert within_bound(td)
 
     def test_bound_holds_on_random_caps(self):
         for seed in range(6):
             cap, forest = sample_cap(seed=seed, phi=30 * DEG)
             for path in forest_paths(cap, forest):
                 td = turn_distortion(cap, path)
-                assert td.within_bound, (seed, path, td.max_abs, td.bound)
+                assert within_bound(td), (seed, path, td.max_abs, td.bound)
 
     def test_single_edge_path_has_no_turns(self):
         cap = pentagonal_pyramid()
@@ -165,7 +167,7 @@ class TestLayoutNet:
         net = layout_net(cap, forest)
         q = forest.system.origin
         total = 0.0
-        for f in cap.vertex_faces[q]:
+        for f in adjacency_reference(cap.triangles).vertex_faces[q]:
             img = net.placed[f]
             tri = cap.triangles[f]
             i = int(np.where(tri == q)[0][0])
@@ -345,6 +347,7 @@ def layout_reference(cap, forest):
     taken in order 0, 1, 2.  Returns the placements in visiting order and
     each face's parent."""
     cut = {(min(a, b), max(a, b)) for a, b in forest.edges()}
+    edge_faces = adjacency_reference(cap.triangles).edge_faces
     placed = {0: _root_placement(cap, 0)}
     parent = {}
     queue = deque([0])
@@ -354,7 +357,7 @@ def layout_reference(cap, forest):
         for i in range(3):
             a, b = int(tri[i]), int(tri[(i + 1) % 3])
             key = (min(a, b), max(a, b))
-            fs = cap.edge_faces[key]
+            fs = edge_faces[key]
             if key in cut or len(fs) == 1:
                 continue
             g = fs[0] if fs[1] == f else fs[1]

@@ -23,6 +23,7 @@ from capunfold.geom import (
     project_angle,
     signed_turn,
     turn_angle,
+    unwrap_directions,
     wedge_contains,
 )
 
@@ -242,6 +243,16 @@ class TestHelpers:
             assert -math.pi < n <= math.pi + 1e-15
             assert math.cos(n) == pytest.approx(math.cos(t), abs=1e-12)
             assert math.sin(n) == pytest.approx(math.sin(t), abs=1e-12)
+
+    def test_unwrap_directions_is_normalize_angle_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        ang = np.r_[rng.uniform(-7, 7, 500), math.pi, -math.pi, 0.0,
+                    2 * math.pi, 3 * math.pi, -3 * math.pi]
+        for first in (0.0, 1.0, math.pi, -math.pi, 2.5):
+            a = np.r_[first, ang]
+            want = [normalize_angle(x - a[0]) for x in a]
+            assert unwrap_directions(a).tolist() == want
+            assert unwrap_directions(a.tolist()).tolist() == want
 
     def test_angle_between_3d(self):
         assert angle_between([1, 0, 0], [1, 1, 0]) == pytest.approx(math.pi / 4)

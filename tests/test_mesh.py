@@ -1,21 +1,16 @@
 """Cap mesh structure: adjacency, validation, curvature, circuit turns."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from capunfold.geom import omega_bound
-from capunfold.mesh import (
-    ConvexCap,
-    compute_metrics,
-    edge_point,
-    enclosed_curvature,
-    total_turn,
-    validate_cap,
-    vertex_point,
-)
-from fixtures import DEG, flat_hex_disk, pentagonal_pyramid, square_pyramid
+from capunfold.mesh import ConvexCap, compute_metrics, validate_cap
+from fixtures import (DEG, adjacency_reference, flat_hex_disk, oracle_set,
+                      pentagonal_pyramid, square_pyramid)
+from lemmas import edge_point, enclosed_curvature, total_turn, vertex_point
 
 
 class TestAdjacency:
@@ -24,7 +19,7 @@ class TestAdjacency:
         assert cap.n_vertices == 6
         assert cap.n_triangles == 5
         assert cap.n_edges == 10
-        assert len(cap.boundary_edges) == 5
+        assert len(adjacency_reference(cap.triangles).boundary_edges) == 5
         assert list(cap.interior_vertices) == [5]
 
     def test_rim_is_ccw(self):
@@ -49,6 +44,47 @@ class TestAdjacency:
         T = np.array([[0, 1, 2], [3, 4, 5]])
         with pytest.raises(ValueError):
             ConvexCap(V, T)
+
+    @pytest.mark.parametrize("T, message", [
+        ([[0, 1, 2], [0, 1, 3]], "directed edge (0, 1) appears twice"),
+        # three faces on one edge repeat one of its directions
+        ([[0, 1, 2], [1, 0, 3], [0, 1, 4]], "directed edge (0, 1) appears twice"),
+        ([[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]], "mesh has no boundary"),
+        ([[0, 1, 2], [3, 4, 5]], "boundary splits into multiple loops"),
+        ([[0, 1, 6]], "triangle indices out of range"),
+    ])
+    def test_constructor_errors(self, T, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ConvexCap(np.zeros((6, 3)), T)
+
+
+class TestFaceGraph:
+    """The sorted-side adjacency against the face loop of
+    :func:`fixtures.adjacency_reference`."""
+
+    def test_matches_reference(self):
+        caps = [pentagonal_pyramid(), square_pyramid(), flat_hex_disk(0.1)]
+        caps += [cap for cap, _ in oracle_set()]
+        for cap in caps:
+            ref = adjacency_reference(cap.triangles)
+            T = cap.triangles
+            a, b = T.ravel().tolist(), T[:, [1, 2, 0]].ravel().tolist()
+            ab = [ref.directed.get(side, -1) for side in zip(a, b)]
+            ba = [ref.directed.get(side, -1) for side in zip(b, a)]
+            assert cap.side_faces(a, b).tolist() == ab
+            assert cap.side_faces(b, a).tolist() == ba
+            assert (cap.side_faces(a, a) == -1).all()
+            assert cap.face_neighbors().tolist() == np.reshape(ba, (-1, 3)).tolist()
+            for v in range(cap.n_vertices):
+                faces, corners = cap.vertex_corners(v)
+                assert faces.tolist() == ref.vertex_faces.get(v, [])
+                assert (T[faces, corners] == v).all()
+            rim_vertices = {u for e in ref.boundary_edges for u in e}
+            assert cap.n_edges == ref.n_edges
+            assert cap.rim.tolist() == ref.rim
+            assert cap.rim_vertex_set == rim_vertices
+            assert cap.interior_vertices.tolist() == sorted(
+                set(range(cap.n_vertices)) - rim_vertices)
 
 
 class TestValidation:
@@ -92,6 +128,23 @@ class TestValidation:
         issues = validate_cap(ConvexCap(V, cap.triangles))
         assert any("rim is not planar" in s for s in issues)
 
+    def test_messages_print_plain_integers(self):
+        from capunfold.generate import generate_cap
+
+        cap = generate_cap(200, phi=0.1, seed=0)
+        V = cap.vertices.copy()
+        V[3, :2] += 0.08
+        bad = ConvexCap(V, cap.triangles)
+        assert validate_cap(bad) == [
+            "reflex fold across edge (10, 11): height 1.084e-02",
+            "negative curvature at interior vertex 10",
+            "obtuse face angle 138.460deg at (201, 2)"]
+        assert validate_cap(bad, "strict_acute")[-1] == (
+            "face angle 138.460deg at (201, 2) is not strictly acute")
+        with pytest.raises(ValueError) as err:
+            ConvexCap(V, np.r_[cap.triangles, cap.triangles[:1]])
+        assert "np." not in str(err.value)
+
 
 class TestCurvature:
     def test_apex_defect_is_60deg(self):
@@ -128,8 +181,8 @@ class TestCurvature:
             for f, tri in enumerate(cap.triangles):
                 for k in range(3):
                     a, b = int(tri[k]), int(tri[(k + 1) % 3])
-                    other = [g for g in cap.edge_faces[(min(a, b), max(a, b))]
-                             if g != f]
+                    other = [g for g in adjacency_reference(cap.triangles)
+                             .edge_faces[(min(a, b), max(a, b))] if g != f]
                     assert nbr[f, k] == (other[0] if other else -1)
 
     def test_face_angles_computed_once(self):

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap
 from capunfold.monotone import (
-    Cone,
-    angle_monotone_implies_rm,
     circle_crossing_oracle,
-    cone_of,
-    distances_nondecreasing,
     is_radially_monotone,
     is_simple,
     left_of,
 )
+from lemmas import angle_monotone_implies_rm, cone_of, distances_nondecreasing
 
 DEG = math.pi / 180
 
