@@ -98,26 +98,23 @@ def develop_chain(cap: ConvexCap, path, side: str) -> np.ndarray:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     cp = _cut_path(cap, path)
-    vs = cp.vertices
+    vs = np.asarray(cp.vertices)
     V = cap.vertices
-    lengths = [float(np.linalg.norm(V[b] - V[a])) for a, b in zip(vs, vs[1:])]
+    lengths = np.linalg.norm(V[vs[1:]] - V[vs[:-1]], axis=1)
     d0 = V[vs[1], :2] - V[vs[0], :2]
     heading = math.atan2(d0[1], d0[0])
+    k = len(vs) - 1
     if side == "left":
-        leaf = vs[0]
-        omega0 = 0.0
+        leaf = int(vs[0])
         if leaf not in cap.rim_vertex_set:
-            omega0 = cap.vertex_curvature(leaf)
-        heading += omega0
-    pts = [np.array(V[vs[0], :2], dtype=float)]
-    for i, L in enumerate(lengths):
-        pts.append(pts[-1] + L * np.array([math.cos(heading), math.sin(heading)]))
-        if i + 1 < len(lengths):
-            if side == "left":
-                heading += math.pi - cp.lam[i + 1]
-            else:
-                heading += cp.rho[i + 1] - math.pi
-    return np.array(pts)
+            heading += cap.vertex_curvature(leaf)
+        turns = math.pi - cp.lam[1:k]
+    else:
+        turns = cp.rho[1:k] - math.pi
+    headings = np.cumsum(np.concatenate([[heading], turns]))
+    steps = lengths[:, None] * np.column_stack([np.cos(headings),
+                                                np.sin(headings)])
+    return np.cumsum(np.vstack([V[vs[0], :2], steps]), axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -309,40 +306,51 @@ def bank_chains(cap: ConvexCap, net: Net, vertices) -> tuple[np.ndarray, np.ndar
     upper envelope), which removes the micro radial dips the opened junction
     gaps introduce.
     """
-    vs = [int(v) for v in vertices]
-    T = cap.triangles
+    vs = np.asarray(vertices, dtype=np.intp)
     a, b = vs[:-1], vs[1:]
-
+    steps = np.arange(len(a))
     out = []
     # the face left of each path edge holds it forwards, the right one back
-    for fs in (cap.side_faces(a, b).tolist(), cap.side_faces(b, a).tolist()):
-        pts = [(vs[0], net.vertex_image(fs[0], vs[0], T))]  # (vertex, image)
-        for i in range(len(vs) - 1):
-            pts.append((vs[i + 1], net.vertex_image(fs[i], vs[i + 1], T)))
-            if i + 2 < len(vs):
-                nxt = net.vertex_image(fs[i + 1], vs[i + 1], T)
-                if not points_close(nxt, pts[-1][1], atol=1e-12):
-                    pts.append((vs[i + 1], nxt))
-        src = pts[0][1]
-        kept: list[tuple[int, np.ndarray]] = []
-        for v, p in pts:
-            if kept and kept[-1][0] == v:
-                if np.linalg.norm(p - src) > np.linalg.norm(kept[-1][1] - src):
-                    kept[-1] = (v, p)
-            else:
-                kept.append((v, p))
-        out.append(np.array([p for _, p in kept]))
+    for fs in (cap.side_faces(a, b), cap.side_faces(b, a)):
+        corners = cap.triangles[fs]
+        img = np.stack([net.placed[f] for f in fs.tolist()])
+        start = img[steps, (corners == a[:, None]).argmax(axis=1)]
+        end = img[steps, (corners == b[:, None]).argmax(axis=1)]
+        # at an interior path vertex the next face's image of it is a
+        # second point unless it is within 1e-12 of this face's (as
+        # points_close); the one farther from the leaf is kept
+        prev, nxt = end[:-1], start[1:]
+        apart = np.any(np.abs(nxt - prev) > 1e-12 + 1e-5 * np.abs(prev),
+                       axis=1)
+        farther = (np.linalg.norm(nxt - start[0], axis=1)
+                   > np.linalg.norm(prev - start[0], axis=1))
+        mid = np.where((apart & farther)[:, None], nxt, prev)
+        out.append(np.vstack([start[:1], mid, end[-1:]]))
     return out[0], out[1]
 
 
-def banks_ordered(cap: ConvexCap, net: Net, vertices) -> tuple[bool, float | None]:
-    """left_of certificate for the two banks of one leaf-to-root cut path."""
-    L, R = bank_chains(cap, net, vertices)
-    if not np.allclose(L[0], R[0], atol=1e-9):
-        raise RuntimeError("cut banks do not share the leaf image")
-    R = R.copy()
-    R[0] = L[0]
-    return left_of(L, R, check="oracle")
+def banks_ordered(cap: ConvexCap, net: Net, vertices):
+    """left_of certificate for the two banks of one leaf-to-root cut path.
+
+    Given a list of paths, one verdict per path, ``None`` where a bank is
+    not radially monotone, from one :func:`left_of` call; a failure raises
+    as it would on the first failing path alone."""
+    many = len(vertices) == 0 or np.ndim(vertices[0]) > 0
+    pairs = []
+    try:
+        for path in (vertices if many else [vertices]):
+            L, R = bank_chains(cap, net, path)
+            if not points_close(L[0], R[0], atol=1e-9):
+                raise RuntimeError("cut banks do not share the leaf image")
+            R = R.copy()
+            R[0] = L[0]
+            pairs.append((L, R))
+    except Exception:
+        left_of(pairs, check="oracle")   # an earlier path's failure first
+        raise
+    if many:
+        return left_of(pairs, check="oracle")
+    return left_of(*pairs[0], check="oracle")
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,12 @@ distance to every later point of the chain never decreases.  Two equivalent
 formulations appear here: the angle test (the working predicate) and the
 circle-crossing count (an independent oracle).  The sampled-distance
 definition and direction cones are lemma checkers in ``tests/lemmas.py``.
+
+One kernel evaluates every chain and pair of a call together: chains are
+sorted by length and padded, by repeating their last point, into blocks of
+about :data:`_BLOCK_CELLS` cells per array.  A pad segment has zero length,
+so its orientation products are 0 and its cosines NaN, and it can flag no
+crossing or violation; the radius sweep masks pad segments out.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 
 import numpy as np
 
-from .geom import EPS_GEOM
+from .geom import EPS_GEOM, points_close
 
 
 class NotRadiallyMonotoneError(ValueError):
@@ -22,8 +28,16 @@ class NotRadiallyMonotoneError(ValueError):
     precondition."""
 
 
+#: Cells per array in one block of the batched kernel (a chain longer than
+#: a block is evaluated alone).
+_BLOCK_CELLS = 2 ** 16
+
+#: Cosine above which an angle (v_j, v_i, v_{i+1}) is too sharp.
+_ANGLE_SLACK = math.sin(1e-9)
+
+
 # --------------------------------------------------------------------------
-# chains
+# chains and blocks
 # --------------------------------------------------------------------------
 
 
@@ -37,35 +51,137 @@ def _as_chain(points) -> np.ndarray:
     return pts
 
 
+def _concat(chains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All chains in one (total, 2) array, with each chain's offset and
+    length in it."""
+    lens = np.array([len(c) for c in chains], dtype=np.intp)
+    flat = np.concatenate(chains) if len(chains) else np.zeros((0, 2))
+    return flat, np.cumsum(lens) - lens, lens
+
+
+def _blocks(sizes, cells) -> list[np.ndarray]:
+    """Item indices grouped by size: items sorted by ``sizes``, each block
+    as long as ``len(block) * cells(largest size in it)`` stays within
+    :data:`_BLOCK_CELLS`, and at least one item long."""
+    order = np.argsort(sizes, kind="stable")
+    per_item = cells(np.asarray(sizes)[order])
+    blocks, start = [], 0
+    while start < len(order):
+        # the product grows with the block, so the fitting ones are a prefix
+        fits = np.arange(1, len(order) - start + 1) * per_item[start:]
+        end = start + max(1, int(np.count_nonzero(fits <= _BLOCK_CELLS)))
+        blocks.append(order[start:end])
+        start = end
+    return blocks
+
+
+def _padded(flat, offsets, lens, idx, K) -> np.ndarray:
+    """Chains ``idx`` as one (len(idx), K, 2) array, each padded to K points
+    by repeating its last point."""
+    t = np.minimum(np.arange(K), lens[idx, None] - 1)
+    return flat[offsets[idx, None] + t]
+
+
+# --------------------------------------------------------------------------
+# simplicity and radial monotonicity, per chain
+# --------------------------------------------------------------------------
+
+
+def _chain_checks(flat, offsets, lens, check: str):
+    """Per chain: simple?, precondition met?, and the first violating
+    ``(j, i)`` of the angle test.  ``check`` is ``"simple"`` (simplicity
+    only), ``"angle"`` (simplicity and the angle form) or ``"oracle"`` (the
+    circle-crossing fast path only; a chain that misses it is left to
+    :func:`circle_crossing_oracle`)."""
+    n = len(lens)
+    simple = np.ones(n, dtype=bool)
+    ok = np.ones(n, dtype=bool)
+    witness = np.zeros((n, 2), dtype=np.intp)
+    cells = (lambda k: k) if check == "oracle" else (lambda k: k * k)
+    for idx in _blocks(lens, cells):
+        P = _padded(flat, offsets, lens, idx, int(lens[idx].max()))
+        if check == "oracle":
+            ok[idx] = _fast_path(P)
+            continue
+        simple[idx] = _simple(P, lens[idx])
+        # in two-point chains no source comes before an edge
+        if check == "angle" and P.shape[1] > 2:
+            ok[idx], witness[idx] = _angle_test(P)
+    return simple, ok, witness
+
+
+def _simple(P, lens) -> np.ndarray:
+    """No two non-adjacent segments properly intersect, per padded chain."""
+    p, q = P[:, :-1], P[:, 1:]
+    e = q - p
+
+    def orient(c):
+        # orient(p_j, q_j, c_i) at [chain, i, j], with one temporary
+        m = c[:, :, None, 1] - p[:, None, :, 1]
+        m *= e[:, None, :, 0]
+        t = c[:, :, None, 0] - p[:, None, :, 0]
+        t *= e[:, None, :, 1]
+        m -= t
+        return m
+
+    M1 = orient(p)
+    M2 = orient(q)
+    # segment i's ends on strictly opposite sides of segment j's line
+    flip = ((M1 > 0) != (M2 > 0)) & (M1 * M2 != 0)
+    cross = flip & flip.swapaxes(1, 2)
+    cross &= np.triu(np.ones(cross.shape[1:], dtype=bool), k=2)
+    simple = ~cross.any(axis=(1, 2))
+    for c in np.flatnonzero(~simple):
+        # a closed chain's first and last segments meet at its end point
+        last = lens[c] - 1
+        if points_close(P[c, 0], P[c, last]):
+            cross[c, 0, last - 1] = False
+            simple[c] = not cross[c].any()
+    return simple
+
+
+def _angle_test(P) -> tuple[np.ndarray, np.ndarray]:
+    """Angle form of radial monotonicity per padded chain: the cosine of
+    the angle (v_j, v_i, v_{i+1}) must not exceed sin(1e-9) for any source
+    j < i.  Returns the verdicts and each chain's first violating
+    ``(j, i)``, by j and then i."""
+    j, i = np.triu_indices(P.shape[1] - 1, k=1)   # in (j, i) order
+    w = P[:, 1:] - P[:, :-1]                      # edge i -> i+1
+    # u = v_j - v_i, one coordinate at a time
+    ux = P[:, j, 0] - P[:, i, 0]
+    cosang = ux * w[:, i, 0]
+    ux *= ux
+    uy = P[:, j, 1] - P[:, i, 1]
+    ux += uy * uy                                 # |u|^2
+    uy *= w[:, i, 1]
+    cosang += uy
+    del uy
+    np.sqrt(ux, out=ux)
+    ux *= np.linalg.norm(w, axis=2)[:, i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosang /= ux
+    bad = cosang > _ANGLE_SLACK
+    first = bad.argmax(axis=1)
+    return ~bad.any(axis=1), np.column_stack([j[first], i[first]])
+
+
+def _fast_path(P) -> np.ndarray:
+    """Per padded chain: is the distance from its first point nondecreasing
+    along, and at the ends of, every segment?  Then every circle about that
+    point meets the chain once (the fast path of
+    :func:`circle_crossing_oracle`)."""
+    src = P[:, :1]
+    d = np.linalg.norm(P - src, axis=2)
+    s = P[:, 1:] - P[:, :-1]
+    f = P[:, :-1] - src
+    B = f[..., 0] * s[..., 0] + f[..., 1] * s[..., 1]
+    return np.all(B >= 0, axis=1) & np.all(d[:, 1:] >= d[:, :-1], axis=1)
+
+
 def is_simple(points) -> bool:
     """True when no two non-adjacent segments properly intersect."""
     pts = _as_chain(points)
-    n = len(pts) - 1
-    if n < 3:
-        return True
-
-    def orient_mat(a0, a1, c):
-        # orient(a0[j], a1[j], c[i]) over all (i, j)
-        return ((a1[None, :, 0] - a0[None, :, 0])
-                * (c[:, None, 1] - a0[None, :, 1])
-                - (a1[None, :, 1] - a0[None, :, 1])
-                * (c[:, None, 0] - a0[None, :, 0]))
-
-    p, q = pts[:-1], pts[1:]
-    M1 = orient_mat(p, q, p)   # M1[i, j] = orient(p_j, q_j, p_i)
-    M2 = orient_mat(p, q, q)   # M2[i, j] = orient(p_j, q_j, q_i)
-    o_ji_p, o_ji_q = M1, M2
-    o_ij_p, o_ij_q = M1.T, M2.T
-    cross = (((o_ji_p > 0) != (o_ji_q > 0))
-             & ((o_ij_p > 0) != (o_ij_q > 0))
-             & (o_ji_p * o_ji_q != 0) & (o_ij_p * o_ij_q != 0))
-    ii, jj = np.nonzero(np.triu(cross, k=2))
-    if len(ii) == 0:
-        return True
-    if np.allclose(pts[0], pts[-1]):
-        keep = ~((ii == 0) & (jj == n - 1))
-        ii, jj = ii[keep], jj[keep]
-    return len(ii) == 0
+    return bool(_chain_checks(*_concat([pts]), "simple")[0][0])
 
 
 # --------------------------------------------------------------------------
@@ -82,25 +198,12 @@ def is_radially_monotone(points) -> tuple[bool, tuple[int, int] | None]:
     ``(True, None)`` or ``(False, (j, i))`` with the first violating pair.
     """
     pts = _as_chain(points)
-    if not is_simple(pts):
+    simple, ok, witness = _chain_checks(*_concat([pts]), "angle")
+    if not simple[0]:
         raise ValueError("chain is not simple")
-    k = len(pts)
-    if k < 3:
+    if ok[0]:
         return True, None
-    # vectorized: cos of angle (v_j, v_i, v_{i+1}) must be <= sin(1e-9)
-    w = pts[1:] - pts[:-1]                      # edge i -> i+1, index i
-    u = pts[None, :, :] - pts[:-1, None, :]     # u[i, j] = v_j - v_i
-    nu = np.linalg.norm(u, axis=2)
-    nw = np.linalg.norm(w, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosang = np.einsum("ijk,ik->ij", u, w) / (nu * nw[:, None])
-    slack = math.sin(1e-9)
-    ii, jj = np.nonzero(cosang > slack)
-    bad = jj < ii   # only sources strictly before the turning vertex
-    if bad.any():
-        order = np.lexsort((ii[bad], jj[bad]))[0]
-        return False, (int(jj[bad][order]), int(ii[bad][order]))
-    return True, None
+    return False, (int(witness[0, 0]), int(witness[0, 1]))
 
 
 def circle_crossing_oracle(points, source, radii=None) -> bool:
@@ -208,7 +311,7 @@ def _segment_circle_ts(a, b, c, r, e) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def left_of(A, B, check: str = "angle") -> tuple[bool, float | None]:
+def left_of(A, B=None, check: str = "angle", strict: bool = False):
     """Is chain ``A`` weakly left of chain ``B`` seen from their common
     source?
 
@@ -220,62 +323,129 @@ def left_of(A, B, check: str = "angle") -> tuple[bool, float | None]:
     ``check`` selects the monotonicity precondition test: ``"angle"`` (the
     strict vertex-angle form) or ``"oracle"`` (circle components; tolerant
     of near-coincident double points on chains read out of a net).
+
+    Given a list of ``(A, B)`` pairs as ``A`` and no ``B``, returns one
+    verdict per pair, ``None`` for a pair with a chain that is not radially
+    monotone (with ``strict``, that raises as it does for one pair).  Any
+    other failure raises the exception that the first failing pair raises
+    on its own.
     """
-    a = _as_chain(A)
-    b = _as_chain(B)
-    if not np.allclose(a[0], b[0]):
-        raise ValueError("chains must share their source point")
+    if B is not None:
+        (out,) = _left_of_all([(A, B)], check)
+        if isinstance(out, Exception):
+            raise out
+        return out
+    outs = _left_of_all(A, check)
+    for out in outs:
+        if isinstance(out, Exception) and (
+                strict or not isinstance(out, NotRadiallyMonotoneError)):
+            raise out
+    return [None if isinstance(out, Exception) else out for out in outs]
+
+
+def _left_of_all(pairs, check: str) -> list:
+    """Per pair, its verdict or the exception it raises alone, in the order
+    of the per-pair checks: each chain's shape and points, the common
+    source, then each chain's precondition."""
     if check not in ("angle", "oracle"):
         raise ValueError("check must be 'angle' or 'oracle'")
-    for chain in (a, b):
-        if check == "angle":
-            ok, _ = is_radially_monotone(chain)
-        else:
-            ok = circle_crossing_oracle(chain, chain[0])
-        if not ok:
-            raise NotRadiallyMonotoneError(
+    chains, errors = [], []
+    for pair in pairs:
+        for X in pair:
+            try:
+                chains.append(_as_chain(X))
+                errors.append(None)
+            except ValueError as exc:
+                chains.append(np.eye(2))   # a stand-in the kernel can carry
+                errors.append(exc)
+    flat, offsets, lens = _concat(chains)
+    simple, ok, _ = _chain_checks(flat, offsets, lens, check)
+
+    def precondition(c):
+        if check == "angle" and not simple[c]:
+            return ValueError("chain is not simple")
+        if not (ok[c] or (check == "oracle"
+                          and circle_crossing_oracle(chains[c], chains[c][0]))):
+            return NotRadiallyMonotoneError(
                 "left_of requires radially monotone chains")
-    src = a[0]
-    da = np.linalg.norm(a - src, axis=1)
-    db = np.linalg.norm(b - src, axis=1)
-    vals = np.unique(np.concatenate([da, db]))
-    vals = vals[vals > EPS_GEOM]
-    radii = np.sort(np.concatenate([vals, 0.5 * (vals[:-1] + vals[1:])]))
-    r_max = min(da.max(), db.max())
-    e = EPS_GEOM * max(1.0, float(max(da.max(), db.max())))
-    radii = radii[radii <= r_max + e]
-    pa = _first_hits(a, da, src, np.minimum(radii, da.max()))
-    pb = _first_hits(b, db, src, np.minimum(radii, db.max()))
-    both = ~(np.isnan(pa[:, 0]) | np.isnan(pb[:, 0]))
-    ang_a = np.arctan2(pa[:, 1] - src[1], pa[:, 0] - src[0])
-    ang_b = np.arctan2(pb[:, 1] - src[1], pb[:, 0] - src[0])
-    arc = np.mod(ang_a - ang_b, 2 * math.pi)
+        return None
+
+    outs: list = []
+    for a in range(0, len(chains), 2):
+        b = a + 1
+        if errors[a] or errors[b]:
+            outs.append(errors[a] or errors[b])
+        elif not points_close(chains[a][0], chains[b][0]):
+            outs.append(ValueError("chains must share their source point"))
+        else:
+            outs.append(precondition(a) or precondition(b))
+
+    pending = np.array([p for p, out in enumerate(outs) if out is None],
+                       dtype=np.intp)
+    size = np.maximum(lens[2 * pending], lens[2 * pending + 1])
+    for blk in _blocks(size, lambda k: (4 * k - 1) * (k - 1)):
+        p, K = pending[blk], int(size[blk].max())
+        radius = _sweep(_padded(flat, offsets, lens, 2 * p, K),
+                        _padded(flat, offsets, lens, 2 * p + 1, K),
+                        lens[2 * p], lens[2 * p + 1])
+        for i, r in zip(p.tolist(), radius.tolist()):
+            outs[i] = (True, None) if r == math.inf else (False, r)
+    return outs
+
+
+def _sweep(A, B, la, lb) -> np.ndarray:
+    """Smallest radius at which padded chain ``A[c]`` is not left of
+    ``B[c]`` (inf where it always is), over every vertex distance of both
+    chains and every midpoint of two consecutive ones, above ``EPS_GEOM``
+    and within the shorter chain's reach.  A distance that repeats only
+    repeats radii, so no deduplication is needed."""
+    src = A[:, 0]
+    da = np.linalg.norm(A - src[:, None], axis=2)
+    db = np.linalg.norm(B - src[:, None], axis=2)
+    ma, mb = da.max(axis=1), db.max(axis=1)
+    vals = np.sort(np.concatenate([da, db], axis=1), axis=1)
+    radii = np.concatenate([vals, 0.5 * (vals[:, :-1] + vals[:, 1:])], axis=1)
+    e = EPS_GEOM * np.maximum(1.0, np.maximum(ma, mb))
+    live = ((np.concatenate([vals, vals[:, :-1]], axis=1) > EPS_GEOM)
+            & (radii <= (np.minimum(ma, mb) + e)[:, None]))
+    pa = _first_hits(A, da, la, src, np.minimum(radii, ma[:, None]))
+    pb = _first_hits(B, db, lb, src, np.minimum(radii, mb[:, None]))
+    with np.errstate(invalid="ignore"):
+        ang_a = np.arctan2(pa[..., 1] - src[:, None, 1],
+                           pa[..., 0] - src[:, None, 0])
+        ang_b = np.arctan2(pb[..., 1] - src[:, None, 1],
+                           pb[..., 0] - src[:, None, 0])
+        arc = np.mod(ang_a - ang_b, 2 * math.pi)
     slack = 1e-9
-    viol = both & (arc >= math.pi) & (arc <= 2 * math.pi - slack)
-    if viol.any():
-        return False, float(radii[np.nonzero(viol)[0][0]])
-    return True, None
+    viol = (live & ~(np.isnan(pa[..., 0]) | np.isnan(pb[..., 0]))
+            & (arc >= math.pi) & (arc <= 2 * math.pi - slack))
+    return np.where(viol, radii, np.inf).min(axis=1)
 
 
-def _first_hits(pts, dists, src, radii):
-    """First point along a radially monotone chain at each distance in
-    ``radii``: one (x, y) row per radius, NaN on miss."""
-    d0, d1 = dists[:-1], dists[1:]
-    R = np.asarray(radii)[:, None]
-    hit = ((d0[None, :] <= R) & (R <= d1[None, :])) \
-        | (np.abs(d0[None, :] - R) < 1e-12)
-    out = np.full((len(radii), 2), np.nan)
-    has = hit.any(axis=1)
-    if not has.any():
+def _first_hits(P, D, lens, src, R) -> np.ndarray:
+    """First point along each radially monotone padded chain ``P[c]`` at
+    each distance ``R[c, r]`` from ``src[c]``: (C, len(R[0]), 2), NaN on
+    miss.  ``D`` holds the chains' vertex distances from their sources."""
+    d0, d1 = D[:, None, :-1], D[:, None, 1:]
+    r = R[:, :, None]
+    near = d0 - r
+    np.abs(near, out=near)
+    hit = ((d0 <= r) & (r <= d1)) | (near < 1e-12)
+    del near
+    hit &= (np.arange(P.shape[1] - 1) < (lens - 1)[:, None])[:, None, :]
+    c, i = np.nonzero(hit.any(axis=2))
+    k = hit.argmax(axis=2)[c, i]
+    out = np.full(R.shape + (2,), np.nan)
+    if not len(c):
         return out
-    k = np.argmax(hit, axis=1)[has]
-    r = np.asarray(radii)[has]
-    a, b = pts[:-1][k], pts[1:][k]
+    r = R[c, i]
+    dk0, dk1 = D[c, k], D[c, k + 1]
+    a, b = P[c, k], P[c, k + 1]
     d = b - a
-    f = a - src
-    A = np.einsum("ij,ij->i", d, d)
-    B = 2 * np.einsum("ij,ij->i", f, d)
-    C = np.einsum("ij,ij->i", f, f) - r * r
+    f = a - src[c]
+    A = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    B = 2 * (f[:, 0] * d[:, 0] + f[:, 1] * d[:, 1])
+    C = (f[:, 0] * f[:, 0] + f[:, 1] * f[:, 1]) - r * r
     disc = B * B - 4 * A * C
     s = np.sqrt(np.maximum(disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -285,10 +455,9 @@ def _first_hits(pts, dists, src, radii):
     t = np.where((t1 >= -tol) & (t1 <= 1 + tol), t1, t2)
     valid = (disc >= 0) & (t >= -tol) & (t <= 1 + tol)
     t = np.clip(t, 0.0, 1.0)
-    nearest = np.where((np.abs(d0[k] - r) <= np.abs(d1[k] - r))[:, None], a, b)
+    nearest = np.where((np.abs(dk0 - r) <= np.abs(dk1 - r))[:, None], a, b)
     res = np.where(valid[:, None], a + t[:, None] * d, nearest)
-    deg = np.abs(d1[k] - d0[k]) < 1e-15
+    deg = np.abs(dk1 - dk0) < 1e-15
     res[deg] = a[deg]
-    out[has] = res
+    out[c, i] = res
     return out
-

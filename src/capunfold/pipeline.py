@@ -27,7 +27,7 @@ from .forest import SpanningForest, build_forest, choose_origin, verify_forest
 from .geom import (delta_perp, normalize_angle, omega_bound, phi_budget,
                    unwrap_directions)
 from .mesh import ConvexCap, compute_metrics, validate_cap
-from .monotone import NotRadiallyMonotoneError, left_of
+from .monotone import left_of
 from .strips import StripSystem, strip_certificates, waterfall_strips
 
 SCHEMA_VERSION = "1"
@@ -170,21 +170,31 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
     # per-path certificates
     bound = 3 * m["delta_perp_max"] + 2 * m["omega_total"]
     max_dq = 0.0
-    paths_ordered = True
-    banks_ok = True
-    for leaf in forest.leaves():
-        path = forest.path_to_root(leaf)
-        if len(path) < 2:
-            continue
-        cp = path_angles(cap, path)
-        td = turn_distortion(cap, cp, metrics=metrics)
-        max_dq = max(max_dq, td.max_abs)
-        L = develop_chain(cap, cp, "left")
-        R = develop_chain(cap, cp, "right")
-        ok = _ordered(left_of, L, R)
-        paths_ordered = paths_ordered and ok
-        ok_b = _ordered(banks_ordered, cap, net, path)
-        banks_ok = banks_ok and ok_b
+    chain_pairs, paths = [], []
+    try:
+        for leaf in forest.leaves():
+            path = forest.path_to_root(leaf)
+            if len(path) < 2:
+                continue
+            cp = path_angles(cap, path)
+            td = turn_distortion(cap, cp, metrics=metrics)
+            max_dq = max(max_dq, td.max_abs)
+            chain_pairs.append((develop_chain(cap, cp, "left"),
+                                develop_chain(cap, cp, "right")))
+            paths.append(path)
+        # a chain or bank that is not radially monotone gives None: the
+        # certificate fails (warning over budget, error within) instead of
+        # raising
+        chains = left_of(chain_pairs)
+        banks = banks_ordered(cap, net, paths)
+    except Exception:
+        # raise the failure a leaf-by-leaf check meets first
+        for pair, path in zip(chain_pairs, paths):
+            left_of([pair])
+            banks_ordered(cap, net, [path])
+        raise
+    paths_ordered = all(v is not None and v[0] for v in chains)
+    banks_ok = all(v is not None and v[0] for v in banks)
     diag["paths"] = {
         "max_turn_distortion": max_dq,
         "turn_distortion_bound": bound,
@@ -220,15 +230,6 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
     diag["strips"] = strip_certificates(cap, forest, strips, net)
     if not diag["strips"]["clean"]:
         diag["errors"].extend(diag["strips"]["errors"])
-
-
-def _ordered(check, *args) -> bool:
-    """Verdict of a left-of certificate; chains that are not radially
-    monotone fail it (warning over budget, error within) instead of raising."""
-    try:
-        return check(*args)[0]
-    except NotRadiallyMonotoneError:
-        return False
 
 
 def _tree_direction_spreads(cap: ConvexCap, forest: SpanningForest):

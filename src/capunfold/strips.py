@@ -27,6 +27,7 @@ from scipy.sparse.csgraph import connected_components
 from .forest import QuadrantSystem, SpanningForest, verify_angle_monotone
 from .geom import corner_angles, points_close
 from .mesh import ConvexCap
+from .monotone import left_of
 
 
 class StripError(RuntimeError):
@@ -410,8 +411,6 @@ def _crossing_pairs(polylines: list[np.ndarray]) -> list[tuple[int, int]]:
 def strip_certificates(cap: ConvexCap, forest: SpanningForest,
                        system: StripSystem, net) -> dict:
     """Certificate bundle for the strip partition."""
-    from .monotone import left_of
-
     qs = forest.system
     theta = qs.theta
     out: dict = {"errors": []}
@@ -433,7 +432,17 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
     if out["area_relative_error"] > 1e-6:
         out["errors"].append("strip areas do not tile the cap")
 
-    # boundaries: theta-monotone, pairwise noncrossing, ordered
+    # boundaries: theta-monotone, pairwise noncrossing, ordered; every
+    # consecutive pair of every quadrant in one left_of call
+    pairs = []
+    for i in range(4):
+        ps = system.paths[i]
+        for j in range(len(ps) - 1):
+            upper = ps[j + 1].points.copy()
+            upper[0] = ps[j].points[0]
+            pairs.append((upper, ps[j].points))
+    # a waterfall path that is not radially monotone raises, as before
+    ordered = iter(left_of(pairs, strict=True))
     out["paths_monotone"] = True
     out["paths_noncrossing"] = True
     out["paths_ordered"] = True
@@ -450,11 +459,7 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
                 f"waterfall paths cross in quadrant {i} "
                 f"(leaves {ps[j].leaf}, {ps[k].leaf})")
         for j in range(len(ps) - 1):
-            upper = ps[j + 1].points.copy()
-            lower = ps[j].points.copy()
-            upper[0] = lower[0]
-            ok, _ = left_of(upper, lower)
-            if not ok:
+            if not next(ordered)[0]:
                 out["paths_ordered"] = False
                 out["errors"].append(
                     f"quadrant {i}: path {j + 1} not left of path {j}")

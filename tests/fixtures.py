@@ -105,3 +105,76 @@ def adjacency_reference(T) -> SimpleNamespace:
         boundary_edges=boundary,
         interior_edges={e for e, fs in edge_faces.items() if len(fs) == 2},
         n_edges=len(edge_faces), rim=loop)
+
+
+def quarter_turn(cap, k):
+    """``cap`` turned by k quarter turns about z: exact, coordinates only
+    swap and change sign."""
+    V = cap.vertices.copy()
+    for _ in range(k):
+        V[:, 0], V[:, 1] = -V[:, 1], V[:, 0].copy()
+    return ConvexCap(V, cap.triangles)
+
+
+@functools.lru_cache(maxsize=None)
+def large_net_cap() -> ConvexCap:
+    """``generate_budget_cap(5000, seed=0)``: 4921 vertices, 9600 faces."""
+    from capunfold.generate import generate_budget_cap
+
+    return generate_budget_cap(5000, seed=0)
+
+
+def turned_defect_cap() -> ConvexCap:
+    """``generate_budget_cap(500, seed=9)`` turned about z by
+    5.612820548402247 rad: within the tilt budget, yet one of its waterfall
+    paths is not simple, so the certify stage raises."""
+    from capunfold.generate import generate_budget_cap
+
+    cap = generate_budget_cap(500, seed=9)
+    a = 5.612820548402247
+    V = cap.vertices.copy()
+    V[:, :2] = V[:, :2] @ np.array([[math.cos(a), math.sin(a)],
+                                    [-math.sin(a), math.cos(a)]])
+    return ConvexCap(V, cap.triangles)
+
+
+@functools.lru_cache(maxsize=None)
+def certificate_pairs():
+    """Every chain pair the certificates hand to ``left_of``, per family:
+    ``"chains"`` (left and right developments of each leaf path, angle
+    check), ``"banks"`` (the two net banks of each leaf path, oracle check)
+    and ``"waterfall"`` (consecutive waterfall paths of each quadrant,
+    angle check), over the :func:`oracle_set` caps, the
+    ``generate_budget_cap(5000, seed=0)`` cap at all four quarter turns and
+    :func:`turned_defect_cap`."""
+    from capunfold.develop import (bank_chains, develop_chain, layout_net,
+                                   path_angles)
+    from capunfold.forest import build_forest, choose_origin
+    from capunfold.strips import waterfall_strips
+
+    caps = [quarter_turn(large_net_cap(), k) for k in range(4)]
+    caps.append(turned_defect_cap())
+    sets = list(oracle_set()) + [
+        (cap, build_forest(cap, choose_origin(cap, "central")))
+        for cap in caps]
+    out = {"chains": [], "banks": [], "waterfall": []}
+    for cap, forest in sets:
+        net = layout_net(cap, forest)
+        for leaf in forest.leaves():
+            path = forest.path_to_root(leaf)
+            if len(path) < 2:
+                continue
+            cp = path_angles(cap, path)
+            out["chains"].append((develop_chain(cap, cp, "left"),
+                                  develop_chain(cap, cp, "right")))
+            L, R = bank_chains(cap, net, path)
+            R = R.copy()
+            R[0] = L[0]
+            out["banks"].append((L, R))
+        system = waterfall_strips(cap, forest)
+        for ps in (system.paths[i] for i in range(4)):
+            for lower, upper in zip(ps, ps[1:]):
+                up = upper.points.copy()
+                up[0] = lower.points[0]
+                out["waterfall"].append((up, lower.points))
+    return out

@@ -4,10 +4,13 @@ with wall-clock budgets measured inside the tests."""
 import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from capunfold import monotone as monotone_mod
+from capunfold import pipeline as pipeline_mod
 from capunfold import strips as strips_mod
 from capunfold.develop import develop_chain, layout_net, turn_distortion
 from capunfold.forest import build_forest, choose_origin, verify_angle_monotone
@@ -21,7 +24,8 @@ from capunfold.monotone import (
 )
 from capunfold.pipeline import cut_and_unfold
 
-from fixtures import adjacency_reference, pentagonal_pyramid
+from fixtures import (adjacency_reference, large_net_cap, pentagonal_pyramid,
+                      quarter_turn)
 from lemmas import (
     angle_monotone_implies_rm,
     enclosed_curvature,
@@ -376,12 +380,48 @@ class TestWorkCounts:
         assert built.n_triangles == len(T) > 9000
         assert added < 100, added
 
+    def test_certify_checks_chains_in_few_padded_blocks(self, monkeypatch):
+        # each left_of family (leaf developments, banks, waterfall pairs)
+        # is one kernel call: its chains, then its pairs, go through the
+        # numpy passes in blocks of similar length, not one pass per pair
+        cap, _ = self._cap()
+        blocks = monotone_mod._blocks
+        calls = []
+        monkeypatch.setattr(monotone_mod, "_blocks", lambda sizes, cells: (
+            calls.append((np.asarray(sizes), cells, blocks(sizes, cells))),
+            calls[-1][2])[1])
+        cut_and_unfold(cap)
+        B = monotone_mod._BLOCK_CELLS
+        assert len(calls) == 6   # chains and pairs of three families
+        pairs = sum(len(sizes) for sizes, _, _ in calls[1::2])
+        assert pairs > 300
+        assert sum(len(out) for _, _, out in calls) < pairs / 4
+        for sizes, cells, out in calls:
+            assert sorted(np.concatenate(out)) == list(range(len(sizes)))
+            padded = [len(b) * cells(sizes[b].max()) for b in out]
+            assert all(p <= B for p, b in zip(padded, out) if len(b) > 1)
+            # a block ends only where the next item would not fit
+            for b, nxt in zip(out, out[1:]):
+                assert (len(b) + 1) * cells(sizes[nxt[0]]) > B
+            # never more blocks than padding all to the longest would need
+            per_block = max(1, B // cells(sizes.max()))
+            assert len(out) <= math.ceil(len(sizes) / per_block)
 
-def quarter_turn(cap, k):
-    V = cap.vertices.copy()
-    for _ in range(k):
-        V[:, 0], V[:, 1] = -V[:, 1], V[:, 0].copy()
-    return ConvexCap(V, cap.triangles)
+    def test_certify_memory_on_the_large_net_cap(self, monkeypatch):
+        certify = pipeline_mod._certify
+        peak = []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return certify(*args)
+            finally:
+                peak.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(pipeline_mod, "_certify", traced)
+        cut_and_unfold(quarter_turn(large_net_cap(), 0))
+        assert peak[0] < 8 * 2**20, peak
 
 
 @pytest.mark.xfail(

@@ -419,3 +419,77 @@ class TestLayoutAgainstReference:
         cuts = SimpleNamespace(edges=lambda: [(a, b), (b, c), (c, a)])
         with pytest.raises(RuntimeError, match="placed 1 of 6 faces"):
             layout_net(cap, cuts)
+
+
+def develop_chain_reference(cap, cp, side):
+    """The per-vertex loop :func:`develop_chain` replaced: one heading
+    update and one step per path edge."""
+    vs = cp.vertices
+    V = cap.vertices
+    lengths = [float(np.linalg.norm(V[b] - V[a])) for a, b in zip(vs, vs[1:])]
+    d0 = V[vs[1], :2] - V[vs[0], :2]
+    heading = math.atan2(d0[1], d0[0])
+    if side == "left" and vs[0] not in cap.rim_vertex_set:
+        heading += cap.vertex_curvature(vs[0])
+    pts = [np.array(V[vs[0], :2], dtype=float)]
+    for i, L in enumerate(lengths):
+        pts.append(pts[-1] + L * np.array([math.cos(heading), math.sin(heading)]))
+        if i + 1 < len(lengths):
+            if side == "left":
+                heading += math.pi - cp.lam[i + 1]
+            else:
+                heading += cp.rho[i + 1] - math.pi
+    return np.array(pts)
+
+
+def bank_chains_reference(cap, net, vs):
+    """The per-vertex loop :func:`bank_chains` replaced: one
+    ``Net.vertex_image`` call per corner, then the radial upper envelope of
+    each double point."""
+    T = cap.triangles
+    a, b = vs[:-1], vs[1:]
+    out = []
+    for fs in (cap.side_faces(a, b).tolist(), cap.side_faces(b, a).tolist()):
+        pts = [(vs[0], net.vertex_image(fs[0], vs[0], T))]
+        for i in range(len(vs) - 1):
+            pts.append((vs[i + 1], net.vertex_image(fs[i], vs[i + 1], T)))
+            if i + 2 < len(vs):
+                nxt = net.vertex_image(fs[i + 1], vs[i + 1], T)
+                if not np.allclose(nxt, pts[-1][1], atol=1e-12):
+                    pts.append((vs[i + 1], nxt))
+        src = pts[0][1]
+        kept = []
+        for v, p in pts:
+            if kept and kept[-1][0] == v:
+                if np.linalg.norm(p - src) > np.linalg.norm(kept[-1][1] - src):
+                    kept[-1] = (v, p)
+            else:
+                kept.append((v, p))
+        out.append(np.array([p for _, p in kept]))
+    return out
+
+
+class TestChainsAgainstReference:
+    def test_developments_and_banks_match_the_vertex_loops(self):
+        for cap, forest in oracle_set():
+            P = cap.vertices[:, :2]
+            diam = float(np.linalg.norm(P.max(axis=0) - P.min(axis=0)))
+            net = layout_net(cap, forest)
+            for path in forest_paths(cap, forest):
+                cp = path_angles(cap, path)
+                for side in ("left", "right"):
+                    chain = develop_chain(cap, cp, side)
+                    ref = develop_chain_reference(cap, cp, side)
+                    assert chain.shape == ref.shape
+                    assert np.abs(chain - ref).max() <= 1e-12 * diam
+                for bank, ref in zip(bank_chains(cap, net, path),
+                                     bank_chains_reference(cap, net, path)):
+                    assert np.array_equal(bank, ref)
+
+    def test_batched_banks_ordered_is_the_per_path_verdicts(self):
+        cap, forest = oracle_set()[0]
+        net = layout_net(cap, forest)
+        paths = forest_paths(cap, forest)
+        assert banks_ordered(cap, net, paths) == \
+            [banks_ordered(cap, net, p) for p in paths]
+        assert banks_ordered(cap, net, []) == []

@@ -1,5 +1,6 @@
 """Radial monotonicity definitions, their equivalence, cones, left-of."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,13 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capunfold.forest import build_forest, choose_origin
+from capunfold import monotone as monotone_mod
 from capunfold.generate import generate_budget_cap
 from capunfold.monotone import (
+    NotRadiallyMonotoneError,
     circle_crossing_oracle,
     is_radially_monotone,
     is_simple,
     left_of,
 )
+import monotone_reference as reference
+from fixtures import certificate_pairs
 from lemmas import angle_monotone_implies_rm, cone_of, distances_nondecreasing
 
 DEG = math.pi / 180
@@ -187,3 +192,144 @@ class TestLeftOf:
         bad = [[0, 0], [2, 0], [2, 1], [0.2, 1]]
         with pytest.raises(ValueError):
             left_of(bad, [[0, 0], [1, 0]])
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:   # noqa: BLE001 - compared, not handled
+        return type(exc).__name__, str(exc)
+
+
+def kernel_outcomes(pairs, check):
+    return [(type(o).__name__, str(o)) if isinstance(o, Exception) else o
+            for o in monotone_mod._left_of_all(pairs, check)]
+
+
+def batch_expected(ref, strict=False):
+    """What ``left_of(pairs)`` must do, given the per-pair reference
+    outcomes: raise the first failure (other than a chain that is not
+    radially monotone, unless strict) or give the verdicts with None."""
+    for o in ref:
+        if isinstance(o[0], str) and (
+                strict or o[0] != "NotRadiallyMonotoneError"):
+            return o
+    return [None if isinstance(o[0], str) else o for o in ref]
+
+
+def spiral_out(k, turn=0.02):
+    """A radially monotone chain of k points, slowly turning left."""
+    ang = turn * np.arange(k - 1)
+    steps = np.column_stack([np.cos(ang), np.sin(ang)])
+    return np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+
+
+FAMILIES = (("chains", "angle"), ("banks", "oracle"), ("waterfall", "angle"))
+
+
+class TestBatchedKernel:
+    """The batched kernel against the per-pair code it replaced."""
+
+    @pytest.mark.parametrize("family,check", FAMILIES)
+    def test_pairs_match_reference(self, family, check):
+        # every pair the certificates check on the 140 oracle caps, the
+        # 4921-vertex cap at four quarter turns and the turned cap whose
+        # waterfall path is not simple; and a quarter of them swapped,
+        # which violates the order
+        pairs = certificate_pairs()[family]
+        pairs = pairs + [(b, a) for a, b in pairs[::4]]
+        assert len(pairs) > 4000
+        ref = [outcome(reference.left_of, a, b, check=check) for a, b in pairs]
+        assert {True, False} <= {o[0] for o in ref}
+        assert ("NotRadiallyMonotoneError" in {o[0] for o in ref}
+                or ("ValueError", "chain is not simple") in ref)
+        assert kernel_outcomes(pairs, check) == ref
+        assert outcome(left_of, pairs, check=check) == batch_expected(ref)
+        assert outcome(left_of, pairs, check=check, strict=True) == \
+            batch_expected(ref, strict=True)
+
+    def test_chains_match_reference(self):
+        chains = [c for family, _ in FAMILIES
+                  for pair in certificate_pairs()[family] for c in pair]
+        flat, offsets, lens = monotone_mod._concat(chains)
+        simple, ok, witness = monotone_mod._chain_checks(
+            flat, offsets, lens, "angle")
+        for k in range(0, len(chains), 5):
+            c = chains[k]
+            assert bool(simple[k]) == reference.is_simple(c)
+            if simple[k]:
+                want = reference.is_radially_monotone(c)
+                assert (bool(ok[k]), None if ok[k] else tuple(witness[k])) \
+                    == want
+        # the one-chain calls are the same kernel
+        for c in chains[::50]:
+            assert outcome(is_simple, c) == outcome(reference.is_simple, c)
+            assert outcome(is_radially_monotone, c) == \
+                outcome(reference.is_radially_monotone, c)
+
+    def test_short_chains_batched_with_chains_longer_than_a_block(self):
+        long_k = int(math.isqrt(monotone_mod._BLOCK_CELLS)) + 40
+        rng = np.random.default_rng(5)
+        pairs = [(spiral_out(2), spiral_out(3, turn=-0.3)),
+                 (spiral_out(long_k), spiral_out(long_k, turn=0.021)),
+                 (spiral_out(3, turn=0.4), spiral_out(2)),
+                 (spiral_out(long_k, turn=0.019), spiral_out(3))]
+        pairs += [(random_chain(rng, int(rng.integers(1, 4)), 1.0),
+                   random_chain(rng, int(rng.integers(1, 4)), 1.0))
+                  for _ in range(40)]
+        for check in ("angle", "oracle"):
+            ref = [outcome(reference.left_of, a, b, check=check)
+                   for a, b in pairs]
+            assert kernel_outcomes(pairs, check) == ref
+            assert {True, False} <= {o[0] for o in ref}
+        chains = [c for pair in pairs for c in pair]
+        assert [is_simple(c) for c in chains] == \
+            [reference.is_simple(c) for c in chains]
+        # a batch of two-point chains only
+        twos = [([[0, 0], [1, 0]], [[0, 0], [0.5, 0.8]]),
+                ([[0, 0], [0.5, 0.8]], [[0, 0], [1, 0]])]
+        assert kernel_outcomes(twos, "angle") == \
+            [reference.left_of(a, b) for a, b in twos]
+        assert is_radially_monotone(twos[0][0]) == (True, None)
+
+    def test_closed_chain(self):
+        square = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+        bow = [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]]
+        for pts in (square, bow):
+            assert is_simple(pts) == reference.is_simple(pts)
+            assert outcome(is_radially_monotone, pts) == \
+                outcome(reference.is_radially_monotone, pts)
+        assert is_simple(square) and not is_simple(bow)
+
+    def test_violated_pair(self):
+        ray = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.1]])
+        below = ray * [1.0, -1.0]
+        for a, b in ((ray, below), (below, ray)):
+            assert left_of(a, b) == reference.left_of(a, b)
+        ok, radius = left_of(below, ray)
+        assert not ok and radius > 0
+
+    def test_batch_raises_what_the_loop_raised_first(self):
+        good = (spiral_out(4), spiral_out(4, turn=0.01))
+        back = [[0, 0], [2, 0], [2, 1], [0.2, 1]]        # not radially monotone
+        crossed = [[0, 0], [2, 0], [1, 1], [1, -1]]      # not simple
+        cases = [
+            [good, (back, spiral_out(3)), (crossed, spiral_out(3))],
+            [good, (crossed, back), (back, crossed)],
+            [good, (spiral_out(3), [[0, 0], [0, 0], [1, 0]]),
+             (crossed, spiral_out(3))],
+            [good, ([[5, 5], [6, 5]], spiral_out(3)), (crossed, spiral_out(3))],
+            [good, ([0, 1, 2], spiral_out(3)), (crossed, spiral_out(3))],
+            [good, (back, spiral_out(3))],
+        ]
+        for pairs in cases:
+            ref = [outcome(reference.left_of, a, b) for a, b in pairs]
+            assert kernel_outcomes(pairs, "angle") == ref
+            for strict in (False, True):
+                assert outcome(left_of, pairs, strict=strict) == \
+                    batch_expected(ref, strict=strict), (pairs, strict)
+        assert left_of(cases[-1]) == [(True, None), None]
+        with pytest.raises(NotRadiallyMonotoneError):
+            left_of(cases[-1], strict=True)
+        assert left_of([]) == []

@@ -1,11 +1,14 @@
+import importlib
 import json
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capunfold.generate import generate_budget_cap, generate_cap
-from capunfold import pipeline
+from capunfold import develop, pipeline
 from capunfold.mesh import ConvexCap
 from capunfold.pipeline import (
     SCHEMA_VERSION,
@@ -14,7 +17,7 @@ from capunfold.pipeline import (
     cut_and_unfold,
 )
 
-from fixtures import flat_hex_disk, pentagonal_pyramid
+from fixtures import flat_hex_disk, pentagonal_pyramid, turned_defect_cap
 
 DEG = math.pi / 180
 
@@ -157,3 +160,83 @@ class TestFailures:
         res = cut_and_unfold(generate_budget_cap(30, seed=1))
         assert isinstance(res, UnfoldResult)
         assert set(res.net.placed) == set(range(res.cap.n_triangles))
+
+
+def load_tracer():
+    """``perfbench/tracer.py``, read and executed without importing it (no
+    bytecode is written next to it)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestTracerTargets:
+    def test_every_target_resolves(self):
+        for module, attr, _, _ in load_tracer().TARGETS:
+            assert callable(getattr(importlib.import_module(module), attr)), \
+                (module, attr)
+
+    def test_left_of_time_stays_in_its_layer(self):
+        tracer = load_tracer().Tracer(memory=False)
+        tracer.install()
+        try:
+            tracer.operation(0, cut_and_unfold, generate_budget_cap(200, seed=0))
+        finally:
+            tracer.uninstall()
+        m = tracer.per_op_metrics()
+        # one batched call for the chains and one inside banks_ordered
+        assert m["monotone.left_of.calls"] == 2
+        assert m["develop.banks.calls"] == 1
+        assert m["monotone.left_of_s"] > 0
+
+
+class TestCertifyFailureOrder:
+    """The batched certificates raise the failure that checking leaf by
+    leaf (chains, then banks) meets first."""
+
+    @staticmethod
+    def _fail(monkeypatch, crossed_leaf, bank_leaf):
+        cap = generate_budget_cap(200, seed=0)
+        develop_chain, bank_chains = pipeline.develop_chain, develop.bank_chains
+
+        def chain(cap, cp, side):
+            out = develop_chain(cap, cp, side)
+            if cp.vertices[0] == crossed_leaf and side == "left":
+                return out[0] + np.array([[0, 0], [2, 0], [1, 1], [1, -1.0]])
+            return out
+
+        def banks(cap, net, path):
+            if path[0] == bank_leaf:
+                raise RuntimeError("bank failure")
+            return bank_chains(cap, net, path)
+
+        monkeypatch.setattr(pipeline, "develop_chain", chain)
+        monkeypatch.setattr(develop, "bank_chains", banks)
+        with pytest.raises(PipelineError) as info:
+            cut_and_unfold(cap)
+        return str(info.value)
+
+    def test_earlier_leaf_fails_first(self, monkeypatch):
+        cap = generate_budget_cap(200, seed=0)
+        forest = pipeline.build_forest(
+            cap, pipeline.choose_origin(cap, "central"))
+        leaves = [v for v in forest.leaves()
+                  if len(forest.path_to_root(v)) >= 2]
+        assert self._fail(monkeypatch, leaves[2], leaves[5]) == \
+            "[certify] chain is not simple"
+        monkeypatch.undo()
+        assert self._fail(monkeypatch, leaves[5], leaves[2]) == \
+            "[certify] bank failure"
+        monkeypatch.undo()
+        # on one leaf the chains come before the banks
+        assert self._fail(monkeypatch, leaves[3], leaves[3]) == \
+            "[certify] chain is not simple"
+
+
+@pytest.mark.xfail(strict=True, raises=PipelineError,
+                   reason="a waterfall path of this turned cap is not simple "
+                          "(a rounding-dependent verdict), so certify raises "
+                          "'chain is not simple'")
+def test_turned_cap_certifies():
+    cut_and_unfold(turned_defect_cap())
