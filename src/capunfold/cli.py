@@ -32,8 +32,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, RuntimeError, ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except Exception as exc:
+        # exit 1 means a clean net with warnings, so nothing may crash into it
+        error = {"error": str(exc)}
+        if isinstance(exc, PipelineError):
+            error["stage"] = exc.stage
+        print(json.dumps(error), file=sys.stderr)
         return EXIT_FAIL
 
 

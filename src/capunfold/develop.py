@@ -180,11 +180,6 @@ class Net:
     cut_edges: set[tuple[int, int]]
     strip_of: dict[int, tuple[int, int]] = field(default_factory=dict)
 
-    def vertex_image(self, face: int, v: int, triangles: np.ndarray) -> np.ndarray:
-        tri = triangles[face]
-        i = int(np.where(tri == v)[0][0])
-        return self.placed[face][i]
-
     def triangle_array(self) -> np.ndarray:
         order = sorted(self.placed)
         return np.stack([self.placed[f] for f in order]), order

@@ -117,7 +117,8 @@ class SpanningForest:
         return groups
 
     def tree_curvatures(self, cap: ConvexCap) -> list[float]:
-        return [sum(cap.vertex_curvature(v) for v in t) for t in self.trees()]
+        omega = 2 * math.pi - cap.fan_totals()
+        return [sum(omega[t].tolist()) for t in self.trees()]
 
 
 # --------------------------------------------------------------------------

@@ -21,12 +21,14 @@ from .geom import EPS_GEOM, corner_angles
 
 
 class ConvexCap:
-    """Immutable triangle mesh and its face graph.
+    """Immutable triangle mesh, its face graph and its vertex stars.
 
     The one adjacency kept is the list of directed sides ``a -> b`` of all
     faces, sorted once by ``a*n + b``: :meth:`side_faces`,
     :meth:`face_neighbors`, the rim and the edge count all come from it.
-    :meth:`vertex_corners` reads one sort of the corners by vertex.
+    :meth:`vertex_corners` reads one sort of the corners by vertex.  The
+    counterclockwise star of every vertex is walked once, in flat arrays:
+    :meth:`vertex_fan`, the cone and rim angles and the curvatures read it.
 
     Parameters
     ----------
@@ -59,29 +61,73 @@ class ConvexCap:
                 "inconsistent orientation or non-manifold mesh")
         # a sentinel above every key keeps each search inside the arrays
         self._side_keys = np.append(keys, n * n)
-        self._side_face = np.append(order // 3, -1)
-        self._neighbors = self.side_faces(b, a).reshape(-1, 3)
+        self._side_index = np.append(order, -1)
+        across = self._side_index_of(b, a)
+        self._neighbors = (across // 3).reshape(-1, 3)
         self._neighbors.flags.writeable = False
-        self._corners = np.argsort(T.ravel(), kind="stable")
+        self._corners = np.argsort(a, kind="stable")
         self._corner_start = np.concatenate(
-            [[0], np.cumsum(np.bincount(T.ravel(), minlength=n))])
+            [[0], np.cumsum(np.bincount(a, minlength=n))])
 
-        rim = self._neighbors.ravel() < 0
+        rim = across < 0
         self.n_edges = (3 * self.n_triangles + int(rim.sum())) // 2
         self.rim = _trace_rim(a[rim], b[rim])
         self.rim_vertex_set = set(a[rim].tolist())
         self.interior_vertices = np.setdiff1d(np.arange(n), a[rim])
-        self._fan_cache: dict[int, tuple[list[int], np.ndarray]] = {}
-        self._angles_cache: np.ndarray | None = None
+        self._angles = corner_angles(self.vertices[T])
+        self._walk_stars(a, b, across)
+
+    def _walk_stars(self, v_of, a_of, across):
+        """Walk every vertex star at once, one array step per star position.
+        Slot ``p`` of ``v`` (``_star_start[v] + p``) holds the neighbour where
+        wedge ``p`` starts and the angle swept before it, summed one wedge at
+        a time as a walk around ``v`` alone sums it; a last slot closes the
+        star."""
+        # in a ccw triangle (v, a, b) the wedge at v runs ccw from v->a to
+        # v->b; the next wedge is v's corner in the face across side b->v,
+        # whose flat index is that of the side v->b.  Past an open end the
+        # walk reads corner -1, the appended last entries, and stays there.
+        b_of = self.triangles[:, [2, 0, 1]].ravel()
+        succ = np.append(across.reshape(-1, 3)[:, [2, 0, 1]], -1)
+        wedge = np.append(self._angles, 0.0)
+        # a rim star starts at the corner whose side v->a has no face across,
+        # an interior star at its smallest neighbour: its first side in the
+        # sorted sides
+        start = self._side_index[self._corner_start[:-1]]
+        start[v_of[across < 0]] = np.flatnonzero(across < 0)
+        # stars by falling degree, so those still walking form a prefix
+        degree = np.diff(self._corner_start)
+        walked = np.argsort(-degree, kind="stable")[:np.count_nonzero(degree)]
+        self._star_start = off = np.concatenate([[0], np.cumsum(degree + 1)])
+        corner = np.full(off[-1], -1)
+        self._star_theta = theta = np.zeros(off[-1])
+        s, cur = off[walked], start[walked]
+        for k in np.cumsum(np.bincount(degree)[:0:-1])[::-1].tolist():
+            cur, s = cur[:k], s[:k]
+            corner[s] = cur
+            theta[s + 1] = theta[s] + wedge[cur]
+            cur, s = succ[cur], s + 1
+        broken = v_of[np.bincount(corner + 1, minlength=len(v_of) + 1)[1:] != 1]
+        if len(broken):
+            raise ValueError(
+                f"fan at vertex {int(broken.min())} is not a single chain")
+        self._star_nbr = nbr = np.append(a_of, -1)[corner]
+        nbr[off[walked + 1] - 1] = b_of[corner[off[walked + 1] - 2]]
+        for arr in (self._angles, nbr, theta):
+            arr.flags.writeable = False
 
     # -- adjacency ---------------------------------------------------------
+
+    def _side_index_of(self, a, b) -> np.ndarray:
+        """Flat index ``3f + k`` of the directed side ``a -> b``, or -1."""
+        key = np.asarray(a) * self.n_vertices + np.asarray(b)
+        pos = np.searchsorted(self._side_keys, key)
+        return np.where(self._side_keys[pos] == key, self._side_index[pos], -1)
 
     def side_faces(self, a, b) -> np.ndarray:
         """Face holding the directed side ``a -> b`` (counterclockwise), or
         -1 where no face does; elementwise over arrays of vertex ids."""
-        key = np.asarray(a) * self.n_vertices + np.asarray(b)
-        pos = np.searchsorted(self._side_keys, key)
-        return np.where(self._side_keys[pos] == key, self._side_face[pos], -1)
+        return self._side_index_of(a, b) // 3
 
     def face_neighbors(self) -> np.ndarray:
         """Face across each side, shape (m, 3): entry ``[f, k]`` is the face
@@ -97,13 +143,8 @@ class ConvexCap:
     # -- local geometry ----------------------------------------------------
 
     def face_angles(self) -> np.ndarray:
-        """All corner angles, shape (m, 3) matching ``triangles``; computed
-        once per cap and returned read-only."""
-        if self._angles_cache is None:
-            ang = corner_angles(self.vertices[self.triangles])
-            ang.flags.writeable = False
-            self._angles_cache = ang
-        return self._angles_cache
+        """All corner angles, shape (m, 3) matching ``triangles``; read-only."""
+        return self._angles
 
     def vertex_fan(self, v: int) -> tuple[list[int], np.ndarray]:
         """Neighbors of ``v`` in ccw order with cumulative intrinsic angles.
@@ -113,42 +154,22 @@ class ConvexCap:
         wedges are unrolled in order.  Interior vertices get a full cycle
         (first neighbor repeated implicitly, total angle ``2*pi - omega``);
         rim vertices get an open fan from one boundary edge to the other
-        (total angle ``psi``, the 3D rim angle).
+        (total angle ``psi``, the 3D rim angle).  ``theta`` is a read-only
+        view of the star table.
         """
-        cached = self._fan_cache.get(v)
-        if cached is not None:
-            return cached
-        # in a ccw triangle (v, a, b) the wedge at v runs ccw from v->a to v->b
-        faces, i = self.vertex_corners(v)
-        tri, k = self.triangles[faces], np.arange(len(faces))
-        a = tri[k, (i + 1) % 3].tolist()
-        succ = dict(zip(a, tri[k, (i + 2) % 3].tolist()))
-        wedge = dict(zip(a, self.face_angles()[faces, i].tolist()))
-        if v in self.rim_vertex_set:
-            start = next(iter(set(succ) - set(succ.values())))
-        else:
-            start = min(succ)
-        neighbors = [start]
-        theta = [0.0]
-        cur = start
-        while cur in succ:
-            nxt = succ[cur]
-            theta.append(theta[-1] + wedge[cur])
-            if nxt == start:
-                break
-            neighbors.append(nxt)
-            cur = nxt
-        if len(neighbors) != len(succ) + (1 if v in self.rim_vertex_set else 0):
-            raise ValueError(f"fan at vertex {v} is not a single chain")
+        s, e = self._star_start[v], self._star_start[v + 1]
         # for an interior vertex theta has one extra entry: the cone angle
-        result = (neighbors, np.array(theta))
-        self._fan_cache[v] = result
-        return result
+        closed = v not in self.rim_vertex_set
+        return self._star_nbr[s:e - closed].tolist(), self._star_theta[s:e]
+
+    def fan_totals(self) -> np.ndarray:
+        """Total intrinsic angle around every vertex: the cone angle inside,
+        the rim angle psi on the rim."""
+        return self._star_theta[self._star_start[1:] - 1]
 
     def fan_total(self, v: int) -> float:
         """Total intrinsic angle around ``v`` (cone angle / rim angle psi)."""
-        _, theta = self.vertex_fan(v)
-        return float(theta[-1])
+        return float(self._star_theta[self._star_start[v + 1] - 1])
 
     def vertex_curvature(self, v: int) -> float:
         """Angle defect ``2*pi`` minus the cone angle (interior vertices)."""
@@ -156,35 +177,18 @@ class ConvexCap:
             raise ValueError(f"vertex {v} is on the rim; curvature undefined")
         return 2 * math.pi - self.fan_total(v)
 
-    def angle_sums(self) -> np.ndarray:
-        """Total incident face angle at every vertex (vectorized)."""
-        sums = np.zeros(self.n_vertices)
-        np.add.at(sums, self.triangles.ravel(), self.face_angles().ravel())
-        return sums
-
     def curvatures(self) -> np.ndarray:
         """Angle defects of all interior vertices (order of
         ``interior_vertices``)."""
-        if len(self.interior_vertices) == 0:
-            return np.zeros(0)
-        return 2 * math.pi - self.angle_sums()[self.interior_vertices]
+        return 2 * math.pi - self.fan_totals()[self.interior_vertices]
 
-    def rim_angles(self, v: int) -> tuple[float, float]:
-        """Return ``(psi, psi_planar)`` at rim vertex ``v``: the intrinsic
-        surface angle and the angle of the projected rim corner."""
-        if v not in self.rim_vertex_set:
-            raise ValueError(f"vertex {v} is not on the rim")
-        psi = self.fan_total(v)
-        rim = self.rim
-        i = int(np.where(rim == v)[0][0])
-        prev_v = rim[(i - 1) % len(rim)]
-        next_v = rim[(i + 1) % len(rim)]
-        p = self.vertices[v][:2]
-        u = self.vertices[prev_v][:2] - p
-        w = self.vertices[next_v][:2] - p
-        cosang = np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w))
-        psi_pl = math.acos(np.clip(cosang, -1.0, 1.0))
-        return psi, psi_pl
+    def rim_angles(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(psi, psi_planar)`` at every rim vertex, in the order of
+        ``rim``: the intrinsic surface angle and the angle of the projected
+        rim corner."""
+        r = self.rim
+        corners = self.vertices[np.c_[r, np.roll(r, 1), np.roll(r, -1)], :2]
+        return self.fan_totals()[r], corner_angles(corners)[:, 0]
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +219,7 @@ def compute_metrics(cap: ConvexCap) -> CapMetrics:
         phi_actual=float(max(tilts)),
         alpha=float(math.pi / 2 - ang3.max()),
         alpha_planar=float(math.pi / 2 - ang2.max()),
-        omega_total=float(cap.curvatures().sum()) if len(cap.interior_vertices) else 0.0,
+        omega_total=float(cap.curvatures().sum()),
         n_vertices=cap.n_vertices,
         n_triangles=cap.n_triangles,
     )

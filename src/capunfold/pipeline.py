@@ -125,13 +125,9 @@ def _metrics(cap: ConvexCap, diag: dict):
             f"{math.degrees(budget):.3f} deg; certificates are empirical")
 
     # rim angle comparison: surface angle >= projected angle at each rim vertex
-    rim_ok = True
-    worst = 0.0
-    for v in cap.rim:
-        psi, psi_p = cap.rim_angles(int(v))
-        worst = max(worst, psi_p - psi)
-        if psi + 1e-9 < psi_p:
-            rim_ok = False
+    psi, psi_p = cap.rim_angles()
+    rim_ok = not (psi + 1e-9 < psi_p).any()
+    worst = max(0.0, float((psi_p - psi).max()))
     diag["metrics"]["rim_angle_ok"] = rim_ok
     diag["metrics"]["rim_angle_worst_violation"] = worst
     if not rim_ok:

@@ -140,9 +140,8 @@ def render_net_svg(cap: ConvexCap, net: Net,
         qs = forest.system
         q = int(qs.origin)
         # anchor the axes at the origin's image (unique: q is never cut open)
-        face_q = next(f for f in sorted(net.placed)
-                      if q in map(int, cap.triangles[f]))
-        p0 = net.vertex_image(face_q, q, cap.triangles)
+        fq, corner = cap.vertex_corners(q)
+        p0 = net.placed[int(fq[0])][corner[0]]
         span = float(np.max(cv.hi - cv.lo))
         ray = 0.12 * span
         for i in range(5):

@@ -107,6 +107,48 @@ def adjacency_reference(T) -> SimpleNamespace:
         n_edges=len(edge_faces), rim=loop)
 
 
+def fan_reference(cap, v):
+    """The ccw star of ``v`` walked one corner at a time through Python
+    dicts: ``(neighbors, theta)`` as :meth:`ConvexCap.vertex_fan` returns
+    it.  A vertex in no face has an empty star; a star that is not a single
+    chain raises ``ValueError``."""
+    # in a ccw triangle (v, a, b) the wedge at v runs ccw from v->a to v->b
+    faces, i = cap.vertex_corners(v)
+    tri, k = cap.triangles[faces], np.arange(len(faces))
+    a = tri[k, (i + 1) % 3].tolist()
+    succ = dict(zip(a, tri[k, (i + 2) % 3].tolist()))
+    wedge = dict(zip(a, cap.face_angles()[faces, i].tolist()))
+    if not succ:
+        return [], np.array([0.0])
+    if v in cap.rim_vertex_set:
+        start = next(iter(set(succ) - set(succ.values())))
+    else:
+        start = min(succ)
+    neighbors = [start]
+    theta = [0.0]
+    cur = start
+    while cur in succ:
+        nxt = succ[cur]
+        theta.append(theta[-1] + wedge[cur])
+        if nxt == start:
+            break
+        neighbors.append(nxt)
+        cur = nxt
+    if len(neighbors) != len(succ) + (1 if v in cap.rim_vertex_set else 0):
+        raise ValueError(f"fan at vertex {v} is not a single chain")
+    return neighbors, np.array(theta)
+
+
+def rim_fan(k: int, lift: float = 0.1) -> ConvexCap:
+    """``k`` triangles around one centre vertex that touches every rim
+    vertex: the longest star a cap of its size can have."""
+    ang = 2 * math.pi * np.arange(k) / k
+    rim = np.stack([np.cos(ang), np.sin(ang), np.zeros(k)], axis=1)
+    vertices = np.vstack([rim, [[0.0, 0.0, lift]]])
+    triangles = np.array([(j, (j + 1) % k, k) for j in range(k)])
+    return ConvexCap(vertices, triangles)
+
+
 def quarter_turn(cap, k):
     """``cap`` turned by k quarter turns about z: exact, coordinates only
     swap and change sign."""

@@ -8,7 +8,7 @@ from capunfold.cli import main
 from capunfold.mesh import ConvexCap
 from capunfold.meshio import save_mesh
 
-from fixtures import flat_hex_disk, pentagonal_pyramid
+from fixtures import flat_hex_disk, pentagonal_pyramid, turned_defect_cap
 
 
 def run(args):
@@ -50,6 +50,15 @@ class TestGenerate:
         assert run(["generate", "--n", 40, "--config", cfg,
                     "--out-dir", tmp_path]) == 0
         assert (tmp_path / "cap-n40-seed9.off").exists()
+
+    @pytest.mark.parametrize("stored", [{"seed": "x"}, {"phi": "abc"}, [1, 2]],
+                             ids=["seed-text", "phi-text", "list"])
+    def test_malformed_config_exit_two(self, tmp_path, capsys, stored):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(stored))
+        assert run(["generate", "--n", 40, "--config", cfg,
+                    "--out-dir", tmp_path]) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
 
 
 class TestUnfold:
@@ -97,6 +106,14 @@ class TestUnfold:
         assert run(["unfold", "--input", mesh, "--out-dir", tmp_path]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == f"{mesh}: {message}"
+
+    def test_pipeline_error_names_its_stage(self, tmp_path, capsys):
+        mesh = tmp_path / "turned.off"
+        save_mesh(mesh, turned_defect_cap())
+        assert run(["unfold", "--input", mesh, "--out-dir", tmp_path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "certify"
+        assert err["error"].startswith("[certify] chain is not simple")
 
     def test_requires_one_input_source(self, tmp_path):
         assert run(["unfold", "--out-dir", tmp_path]) == 2

@@ -444,17 +444,22 @@ def develop_chain_reference(cap, cp, side):
 
 def bank_chains_reference(cap, net, vs):
     """The per-vertex loop :func:`bank_chains` replaced: one
-    ``Net.vertex_image`` call per corner, then the radial upper envelope of
+    ``vertex_image`` call per corner, then the radial upper envelope of
     each double point."""
     T = cap.triangles
+
+    def vertex_image(face, v, triangles):
+        i = int(np.where(triangles[face] == v)[0][0])
+        return net.placed[face][i]
+
     a, b = vs[:-1], vs[1:]
     out = []
     for fs in (cap.side_faces(a, b).tolist(), cap.side_faces(b, a).tolist()):
-        pts = [(vs[0], net.vertex_image(fs[0], vs[0], T))]
+        pts = [(vs[0], vertex_image(fs[0], vs[0], T))]
         for i in range(len(vs) - 1):
-            pts.append((vs[i + 1], net.vertex_image(fs[i], vs[i + 1], T)))
+            pts.append((vs[i + 1], vertex_image(fs[i], vs[i + 1], T)))
             if i + 2 < len(vs):
-                nxt = net.vertex_image(fs[i + 1], vs[i + 1], T)
+                nxt = vertex_image(fs[i + 1], vs[i + 1], T)
                 if not np.allclose(nxt, pts[-1][1], atol=1e-12):
                     pts.append((vs[i + 1], nxt))
         src = pts[0][1]

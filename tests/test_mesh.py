@@ -8,8 +8,8 @@ import pytest
 
 from capunfold.geom import omega_bound
 from capunfold.mesh import ConvexCap, compute_metrics, validate_cap
-from fixtures import (DEG, adjacency_reference, flat_hex_disk, oracle_set,
-                      pentagonal_pyramid, square_pyramid)
+from fixtures import (DEG, adjacency_reference, fan_reference, flat_hex_disk,
+                      oracle_set, pentagonal_pyramid, rim_fan, square_pyramid)
 from lemmas import edge_point, enclosed_curvature, total_turn, vertex_point
 
 
@@ -87,6 +87,38 @@ class TestFaceGraph:
                 set(range(cap.n_vertices)) - rim_vertices)
 
 
+class TestStarTable:
+    """The lockstep star walk against the per-vertex dict walk of
+    :func:`fixtures.fan_reference`."""
+
+    def test_matches_reference(self):
+        pyramid = pentagonal_pyramid()
+        isolated = ConvexCap(np.vstack([pyramid.vertices, [[0.0, 0.0, 2.0]]]),
+                             pyramid.triangles)
+        caps = [pyramid, flat_hex_disk(0.0), isolated, rim_fan(400)]
+        caps += [cap for cap, _ in oracle_set()]
+        for cap in caps:
+            for v in range(cap.n_vertices):
+                neighbors, theta = cap.vertex_fan(v)
+                ref_neighbors, ref_theta = fan_reference(cap, v)
+                assert neighbors == ref_neighbors
+                assert np.array_equal(theta, ref_theta)
+                assert cap.fan_total(v) == ref_theta[-1]
+        neighbors, theta = isolated.vertex_fan(6)
+        assert neighbors == [] and theta.tolist() == [0.0]
+        assert len(rim_fan(400).vertex_fan(400)[0]) == 400
+
+    def test_pinched_vertex_raises_at_construction(self):
+        from capunfold.generate import generate_budget_cap
+
+        cap = generate_budget_cap(200, seed=0)
+        T = cap.triangles.copy()
+        T[T == 0] = 168
+        with pytest.raises(ValueError,
+                           match="fan at vertex 168 is not a single chain"):
+            ConvexCap(cap.vertices, T)
+
+
 class TestValidation:
     def test_good_caps_pass(self):
         for cap in (pentagonal_pyramid(), square_pyramid(), flat_hex_disk(0.1)):
@@ -157,7 +189,7 @@ class TestCurvature:
 
     def test_rim_angles(self):
         cap = pentagonal_pyramid()
-        psi, psi_pl = cap.rim_angles(0)
+        psi, psi_pl = np.array(cap.rim_angles())[:, 0]  # rim[0] == 0
         assert psi / DEG == pytest.approx(120.0, abs=1e-9)
         assert psi_pl / DEG == pytest.approx(108.0, abs=1e-9)
         assert psi >= psi_pl  # projection never widens a rim corner
@@ -167,8 +199,7 @@ class TestCurvature:
 
         cap = generate_budget_cap(200, seed=0)
         fans = [cap.fan_total(int(v)) for v in cap.interior_vertices]
-        assert np.allclose(fans, 2 * math.pi - cap.curvatures(),
-                           rtol=0, atol=1e-12)
+        assert np.array_equal(fans, 2 * math.pi - cap.curvatures())
 
     def test_face_neighbors_match_edge_faces(self):
         from capunfold.generate import generate_budget_cap
@@ -250,7 +281,7 @@ class TestCircuits:
             2 * math.pi, abs=1e-12
         )
         # projected rim turns are 72deg each
-        psi, psi_pl = cap.rim_angles(0)
+        psi, psi_pl = np.array(cap.rim_angles())[:, 0]  # rim[0] == 0
         assert (math.pi - psi_pl) / DEG == pytest.approx(72.0, abs=1e-9)
 
     def test_flat_disk_circuit_turns_2pi(self):
