@@ -78,7 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
         c.add_argument("--seed", type=int, default=0)
         c.add_argument("--origin-mode",
                        choices=("central", "closest_to_boundary"),
-                       default="central")
+                       default="central",
+                       help="quadrant origin: central = the interior vertex "
+                            "farthest from the rim, falling back to "
+                            "closest_to_boundary when no empty gap cone fits; "
+                            "closest_to_boundary = the one nearest the rim")
         if name == "verify":
             c.add_argument("--rasterize", action="store_true",
                            help="also run the grid overlap oracle")
@@ -150,9 +154,10 @@ def cmd_unfold(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite:
-        if args.rasterize:
-            raise ValueError("--rasterize is not supported with --suite")
+    if args.suite is not None:
+        if args.suite < 1 or args.input is not None or args.rasterize:
+            raise ValueError("--suite needs K >= 1 and takes neither "
+                             "--input nor --rasterize")
         return _verify_suite(args)
     cap = _load_or_generate(args)
     result = cut_and_unfold(cap, origin_mode=args.origin_mode,
@@ -209,7 +214,6 @@ def _load_or_generate(args):
 
 
 def _metrics_dict(cap) -> dict:
-    from .geom import delta_perp, omega_bound, phi_budget
     m = compute_metrics(cap)
     return {
         "n_vertices": m.n_vertices,
@@ -218,10 +222,9 @@ def _metrics_dict(cap) -> dict:
         "alpha_deg": math.degrees(m.alpha),
         "alpha_planar_deg": math.degrees(m.alpha_planar),
         "omega_total_deg": math.degrees(m.omega_total),
-        "omega_bound_deg": math.degrees(omega_bound(m.phi_actual)),
-        "delta_perp_max_deg": math.degrees(delta_perp(m.phi_actual)),
-        "phi_budget_deg": (math.degrees(phi_budget(m.alpha_planar))
-                           if m.alpha_planar > 0 else 0.0),
+        "omega_bound_deg": math.degrees(m.omega_bound),
+        "delta_perp_max_deg": math.degrees(m.delta_perp_max),
+        "phi_budget_deg": math.degrees(m.phi_budget),
     }
 
 

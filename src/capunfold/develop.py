@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from .forest import SpanningForest
-from .geom import delta_perp, points_close, turn_angle
+from .geom import points_close, turn_angle
 from .mesh import ConvexCap, compute_metrics
 from .monotone import left_of
 
@@ -157,7 +157,7 @@ def turn_distortion(cap: ConvexCap, path, metrics=None) -> TurnDistortion:
     prefix_left = np.cumsum(tau_left - planar) if k > 1 else np.zeros(0)
     prefix_right = np.cumsum(tau_right - planar) if k > 1 else np.zeros(0)
     m = metrics if metrics is not None else compute_metrics(cap)
-    bound = 3 * delta_perp(m.phi_actual) + 2 * m.omega_total
+    bound = 3 * m.delta_perp_max + 2 * m.omega_total
     return TurnDistortion(prefix_left=prefix_left, prefix_right=prefix_right,
                           bound=bound)
 
@@ -191,12 +191,12 @@ def layout_net(cap: ConvexCap, forest: SpanningForest) -> Net:
     interior vertex is cut.  Faces hang from the first face that reaches
     them across an uncut side (sides in order 0, 1, 2), and each level of
     that tree is placed in one array pass."""
-    cut = {(min(a, b), max(a, b)) for a, b in forest.edges()}
     T, n, m = cap.triangles, cap.n_vertices, cap.n_triangles
+    lo, hi = forest.edges.min(axis=1), forest.edges.max(axis=1)
     nbr = cap.face_neighbors()
     T1 = T[:, [1, 2, 0]]
     side_key = np.minimum(T, T1) * n + np.maximum(T, T1)
-    uncut = (nbr >= 0) & ~np.isin(side_key, [a * n + b for a, b in cut])
+    uncut = (nbr >= 0) & ~np.isin(side_key, lo * n + hi)
     indptr = np.concatenate([[0], np.cumsum(uncut.sum(axis=1))])
     graph = csr_matrix((np.ones(indptr[-1]), nbr[uncut], indptr), (m, m))
     order, pred = breadth_first_order(graph, 0, return_predecessors=True)
@@ -216,17 +216,15 @@ def layout_net(cap: ConvexCap, forest: SpanningForest) -> Net:
 
     local = _all_face_locals(cap)
     pos = np.empty((m, 3, 2))
-    pos[0] = _root_placement(cap, 0)
+    pos[0] = _root_placement(cap, 0, local[0])
     for lv in np.split(np.arange(len(G)), cuts):
         _place_level(pos, local, G[lv], F[lv], kg[lv], kf[lv])
-    return Net(placed=dict(zip(order.tolist(), pos[order])), cut_edges=cut)
+    return Net(placed=dict(zip(order.tolist(), pos[order])),
+               cut_edges=set(zip(lo.tolist(), hi.tolist())))
 
 
 def _all_face_locals(cap: ConvexCap) -> np.ndarray:
-    """Isometric 2D coordinates of every face, (m, 3, 2), ccw; cached."""
-    cached = getattr(cap, "_face_locals_cache", None)
-    if cached is not None:
-        return cached
+    """Isometric 2D coordinates of every face, (m, 3, 2), ccw."""
     V = cap.vertices
     T = cap.triangles
     o = V[T[:, 0]]
@@ -240,15 +238,14 @@ def _all_face_locals(cap: ConvexCap) -> np.ndarray:
     local[:, 1, 0] = np.einsum("ij,ij->i", e1, ex)
     local[:, 2, 0] = np.einsum("ij,ij->i", e2, ex)
     local[:, 2, 1] = np.einsum("ij,ij->i", e2, ey)
-    cap._face_locals_cache = local
     return local
 
 
-def _root_placement(cap: ConvexCap, f: int) -> np.ndarray:
-    """Place the seed face isometrically, anchored at its projection: first
-    vertex at its projected position, first edge along its projected
-    direction.  For a flat cap this reproduces the projection exactly."""
-    local = _all_face_locals(cap)[f]
+def _root_placement(cap: ConvexCap, f: int, local: np.ndarray) -> np.ndarray:
+    """Place the seed face ``f``, whose isometric 2D coordinates are
+    ``local``, anchored at its projection: first vertex at its projected
+    position, first edge along its projected direction.  For a flat cap
+    this reproduces the projection exactly."""
     tri = cap.triangles[f]
     P = cap.vertices[tri, :2].astype(float)
     d_loc = local[1] - local[0]

@@ -10,12 +10,12 @@ quadrant's wedge; every leaf-to-root path is therefore theta-angle-monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .geom import (EPS_GEOM, Wedge, normalize_angle, unwrap_directions,
-                   wedge_contains)
+from .geom import (EPS_GEOM, Wedge, direction_spreads, normalize_angle,
+                   unwrap_directions, wedge_contains)
 from .mesh import ConvexCap, compute_metrics
 
 _PERTURB = 1e-6  # axis rotation step when a vertex lands on an axis
@@ -49,19 +49,15 @@ class QuadrantSystem:
             raise ValueError("quadrant index must be 0..3")
         return Wedge(base=self.base + i * self.theta, width=self.theta)
 
-    def quadrant_of(self, direction):
-        """Quadrant index of an absolute direction, or -1 for the gap cone;
-        an array of directions gives an int array of indices.
+    def quadrant_of(self, directions) -> np.ndarray:
+        """Quadrant index of each absolute direction, or -1 for the gap
+        cone, as an int array.
 
         Quadrants are half-open: closed on their clockwise axis, open on
         their counterclockwise axis.
         """
-        rel = (direction - self.base) % (2 * math.pi)
-        if isinstance(rel, np.ndarray):
-            i = (rel // self.theta).astype(int)
-            return np.where(i < 4, i, -1)
-        i = int(rel // self.theta)
-        return i if i < 4 else -1
+        i = (np.mod(directions - self.base, 2 * math.pi) // self.theta).astype(int)
+        return np.where(i < 4, i, -1)
 
     def gap_wedge(self) -> Wedge:
         return Wedge(base=self.gap_direction - 0.5 * self.gap_angle,
@@ -70,55 +66,70 @@ class QuadrantSystem:
 
 @dataclass
 class SpanningForest:
-    """Parent-pointer forest over the interior vertices, rooted on the rim."""
+    """Parent-pointer forest over the interior vertices, rooted on the rim.
+
+    Its table is built once, from the parent links, with the forest:
+    ``edges`` (the ``(child, parent)`` links sorted by child), their planar
+    ``directions``, the sorted ``leaves``, each leaf's path to the rim
+    (``leaf_paths``, views of ``path_vertices`` split at ``path_offsets``),
+    the tree ``root`` of every vertex, the set of tree ``roots`` and the
+    edges tree by tree (``tree_order``, roots then children ascending; tree
+    ``t`` starts at ``tree_starts[t]``).  A cycle raises
+    :class:`ForestError`; ``parent`` must not change afterwards.
+    """
 
     parent: dict[int, int]
-    roots: set[int]
+    roots: set[int] = field(init=False)
     quadrant_of_vertex: dict[int, int]
     system: QuadrantSystem
+    cap: InitVar[ConvexCap]
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    directions: np.ndarray = field(init=False, repr=False, compare=False)
+    leaves: np.ndarray = field(init=False, repr=False, compare=False)
+    path_vertices: np.ndarray = field(init=False, repr=False, compare=False)
+    path_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    leaf_paths: tuple = field(init=False, repr=False, compare=False)
+    root: np.ndarray = field(init=False, repr=False, compare=False)
+    tree_order: np.ndarray = field(init=False, repr=False, compare=False)
+    tree_starts: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def path_to_root(self, v: int) -> list[int]:
-        path = [v]
-        seen = {v}
-        while path[-1] in self.parent:
-            nxt = self.parent[path[-1]]
-            if nxt in seen:
-                raise ForestError(f"cycle through vertex {nxt}")
-            path.append(nxt)
-            seen.add(nxt)
-        return path
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.parent.items())
-
-    def children(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for v, p in self.parent.items():
-            out.setdefault(p, []).append(v)
-        return out
-
-    def leaves(self) -> list[int]:
-        parents = set(self.parent.values())
-        return sorted(v for v in self.parent if v not in parents)
-
-    def trees(self) -> list[list[int]]:
-        """Interior vertices grouped by tree, one group per used root."""
-        kids = self.children()
-        groups = []
-        for r in sorted(self.roots):
-            stack = list(kids.get(r, []))
-            group = []
-            while stack:
-                v = stack.pop()
-                group.append(v)
-                stack.extend(kids.get(v, []))
-            if group:
-                groups.append(sorted(group))
-        return groups
+    def __post_init__(self, cap: ConvexCap) -> None:
+        E = np.array(sorted(self.parent.items()), dtype=np.intp).reshape(-1, 2)
+        child, par = E[:, 0], E[:, 1]
+        up = np.arange(cap.n_vertices)
+        up[child] = par
+        # pointer jumping: after k rounds root[v] is v's 2**k-th ancestor or
+        # its root, so a root that has a parent link lies on a cycle
+        root = up
+        for _ in range(len(up).bit_length()):
+            root = root[root]
+        cyclic = np.intersect1d(root[child], child)
+        if len(cyclic):
+            raise ForestError(f"cycle through vertex {cyclic[0]}")
+        # walk all leaves at once, each staying put once on its root
+        leaves = np.setdiff1d(child, par)
+        walk = [leaves]
+        while (up[walk[-1]] != walk[-1]).any():
+            walk.append(up[walk[-1]])
+        walk = np.stack(walk, axis=1)
+        length = 1 + (walk[:, 1:] != walk[:, :-1]).sum(axis=1)
+        offsets = np.concatenate([[0], np.cumsum(length)])
+        flat = walk[np.arange(walk.shape[1]) < length[:, None]]
+        d = cap.vertices[par, :2] - cap.vertices[child, :2]
+        order = np.argsort(root[child], kind="stable")
+        self.edges, self.leaves, self.root = E, leaves, root
+        self.roots = set(root[child].tolist())
+        self.directions = np.arctan2(d[:, 1], d[:, 0])
+        self.path_vertices, self.path_offsets = flat, offsets
+        self.leaf_paths = tuple(flat[i:j] for i, j in zip(offsets, offsets[1:]))
+        self.tree_order = order
+        self.tree_starts = np.flatnonzero(np.diff(root[child][order], prepend=-1))
 
     def tree_curvatures(self, cap: ConvexCap) -> list[float]:
+        """Curvature enclosed by each tree, summed child by child."""
         omega = 2 * math.pi - cap.fan_totals()
-        return [sum(omega[t].tolist()) for t in self.trees()]
+        members = omega[self.edges[self.tree_order, 0]]
+        return [sum(t.tolist()) for t in np.split(members, self.tree_starts[1:])]
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +291,7 @@ def _settle_axes(cap: ConvexCap, qs: QuadrantSystem,
 
 def grow_path(
     cap: ConvexCap,
-    in_forest: set[int],
+    in_forest: dict[int, int] | set[int],
     v: int,
     wedge: Wedge,
     avoid: int | None = None,
@@ -369,42 +380,30 @@ class _RetryThroughOrigin(ForestError):
 def _build_once(cap: ConvexCap, qs: QuadrantSystem) -> SpanningForest:
     P = cap.vertices[:, :2]
     q = qs.origin
-    origin_xy = P[q]
-    parent: dict[int, int] = {}
-    roots: set[int] = set()
+    parent: dict[int, int] = {}   # paths stop at its keys or on the rim
     quadrant_of_vertex: dict[int, int] = {}
-    in_forest: set[int] = set()
 
     def commit(path: list[int], quad: int) -> None:
         for a, b in zip(path, path[1:]):
             parent[a] = b
             quadrant_of_vertex.setdefault(a, quad)
-        in_forest.update(path[:-1])
-        end = path[-1]
-        if end in cap.rim_vertex_set:
-            roots.add(end)
-        in_forest.add(end)
 
     # span the origin first so it stays a leaf of its tree
     quad0 = _best_quadrant_for_origin(cap, qs)
-    path = grow_path(cap, in_forest, q, qs.quadrant(quad0))
+    path = grow_path(cap, parent, q, qs.quadrant(quad0))
     commit(path, quad0)
 
+    # each quadrant's members, farthest from q first, ties by label
+    others = cap.interior_vertices[cap.interior_vertices != q]
+    d = P[others] - P[q]
+    order = np.lexsort((others, -np.hypot(d[:, 0], d[:, 1])))
+    quad = qs.quadrant_of(np.arctan2(d[:, 1], d[:, 0]))[order]
     for i in range(4):
         wedge = qs.quadrant(i)
-        members = []
-        for v in cap.interior_vertices:
-            v = int(v)
-            if v == q:
+        for v in others[order][quad == i].tolist():
+            if v in parent:
                 continue
-            d = P[v] - origin_xy
-            if qs.quadrant_of(math.atan2(d[1], d[0])) == i:
-                members.append((-float(np.hypot(*d)), v))
-        members.sort()
-        for _, v in members:
-            if v in in_forest:
-                continue
-            path = grow_path(cap, in_forest, v, wedge, avoid=q)
+            path = grow_path(cap, parent, v, wedge, avoid=q)
             if q in path[1:]:
                 raise _RetryThroughOrigin(
                     f"path from {v} forced through origin {q}"
@@ -414,27 +413,22 @@ def _build_once(cap: ConvexCap, qs: QuadrantSystem) -> SpanningForest:
     missing = set(int(v) for v in cap.interior_vertices) - set(parent)
     if missing:
         raise ForestError(f"forest failed to span vertices {sorted(missing)}")
-    return SpanningForest(parent=parent, roots=roots,
-                          quadrant_of_vertex=quadrant_of_vertex, system=qs)
+    return SpanningForest(parent=parent, quadrant_of_vertex=quadrant_of_vertex,
+                          system=qs, cap=cap)
 
 
 def _best_quadrant_for_origin(cap: ConvexCap, qs: QuadrantSystem) -> int:
     """Quadrant whose wedge holds the edge at q best centered in it."""
     P = cap.vertices[:, :2]
     neighbors, _ = cap.vertex_fan(qs.origin)
-    best = None
-    for u in neighbors:
-        d = P[u] - P[qs.origin]
-        ang = math.atan2(d[1], d[0])
-        i = qs.quadrant_of(ang)
-        if i < 0:
-            continue
-        off = abs(normalize_angle(ang - qs.quadrant(i).bisector))
-        if best is None or off < best[0]:
-            best = (off, i)
-    if best is None:
+    d = P[neighbors] - P[qs.origin]
+    ang = np.arctan2(d[:, 1], d[:, 0])
+    i = qs.quadrant_of(ang)
+    off = np.abs(unwrap_directions(ang, qs.base + i * qs.theta + 0.5 * qs.theta))
+    off[i < 0] = np.inf
+    if np.isinf(off.min(initial=np.inf)):
         raise ForestError(f"no edge at origin {qs.origin} lies in any quadrant")
-    return best[1]
+    return int(i[off.argmin()])
 
 
 # --------------------------------------------------------------------------
@@ -443,27 +437,32 @@ def _best_quadrant_for_origin(cap: ConvexCap, qs: QuadrantSystem) -> int:
 
 
 def verify_forest(cap: ConvexCap, forest: SpanningForest) -> list[str]:
-    """Re-derive every forest invariant; return a list of violations."""
+    """Re-derive every forest invariant from the forest table; return a list
+    of violations."""
     issues: list[str] = []
     qs = forest.system
-    P = cap.vertices[:, :2]
+    E = forest.edges
 
-    interior = set(int(v) for v in cap.interior_vertices)
-    if set(forest.parent) != interior:
+    if not np.array_equal(E[:, 0], cap.interior_vertices):
         issues.append("forest does not span the interior vertices exactly")
-    for r in forest.roots:
-        if r not in cap.rim_vertex_set:
-            issues.append(f"root {r} is not on the rim")
+    if forest.parent != dict(E.tolist()):
+        issues.append("parent links changed after the forest table was built")
 
-    for v in forest.leaves():
-        path = forest.path_to_root(v)
-        if path[-1] not in cap.rim_vertex_set:
-            issues.append(f"path from {v} ends off the rim at {path[-1]}")
-        beta = verify_angle_monotone(P[path], qs.theta)
-        if beta is None:
+    # every leaf path ends on the rim and its edge directions fit in theta
+    ends = forest.root[forest.leaves]
+    on_rim = np.isin(ends, cap.rim)
+    steps = np.delete(forest.path_vertices, forest.path_offsets[1:] - 1)
+    spreads = direction_spreads(
+        forest.directions[np.searchsorted(E[:, 0], steps)],
+        forest.path_offsets[:-1] - np.arange(len(forest.leaves)))
+    monotone = spreads <= qs.theta + EPS_GEOM
+    for j in np.flatnonzero(~on_rim | ~monotone).tolist():
+        v = int(forest.leaves[j])
+        if not on_rim[j]:
+            issues.append(f"path from {v} ends off the rim at {int(ends[j])}")
+        if not monotone[j]:
             issues.append(f"path from {v} is not {qs.theta:.4f}-monotone")
 
-    E = np.array(forest.edges(), dtype=int).reshape(-1, 2)
     sides = cap.side_faces(np.r_[E[:, 0], E[:, 1]], np.r_[E[:, 1], E[:, 0]])
     for a, b in E[sides.reshape(2, -1).max(axis=0) < 0].tolist():
         issues.append(f"forest edge ({a}, {b}) is not a mesh edge")
@@ -471,7 +470,6 @@ def verify_forest(cap: ConvexCap, forest: SpanningForest) -> list[str]:
     if not gap_is_empty(cap, qs):
         issues.append("gap cone contains an interior vertex")
 
-    parents = set(forest.parent.values())
-    if qs.origin in parents:
+    if qs.origin in E[:, 1]:
         issues.append("origin q is not a leaf")
     return issues

@@ -17,6 +17,7 @@ __all__ = [
     "angle_between",
     "corner_angles",
     "delta_perp",
+    "direction_spreads",
     "normalize_angle",
     "omega_bound",
     "phi_budget",
@@ -42,13 +43,24 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
-def unwrap_directions(ang) -> np.ndarray:
-    """Each direction minus the first, mapped to (-pi, pi] as by
-    :func:`normalize_angle`: an exact unwrap of directions that all lie
-    within pi of the first."""
-    t = np.fmod(np.asarray(ang, dtype=float) - ang[0], 2.0 * math.pi)
+def unwrap_directions(ang, ref=None) -> np.ndarray:
+    """Each direction minus ``ref`` (default: the first direction), mapped
+    to (-pi, pi] as by :func:`normalize_angle`: an exact unwrap of
+    directions that all lie within pi of the reference."""
+    t = np.fmod(np.asarray(ang, dtype=float) - (ang[0] if ref is None else ref),
+                2.0 * math.pi)
     return np.where(t <= -math.pi, t + 2.0 * math.pi,
                     np.where(t > math.pi, t - 2.0 * math.pi, t))
+
+
+def direction_spreads(ang, starts) -> np.ndarray:
+    """Width of the cone of each non-empty run ``ang[starts[j]:starts[j+1]]``
+    of directions, each unwrapped against the run's first direction."""
+    if not len(starts):
+        return np.zeros(0)
+    rel = unwrap_directions(ang, np.repeat(ang[starts],
+                                           np.diff(starts, append=len(ang))))
+    return np.maximum.reduceat(rel, starts) - np.minimum.reduceat(rel, starts)
 
 
 def points_close(p, q, atol: float = 1e-8) -> bool:

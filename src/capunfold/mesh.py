@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geom
 from .geom import EPS_GEOM, corner_angles
 
 
@@ -206,6 +207,13 @@ class CapMetrics:
     omega_total: float  # total interior curvature
     n_vertices: int
     n_triangles: int
+
+    # the budget rule: the tilt budget of the planar margin (0 without
+    # one), and the curvature bound and angle distortion at the actual tilt
+    phi_budget = property(lambda m: geom.phi_budget(m.alpha_planar)
+                          if m.alpha_planar > 0 else 0.0)
+    omega_bound = property(lambda m: geom.omega_bound(m.phi_actual))
+    delta_perp_max = property(lambda m: geom.delta_perp(m.phi_actual))
 
 
 def compute_metrics(cap: ConvexCap) -> CapMetrics:

@@ -24,8 +24,7 @@ from .develop import (
     turn_distortion,
 )
 from .forest import SpanningForest, build_forest, choose_origin, verify_forest
-from .geom import (delta_perp, normalize_angle, omega_bound, phi_budget,
-                   unwrap_directions)
+from .geom import direction_spreads, normalize_angle
 from .mesh import ConvexCap, compute_metrics, validate_cap
 from .monotone import left_of
 from .strips import StripSystem, strip_certificates, waterfall_strips
@@ -106,7 +105,6 @@ def _validate(cap: ConvexCap):
 
 def _metrics(cap: ConvexCap, diag: dict):
     m = compute_metrics(cap)
-    budget = phi_budget(m.alpha_planar) if m.alpha_planar > 0 else 0.0
     diag["metrics"] = {
         "n_vertices": cap.n_vertices,
         "n_triangles": cap.n_triangles,
@@ -114,15 +112,15 @@ def _metrics(cap: ConvexCap, diag: dict):
         "alpha": m.alpha,
         "alpha_planar": m.alpha_planar,
         "omega_total": m.omega_total,
-        "omega_bound": omega_bound(m.phi_actual),
-        "delta_perp_max": delta_perp(m.phi_actual),
-        "phi_budget": budget,
-        "within_budget": m.phi_actual <= budget + 1e-12,
+        "omega_bound": m.omega_bound,
+        "delta_perp_max": m.delta_perp_max,
+        "phi_budget": m.phi_budget,
+        "within_budget": m.phi_actual <= m.phi_budget + 1e-12,
     }
     if not diag["metrics"]["within_budget"]:
         diag["warnings"].append(
             f"tilt {math.degrees(m.phi_actual):.3f} deg exceeds budget "
-            f"{math.degrees(budget):.3f} deg; certificates are empirical")
+            f"{math.degrees(m.phi_budget):.3f} deg; certificates are empirical")
 
     # rim angle comparison: surface angle >= projected angle at each rim vertex
     psi, psi_p = cap.rim_angles()
@@ -147,7 +145,7 @@ def _forest(cap: ConvexCap, origin_mode: str, diag: dict, metrics):
         "gap_direction": normalize_angle(forest.system.gap_direction),
         "axis_rotation": forest.system.axis_rotation,
         "n_trees": len(forest.roots),
-        "n_leaves": len(forest.leaves()),
+        "n_leaves": len(forest.leaves),
         "violations": violations,
     }
     if violations:
@@ -168,10 +166,7 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
     max_dq = 0.0
     chain_pairs, paths = [], []
     try:
-        for leaf in forest.leaves():
-            path = forest.path_to_root(leaf)
-            if len(path) < 2:
-                continue
+        for path in forest.leaf_paths:
             cp = path_angles(cap, path)
             td = turn_distortion(cap, cp, metrics=metrics)
             max_dq = max(max_dq, td.max_abs)
@@ -211,12 +206,14 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
 
     # per-tree layout preconditions
     curvs = forest.tree_curvatures(cap)
-    spreads = _tree_direction_spreads(cap, forest)
+    # each tree's cone of edge directions, child to parent
+    spreads = direction_spreads(forest.directions[forest.tree_order],
+                                forest.tree_starts)
     diag["trees"] = {
         "max_curvature": max(curvs, default=0.0),
-        "max_direction_spread": max(spreads, default=0.0),
+        "max_direction_spread": float(spreads.max(initial=0.0)),
         "curvature_below_pi": all(c < math.pi for c in curvs),
-        "spread_below_pi": all(s < math.pi for s in spreads),
+        "spread_below_pi": bool((spreads < math.pi).all()),
     }
     for key, msg in (("curvature_below_pi", "a tree encloses curvature >= pi"),
                      ("spread_below_pi", "a tree's direction cone >= pi")):
@@ -226,14 +223,3 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
     diag["strips"] = strip_certificates(cap, forest, strips, net)
     if not diag["strips"]["clean"]:
         diag["errors"].extend(diag["strips"]["errors"])
-
-
-def _tree_direction_spreads(cap: ConvexCap, forest: SpanningForest):
-    """Width of each tree's cone of edge directions, child to parent."""
-    P = cap.vertices[:, :2]
-    spreads = []
-    for tree in forest.trees():
-        d = [P[forest.parent[v]] - P[v] for v in tree]
-        rel = unwrap_directions([math.atan2(y, x) for x, y in d])
-        spreads.append(float(rel.max() - rel.min()))
-    return spreads

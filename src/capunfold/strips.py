@@ -103,24 +103,15 @@ def _path_graph(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def waterfall_strips(cap: ConvexCap, forest: SpanningForest) -> StripSystem:
-    qs = forest.system
-    theta = qs.theta
-    q = int(qs.origin)
-    P = cap.vertices[:, :2]
-    origin = P[q]
-
-    leaves_by_quadrant: dict[int, list[int]] = {i: [] for i in range(4)}
-    for leaf in sorted(forest.leaves()):
-        if leaf == q:
-            continue
-        leaves_by_quadrant[forest.quadrant_of_vertex[leaf]].append(leaf)
-
+    q = int(forest.system.origin)
+    quad = {v: forest.quadrant_of_vertex[v] for v in forest.leaves.tolist()
+            if v != q}
     paths: dict[int, list[WaterfallPath]] = {}
     eps_q: dict[int, float] = {}
     rad_q: dict[int, float] = {}
     for i in range(4):
         paths[i], eps_q[i], rad_q[i] = _quadrant_paths(
-            cap, forest, i, leaves_by_quadrant[i])
+            cap, forest, i, [v for v, qi in quad.items() if qi == i])
 
     strip_of = _assign_faces(cap, forest, paths)
     strip_of = _repair_connectivity(cap, strip_of)
@@ -257,7 +248,7 @@ def _epsilon(cap: ConvexCap, forest: SpanningForest, quadrant: int,
     qs = forest.system
     P = cap.vertices[:, :2]
     rot = _quadrant_frame(qs, quadrant)
-    E = np.array(list(forest.edges()), dtype=int).reshape(-1, 2)
+    E = forest.edges
     A = _oblique(_to_local(P[E[:, 0]], P[qs.origin], rot), qs.theta)
     B = _oblique(_to_local(P[E[:, 1]], P[qs.origin], rot), qs.theta)
     lo = np.minimum(A[:, 0], B[:, 0])

@@ -160,7 +160,8 @@ def render_forest_svg(cap: ConvexCap, forest: SpanningForest,
     P = cap.vertices[:, :2]
     cv = _Canvas(P, width)
 
-    forest_set = {(min(v, p), max(v, p)) for v, p in forest.parent.items()}
+    links = forest.edges.tolist()
+    forest_set = {(min(v, p), max(v, p)) for v, p in links}
     # every edge once: each rim side, and each interior side from face f < g
     T, nbr = cap.triangles, cap.face_neighbors()
     once = (nbr < 0) | (nbr > np.arange(len(T))[:, None])
@@ -170,7 +171,7 @@ def render_forest_svg(cap: ConvexCap, forest: SpanningForest,
                                   (nbr[once] < 0).tolist())):
         if (lo, hi) not in forest_set:
             cv.line(P[lo], P[hi], "rim" if rim else "mesh-edge")
-    for v, p in sorted(forest.parent.items()):
+    for v, p in links:
         cv.line(P[v], P[p], "forest-edge")
 
     qs = forest.system

@@ -139,6 +139,38 @@ def fan_reference(cap, v):
     return neighbors, np.array(theta)
 
 
+def forest_reference(cap, parent):
+    """A spanning forest walked link by link through its ``parent`` dict:
+    the sorted ``edges`` and ``leaves``, each leaf's path to its root
+    (``paths``), the tree ``root`` of every child, the children of each
+    tree (``trees``, roots ascending, each sorted) and the planar
+    ``directions`` of the edges by child, from ``np.arctan2`` over each
+    path's steps.  A walk that revisits a vertex raises ``ValueError``."""
+    parents = set(parent.values())
+    leaves = sorted(v for v in parent if v not in parents)
+    P = cap.vertices[:, :2]
+    paths, root, directions = [], {}, {}
+    for leaf in leaves:
+        path, seen = [leaf], {leaf}
+        while path[-1] in parent:
+            nxt = parent[path[-1]]
+            if nxt in seen:
+                raise ValueError(f"cycle through vertex {nxt}")
+            path.append(nxt)
+            seen.add(nxt)
+        paths.append(path)
+        d = np.diff(P[path], axis=0)
+        for v, ang in zip(path, np.arctan2(d[:, 1], d[:, 0]).tolist()):
+            root[v] = path[-1]
+            directions[v] = ang
+    trees: dict[int, list[int]] = {}
+    for v in sorted(root):
+        trees.setdefault(root[v], []).append(v)
+    return SimpleNamespace(
+        edges=sorted(parent.items()), leaves=leaves, paths=paths, root=root,
+        trees=[trees[r] for r in sorted(trees)], directions=directions)
+
+
 def rim_fan(k: int, lift: float = 0.1) -> ConvexCap:
     """``k`` triangles around one centre vertex that touches every rim
     vertex: the longest star a cap of its size can have."""
@@ -202,10 +234,7 @@ def certificate_pairs():
     out = {"chains": [], "banks": [], "waterfall": []}
     for cap, forest in sets:
         net = layout_net(cap, forest)
-        for leaf in forest.leaves():
-            path = forest.path_to_root(leaf)
-            if len(path) < 2:
-                continue
+        for path in forest.leaf_paths:
             cp = path_angles(cap, path)
             out["chains"].append((develop_chain(cap, cp, "left"),
                                   develop_chain(cap, cp, "right")))

@@ -270,8 +270,7 @@ class TestLemmaSuite:
             forest = build_forest(cap, choose_origin(cap, "central"))
             theta = forest.system.theta
             P = cap.vertices[:, :2]
-            for leaf in forest.leaves():
-                path = forest.path_to_root(leaf)
+            for path in forest.leaf_paths:
                 pts = P[path[::-1]]  # root-to-leaf: outward orientation
                 assert verify_angle_monotone(pts, theta) is not None
                 assert angle_monotone_implies_rm(pts, theta)

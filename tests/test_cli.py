@@ -137,6 +137,21 @@ class TestVerify:
         err = json.loads(capsys.readouterr().err)
         assert "--rasterize" in err["error"]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_suite_rejects_k_below_one(self, capsys, k):
+        assert run(["verify", "--n", 30, "--suite", k]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--suite" in json.loads(out.err)["error"]
+
+    def test_suite_rejects_input(self, tmp_path, capsys):
+        save_mesh(tmp_path / "f.off", pentagonal_pyramid())
+        assert run(["verify", "--n", 30, "--suite", 2,
+                    "--input", tmp_path / "f.off"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--input" in json.loads(out.err)["error"]
+
 
 class TestRenderAndStats:
     def test_render_writes_svgs_and_obj(self, tmp_path):

@@ -37,10 +37,7 @@ DEG = math.pi / 180
 
 
 def forest_paths(cap, forest):
-    paths = []
-    for leaf in forest.leaves():
-        paths.append(forest.path_to_root(leaf))
-    return [p for p in paths if len(p) >= 2]
+    return list(forest.leaf_paths)
 
 
 def sample_cap(seed=3, n=60, phi=25 * DEG):
@@ -162,6 +159,12 @@ class TestLayoutNet:
             assert len(net.placed) == cap.n_triangles
             assert net_congruent(cap, net)
 
+    def test_layout_leaves_no_attribute_on_the_cap(self):
+        cap, forest = sample_cap(seed=5)
+        before = dict(vars(cap))
+        layout_net(cap, forest)
+        assert vars(cap).keys() == before.keys()
+
     def test_origin_image_angle_sum(self):
         cap, forest = sample_cap(seed=7)
         net = layout_net(cap, forest)
@@ -193,7 +196,8 @@ class TestBanks:
         cap = pentagonal_pyramid()
         forest = build_forest(cap, choose_origin(cap, "central"))
         net = layout_net(cap, forest)
-        path = forest.path_to_root(forest.system.origin)
+        path = forest.leaf_paths[
+            forest.leaves.tolist().index(forest.system.origin)]
         L, R = bank_chains(cap, net, path)
         for chain, bank in ((develop_chain(cap, path, "left"), L),
                             (develop_chain(cap, path, "right"), R)):
@@ -346,9 +350,10 @@ def layout_reference(cap, forest):
     from the first placed face that reaches it across an uncut edge, sides
     taken in order 0, 1, 2.  Returns the placements in visiting order and
     each face's parent."""
-    cut = {(min(a, b), max(a, b)) for a, b in forest.edges()}
+    cut = {(min(a, b), max(a, b)) for a, b in forest.edges.tolist()}
     edge_faces = adjacency_reference(cap.triangles).edge_faces
-    placed = {0: _root_placement(cap, 0)}
+    local = _all_face_locals(cap)
+    placed = {0: _root_placement(cap, 0, local[0])}
     parent = {}
     queue = deque([0])
     while queue:
@@ -363,18 +368,18 @@ def layout_reference(cap, forest):
             g = fs[0] if fs[1] == f else fs[1]
             if g in placed:
                 continue
-            placed[g] = unfold_face_reference(cap, placed[f], f, g)
+            placed[g] = unfold_face_reference(cap, local[g], placed[f], f, g)
             parent[g] = f
             queue.append(g)
     return placed, parent
 
 
-def unfold_face_reference(cap, placed_f, f, g):
-    """Rigidly place face ``g`` onto its shared edge with placed face ``f``,
-    anchored at the shared vertex with the smaller label."""
+def unfold_face_reference(cap, local, placed_f, f, g):
+    """Rigidly place face ``g``, with isometric 2D coordinates ``local``,
+    onto its shared edge with placed face ``f``, anchored at the shared
+    vertex with the smaller label."""
     tri_f, tri_g = cap.triangles[f], cap.triangles[g]
     u, w = sorted(set(tri_f) & set(tri_g))
-    local = _all_face_locals(cap)[g]
     src = np.array([local[list(tri_g).index(v)] for v in (u, w)])
     dst = np.array([placed_f[list(tri_f).index(v)] for v in (u, w)])
     ds, dd = src[1] - src[0], dst[1] - dst[0]
@@ -416,7 +421,7 @@ class TestLayoutAgainstReference:
     def test_cut_isolating_the_root_face_raises(self):
         cap = flat_hex_disk(lift=0.1)
         a, b, c = (int(v) for v in cap.triangles[0])
-        cuts = SimpleNamespace(edges=lambda: [(a, b), (b, c), (c, a)])
+        cuts = SimpleNamespace(edges=np.array([(a, b), (b, c), (c, a)]))
         with pytest.raises(RuntimeError, match="placed 1 of 6 faces"):
             layout_net(cap, cuts)
 

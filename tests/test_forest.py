@@ -8,6 +8,7 @@ import pytest
 from capunfold.forest import (
     ForestError,
     QuadrantSystem,
+    SpanningForest,
     build_forest,
     choose_origin,
     gap_is_empty,
@@ -17,7 +18,7 @@ from capunfold.forest import (
 )
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.mesh import compute_metrics
-from fixtures import DEG, pentagonal_pyramid
+from fixtures import DEG, forest_reference, oracle_set, pentagonal_pyramid
 
 
 class TestQuadrantSystem:
@@ -25,16 +26,19 @@ class TestQuadrantSystem:
         qs = QuadrantSystem(origin=0, theta=87 * DEG, gap_direction=1.0)
         assert qs.gap_angle / DEG == pytest.approx(12.0)
         # every direction lands in exactly one quadrant or the gap
-        for ang in np.linspace(0, 2 * math.pi, 720, endpoint=False):
-            i = qs.quadrant_of(ang)
-            assert -1 <= i <= 3
+        i = qs.quadrant_of(np.linspace(0, 2 * math.pi, 720, endpoint=False))
+        assert ((-1 <= i) & (i <= 3)).all()
 
     def test_array_directions_match_scalar_calls(self):
+        # the array kernel against the scalar float rule, direction by
+        # direction, also within an ulp of every axis
         qs = QuadrantSystem(origin=0, theta=86 * DEG, gap_direction=2.2)
         axes = [qs.base + i * qs.theta + d for i in range(5) for d in (-1e-15, 0.0, 1e-15)]
         ang = np.concatenate([np.linspace(-7, 7, 2001), axes])
         got = qs.quadrant_of(ang)
-        assert got.tolist() == [qs.quadrant_of(float(a)) for a in ang]
+        want = [int((a - qs.base) % (2 * math.pi) // qs.theta)
+                for a in ang.tolist()]
+        assert got.tolist() == [i if i < 4 else -1 for i in want]
 
     def test_gap_complements_quadrants(self):
         qs = QuadrantSystem(origin=0, theta=80 * DEG, gap_direction=0.3)
@@ -139,8 +143,7 @@ class TestGrowPath:
         qs = choose_origin(cap)
         forest = build_forest(cap, qs)
         P = cap.vertices[:, :2]
-        for leaf in forest.leaves():
-            path = forest.path_to_root(leaf)
+        for path in forest.leaf_paths:
             assert verify_angle_monotone(P[path], qs.theta) is not None
 
     def test_impossible_wedge_errors(self):
@@ -157,7 +160,7 @@ class TestBuildForest:
         cap = pentagonal_pyramid()
         qs = choose_origin(cap)
         forest = build_forest(cap, qs)
-        assert forest.edges() == [(5, forest.parent[5])]
+        assert forest.edges.tolist() == [[5, forest.parent[5]]]
         assert forest.parent[5] in cap.rim_vertex_set
         assert verify_forest(cap, forest) == []
 
@@ -169,8 +172,7 @@ class TestBuildForest:
         assert verify_forest(cap, forest) == []
         # spanning + acyclic by explicit traversal
         assert set(forest.parent) == set(int(v) for v in cap.interior_vertices)
-        for leaf in forest.leaves():
-            path = forest.path_to_root(leaf)
+        for path in forest_reference(cap, forest.parent).paths:
             assert path[-1] in cap.rim_vertex_set
 
     def test_origin_is_leaf(self):
@@ -198,3 +200,59 @@ class TestBuildForest:
         qs = choose_origin(cap)
         forest = build_forest(cap, qs)
         assert verify_forest(cap, forest) == []
+
+
+class TestForestTable:
+    def test_matches_parent_walk_reference(self):
+        for cap, forest in oracle_set():
+            ref = forest_reference(cap, forest.parent)
+            assert forest.edges.tolist() == [list(e) for e in ref.edges]
+            assert forest.leaves.tolist() == ref.leaves
+            assert [p.tolist() for p in forest.leaf_paths] == ref.paths
+            child = forest.edges[:, 0]
+            assert forest.root[child].tolist() == [ref.root[v] for v in child.tolist()]
+            trees = np.split(child[forest.tree_order], forest.tree_starts[1:])
+            assert [t.tolist() for t in trees] == ref.trees
+            # the table's one arctan2 call gives each edge the same bits as
+            # arctan2 over each path's steps
+            assert forest.directions.tolist() == [ref.directions[v] for v in child.tolist()]
+
+    @staticmethod
+    def _rebuilt(cap, forest, parent):
+        return SpanningForest(parent, forest.quadrant_of_vertex,
+                              forest.system, cap)
+
+    def test_cycle_no_leaf_reaches_is_rejected(self):
+        cap = generate_budget_cap(200, seed=0)
+        forest = build_forest(cap, choose_origin(cap, "central"))
+        bad = dict(forest.parent)
+        bad[0], bad[2] = 2, 0
+        forest_reference(cap, bad)   # every leaf walk still ends on the rim
+        with pytest.raises(ForestError, match="cycle through vertex 0"):
+            self._rebuilt(cap, forest, bad)
+        # the same links written into a built forest leave its table stale
+        forest.parent.update(bad)
+        assert verify_forest(cap, forest) == [
+            "parent links changed after the forest table was built"]
+
+    def test_cycle_on_a_leaf_path_is_rejected(self):
+        cap = generate_budget_cap(200, seed=0)
+        forest = build_forest(cap, choose_origin(cap, "central"))
+        path = max(forest.leaf_paths, key=len).tolist()
+        assert len(path) >= 5
+        bad = dict(forest.parent)
+        bad[path[3]] = path[2]
+        with pytest.raises(ValueError, match="cycle through vertex"):
+            forest_reference(cap, bad)
+        with pytest.raises(ForestError,
+                           match=f"cycle through vertex {min(path[2:4])}"):
+            self._rebuilt(cap, forest, bad)
+
+    def test_self_link_is_rejected(self):
+        cap = generate_budget_cap(200, seed=0)
+        forest = build_forest(cap, choose_origin(cap, "central"))
+        bad = dict(forest.parent)
+        v = int(forest.edges[len(bad) // 2, 0])
+        bad[v] = v
+        with pytest.raises(ForestError, match=f"cycle through vertex {v}"):
+            self._rebuilt(cap, forest, bad)

@@ -138,8 +138,7 @@ class TestImplication:
         qs = choose_origin(cap)
         forest = build_forest(cap, qs)
         P = cap.vertices[:, :2]
-        for leaf in forest.leaves():
-            path = forest.path_to_root(leaf)
+        for path in forest.leaf_paths:
             assert angle_monotone_implies_rm(P[path], theta=qs.theta)
 
     def test_large_theta_rejected(self):
@@ -162,10 +161,8 @@ class TestConeOf:
         qs = choose_origin(cap)
         forest = build_forest(cap, qs)
         P = cap.vertices[:, :2]
-        for leaf in forest.leaves():
-            path = forest.path_to_root(leaf)
-            if len(path) >= 2:
-                assert cone_of(P[path]).measure <= qs.theta + 1e-9 < math.pi / 2
+        for path in forest.leaf_paths:
+            assert cone_of(P[path]).measure <= qs.theta + 1e-9 < math.pi / 2
 
 
 class TestLeftOf:

@@ -61,7 +61,7 @@ class TestWaterfallPaths:
         cap, forest, net, system = unfolded(seed=2)
         q = forest.system.origin
         got = {wp.leaf for i in range(4) for wp in system.paths[i]}
-        assert got == set(forest.leaves()) - {q}
+        assert got == set(forest.leaves.tolist()) - {q}
 
     def test_positive_clearance_and_radius(self):
         cap, forest, net, system = unfolded(seed=4)
@@ -138,7 +138,8 @@ def assign_faces_reference(cap, forest, paths):
                   for wp in paths[i]] for i in range(4)}
     out = {}
     for f in range(cap.n_triangles):
-        qi = max(qs.quadrant_of(float(angles[f])), 0)
+        qi = int((float(angles[f]) - qs.base) % (2 * math.pi) // qs.theta)
+        qi = qi if qi < 4 else 0   # the gap sits below quadrant 0
         ab = _oblique(_to_local(cent[f], origin, _quadrant_frame(qs, qi)), qs.theta)[0]
         s = 0
         for g in graphs[qi]:
@@ -166,7 +167,7 @@ def epsilon_reference(cap, forest, quadrant, leaves, ob, r):
     qs = forest.system
     P = cap.vertices[:, :2]
     rot = _quadrant_frame(qs, quadrant)
-    edges = list(forest.edges())
+    edges = forest.edges.tolist()
     E = np.array(edges)
     A = _oblique(_to_local(P[E[:, 0]], P[qs.origin], rot), qs.theta)
     B = _oblique(_to_local(P[E[:, 1]], P[qs.origin], rot), qs.theta)
