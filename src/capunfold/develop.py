@@ -19,8 +19,8 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from .forest import SpanningForest
-from .geom import points_close, turn_angle
-from .mesh import ConvexCap, compute_metrics
+from .geom import points_close, unwrap_directions
+from .mesh import ConvexCap
 from .monotone import left_of
 
 
@@ -125,11 +125,11 @@ def develop_chain(cap: ConvexCap, path, side: str) -> np.ndarray:
 @dataclass(frozen=True)
 class TurnDistortion:
     """Prefix-wise turn difference between a developed cut path and its
-    planar projection, with the claimed bound."""
+    planar projection; the bound it must keep, 3*delta_perp(Phi) + 2*Omega,
+    is the cap's (see :class:`capunfold.mesh.CapMetrics`)."""
 
     prefix_left: np.ndarray
     prefix_right: np.ndarray
-    bound: float
 
     @property
     def max_abs(self) -> float:
@@ -141,25 +141,20 @@ class TurnDistortion:
         return max(vals)
 
 
-def turn_distortion(cap: ConvexCap, path, metrics=None) -> TurnDistortion:
+def turn_distortion(cap: ConvexCap, path) -> TurnDistortion:
     """Compare the cumulative turning of each developed chain against the
     projected path (a vertex list or its :class:`CutPath`), prefix by
-    prefix; bound: 3*delta_perp(Phi) + 2*Omega."""
+    prefix."""
     cp = _cut_path(cap, path)
-    vs = cp.vertices
-    P = cap.vertices[:, :2]
-    k = len(vs) - 1
-    planar = np.array([
-        turn_angle(P[vs[i - 1]], P[vs[i]], P[vs[i + 1]]) for i in range(1, k)
-    ])
+    k = len(cp.vertices) - 1
+    d = np.diff(cap.vertices[list(cp.vertices), :2], axis=0)
+    ang = np.arctan2(d[:, 1], d[:, 0])
+    planar = unwrap_directions(ang[1:], ang[:-1])
     tau_left = math.pi - cp.lam[1:k]
     tau_right = cp.rho[1:k] - math.pi
     prefix_left = np.cumsum(tau_left - planar) if k > 1 else np.zeros(0)
     prefix_right = np.cumsum(tau_right - planar) if k > 1 else np.zeros(0)
-    m = metrics if metrics is not None else compute_metrics(cap)
-    bound = 3 * m.delta_perp_max + 2 * m.omega_total
-    return TurnDistortion(prefix_left=prefix_left, prefix_right=prefix_right,
-                          bound=bound)
+    return TurnDistortion(prefix_left=prefix_left, prefix_right=prefix_right)
 
 
 # --------------------------------------------------------------------------

@@ -5,17 +5,28 @@ of width theta = pi/2 - alpha' plus a leftover gap cone of angle
 2*pi - 4*theta = 4*alpha', aimed so it contains no interior vertex.  Paths
 are grown along triangulation edges whose planar directions stay inside one
 quadrant's wedge; every leaf-to-root path is therefore theta-angle-monotone.
+
+The greedy step of a path depends only on the vertex and the wedge, so one
+array pass over the cap's vertex-star table gives four successor arrays,
+one per quadrant.  The forest is then q's own walk followed by four
+level-wise closures: all still-unclaimed vertices of a quadrant walk its
+successor array together, one array step per level, until each walk meets
+the rim or a claimed vertex.  q is the interior vertex nearest to the rim
+(or, in ``central`` mode, the farthest when its gap cone fits); only the
+points and rim segments that can decide it are measured, pruned with a
+k-d tree over the rim segments' midpoints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .geom import (EPS_GEOM, Wedge, direction_spreads, normalize_angle,
-                   unwrap_directions, wedge_contains)
+from .geom import EPS_GEOM, Wedge, direction_spreads, unwrap_directions
 from .mesh import ConvexCap, compute_metrics
 
 _PERTURB = 1e-6  # axis rotation step when a vertex lands on an axis
@@ -133,30 +144,6 @@ class SpanningForest:
 
 
 # --------------------------------------------------------------------------
-# angle-monotonicity certificate
-# --------------------------------------------------------------------------
-
-
-def verify_angle_monotone(points: np.ndarray, theta: float) -> float | None:
-    """Certify that all edge directions of a planar polyline fit in a wedge
-    of width ``theta``: return the wedge base ``beta``, or ``None``.
-
-    Directions are unwrapped relative to the first edge, which is exact for
-    any ``theta < pi``.
-    """
-    pts = np.asarray(points, dtype=float)
-    if len(pts) < 2:
-        raise ValueError("polyline needs at least one edge")
-    d = np.diff(pts, axis=0)
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    rel = ang[0] + unwrap_directions(ang)
-    spread = float(rel.max() - rel.min())
-    if spread <= theta + EPS_GEOM:
-        return float(rel.min())
-    return None
-
-
-# --------------------------------------------------------------------------
 # origin selection
 # --------------------------------------------------------------------------
 
@@ -179,12 +166,10 @@ def choose_origin(cap: ConvexCap, mode: str = "closest_to_boundary",
         raise ForestError(f"invalid wedge width theta={theta}")
 
     P = cap.vertices[:, :2]
-    rim_pts = P[cap.rim]
-    dists, dirs = _rim_distances(P[cap.interior_vertices], rim_pts)
+    near, far, near_dir = _rim_distances(P[cap.interior_vertices], P[cap.rim])
 
     if mode == "central":
-        k = int(np.argmax(dists))
-        q = int(cap.interior_vertices[k])
+        q = int(cap.interior_vertices[far])
         # an empty gap cone must fit inside an interior-vertex-free angular
         # interval around q, so only centers of wide-enough intervals are
         # worth settling
@@ -204,39 +189,77 @@ def choose_origin(cap: ConvexCap, mode: str = "closest_to_boundary",
             if qs is not None:
                 return qs
     # closest_to_boundary, also the fallback of central
-    k = int(np.argmin(dists))
-    q = int(cap.interior_vertices[k])
-    qs = _settle_axes(cap, QuadrantSystem(q, theta, float(dirs[k])))
+    q = int(cap.interior_vertices[near])
+    qs = _settle_axes(cap, QuadrantSystem(q, theta, near_dir))
     if qs is not None:
         return qs
     raise ForestError("could not aim an empty gap cone from the "
                       "boundary-nearest vertex")
 
 
-def _rim_distances(pts: np.ndarray, rim_pts: np.ndarray):
-    """Distance from each point to the rim polyline and the direction toward
-    the nearest rim point."""
+def _rim_distances(pts: np.ndarray, rim_pts: np.ndarray) -> tuple[int, int, float]:
+    """Index of the point nearest to the rim polyline, index of the point
+    farthest from it (first of ties), and the direction from the nearest
+    point toward its nearest rim point.
+
+    Only pairs that can decide these are evaluated.  The segment of a
+    point's nearest midpoint bounds its distance above, that midpoint's
+    distance less the longest half segment bounds it below, so only points
+    whose bounds reach the least upper or the greatest lower bound are
+    candidates; each gets its exact distance from the segments whose
+    midpoints a k-d tree finds within its upper bound plus a half segment.
+    """
     a = rim_pts
-    b = np.roll(rim_pts, -1, axis=0)
-    ab = b - a
+    ab = np.roll(rim_pts, -1, axis=0) - a
+    half = 0.5 * float(np.sqrt((ab * ab).sum(axis=1)).max())
+    slack = 1e-9 * float(np.ptp(a, axis=0).max())
+    tree = cKDTree(a + 0.5 * ab)
+    dm, jm = tree.query(pts)
+    upper = _segment_distances(pts, a[jm], ab[jm])
+    lower = dm - half
+    cand = np.flatnonzero((lower <= upper.min() + slack)
+                          | (upper >= lower.max() - slack))
+    near = tree.query_ball_point(pts[cand], upper[cand] + half + slack,
+                                 return_sorted=True)
+    count = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    j = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=count.sum())
+    d = _segment_distances(pts[np.repeat(cand, count)], a[j], ab[j])
+    starts = np.cumsum(count) - count
+    best = np.minimum.reduceat(d, starts)
+    k = int(np.argmin(best))
+    return (int(cand[k]), int(cand[np.argmax(best)]),
+            _scan_direction(pts, a, ab, int(cand[k]), near[k]))
+
+
+def _scan_direction(pts, a, ab, k: int, segments) -> float:
+    """Direction from point ``k`` toward its nearest rim point, found as a
+    segment-by-segment scan finds it: the first of tied segments wins, and
+    each ``t`` comes from a matvec over all points, whose bits depend on
+    the row's place in the array."""
     denom = np.einsum("ij,ij->i", ab, ab)
-    best_d = np.full(len(pts), np.inf)
-    best_dir = np.zeros(len(pts))
-    for j in range(len(a)):
-        t = np.clip((pts - a[j]) @ ab[j] / denom[j], 0.0, 1.0)
-        proj = a[j] + t[:, None] * ab[j]
-        delta = proj - pts
-        d = np.linalg.norm(delta, axis=1)
-        better = d < best_d
-        best_d[better] = d[better]
-        best_dir[better] = np.arctan2(delta[better, 1], delta[better, 0])
-    return best_d, best_dir
+    best, direction = math.inf, 0.0
+    for j in segments:
+        t = min(max(float(((pts - a[j]) @ ab[j])[k] / denom[j]), 0.0), 1.0)
+        delta = a[j] + t * ab[j] - pts[k]
+        d = math.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
+        if d < best:
+            best, direction = d, float(np.arctan2(delta[1], delta[0]))
+    return direction
+
+
+def _segment_distances(p: np.ndarray, a: np.ndarray, ab: np.ndarray):
+    """Distance from each point ``p`` to the segment from ``a`` along
+    ``ab``, row by row."""
+    w = p - a
+    t = np.clip((w[:, 0] * ab[:, 0] + w[:, 1] * ab[:, 1])
+                / (ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]), 0.0, 1.0)
+    delta = a + t[:, None] * ab - p
+    return np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
 
 
 def _angles_from(cap: ConvexCap, q: int, vertices) -> np.ndarray:
-    P = cap.vertices[:, :2]
-    vs = np.asarray([v for v in vertices if int(v) != q], dtype=int)
-    d = P[vs] - P[q]
+    vs = np.asarray(vertices)
+    d = cap.vertices[vs[vs != q], :2] - cap.vertices[q, :2]
     return np.arctan2(d[:, 1], d[:, 0])
 
 
@@ -268,7 +291,7 @@ def _settle_axes(cap: ConvexCap, qs: QuadrantSystem,
     """Nudge the frame so no vertex sits on an axis and the gap stays empty."""
     q = int(qs.origin)
     interior_angles = _angles_from(cap, q, cap.interior_vertices)
-    all_angles = _angles_from(cap, q, range(cap.n_vertices))
+    all_angles = _angles_from(cap, q, np.arange(cap.n_vertices))
     for k in range(max_steps):
         step = _PERTURB * ((k + 1) // 2) * (1 if k % 2 else -1)
         cand = QuadrantSystem(
@@ -285,61 +308,6 @@ def _settle_axes(cap: ConvexCap, qs: QuadrantSystem,
 
 
 # --------------------------------------------------------------------------
-# path growth
-# --------------------------------------------------------------------------
-
-
-def grow_path(
-    cap: ConvexCap,
-    in_forest: dict[int, int] | set[int],
-    v: int,
-    wedge: Wedge,
-    avoid: int | None = None,
-) -> list[int]:
-    """Walk from interior vertex ``v`` along edges whose planar directions
-    lie in ``wedge`` until reaching the rim or an existing forest vertex.
-
-    ``avoid`` (the quadrant origin) is stepped into only when it is the sole
-    admissible neighbor; callers treat that as a retry signal upstream.
-    """
-    P = cap.vertices[:, :2]
-    path = [v]
-    cur = v
-    visited = {v}
-    for _ in range(cap.n_vertices + 1):
-        neighbors, _ = cap.vertex_fan(cur)
-        admissible = []
-        for u in neighbors:
-            d = P[u] - P[cur]
-            ang = math.atan2(d[1], d[0])
-            if wedge_contains(wedge, ang):
-                off = abs(normalize_angle(ang - wedge.bisector))
-                admissible.append((off, u))
-        if not admissible:
-            raise ForestError(
-                f"no admissible edge at vertex {cur} for wedge "
-                f"[{wedge.base:.6f}, +{wedge.width:.6f}]; "
-                f"neighbor star: {neighbors}"
-            )
-        admissible.sort()
-        chosen = None
-        for _, u in admissible:
-            if u != avoid:
-                chosen = u
-                break
-        if chosen is None:
-            chosen = admissible[0][1]  # forced through the origin
-        if chosen in visited:
-            raise ForestError(f"path revisited vertex {chosen}")
-        path.append(chosen)
-        visited.add(chosen)
-        if chosen in cap.rim_vertex_set or chosen in in_forest:
-            return path
-        cur = chosen
-    raise ForestError("path growth failed to terminate")
-
-
-# --------------------------------------------------------------------------
 # forest construction
 # --------------------------------------------------------------------------
 
@@ -353,9 +321,10 @@ def build_forest(cap: ConvexCap, qs: QuadrantSystem,
     """
     attempt_qs = qs
     last_err: Exception | None = None
+    star = _star_directions(cap)
     for _ in range(max_retries):
         try:
-            return _build_once(cap, attempt_qs)
+            return _build_once(cap, attempt_qs, star)
         except _RetryThroughOrigin as err:
             last_err = err
             nudged = _settle_axes(
@@ -377,52 +346,131 @@ class _RetryThroughOrigin(ForestError):
     pass
 
 
-def _build_once(cap: ConvexCap, qs: QuadrantSystem) -> SpanningForest:
-    P = cap.vertices[:, :2]
-    q = qs.origin
-    parent: dict[int, int] = {}   # paths stop at its keys or on the rim
-    quadrant_of_vertex: dict[int, int] = {}
+def _star_directions(cap: ConvexCap):
+    """Owner, neighbour and planar direction of every vertex-star entry."""
+    owner = np.repeat(np.arange(cap.n_vertices), np.diff(cap._star_start))
+    nbr = cap._star_nbr
+    d = cap.vertices[nbr, :2] - cap.vertices[owner, :2]
+    return owner, nbr, np.arctan2(d[:, 1], d[:, 0])
 
-    def commit(path: list[int], quad: int) -> None:
-        for a, b in zip(path, path[1:]):
-            parent[a] = b
-            quadrant_of_vertex.setdefault(a, quad)
 
-    # span the origin first so it stays a leaf of its tree
-    quad0 = _best_quadrant_for_origin(cap, qs)
-    path = grow_path(cap, parent, q, qs.quadrant(quad0))
-    commit(path, quad0)
+def _in_wedge(wedge: Wedge, ang: np.ndarray) -> np.ndarray:
+    """Which directions lie in the closed wedge, within ``EPS_GEOM`` on
+    both sides; elementwise over an array of angles."""
+    delta = np.fmod(ang - wedge.base, 2.0 * math.pi)
+    delta = np.where(delta < 0.0, delta + 2.0 * math.pi, delta)
+    # a direction just below ``base`` wraps to delta ~ 2*pi
+    return ((delta <= wedge.width + EPS_GEOM)
+            | (delta >= 2.0 * math.pi - EPS_GEOM))
 
-    # each quadrant's members, farthest from q first, ties by label
-    others = cap.interior_vertices[cap.interior_vertices != q]
-    d = P[others] - P[q]
-    order = np.lexsort((others, -np.hypot(d[:, 0], d[:, 1])))
-    quad = qs.quadrant_of(np.arctan2(d[:, 1], d[:, 0]))[order]
+
+def _successors(cap: ConvexCap, qs: QuadrantSystem, star) -> np.ndarray:
+    """The greedy step of every vertex in each quadrant wedge, shape (4, n).
+
+    Entry ``[i, v]`` is the neighbour of ``v`` whose edge lies in quadrant
+    ``i``'s closed wedge closest to its bisector (ties to the smaller
+    label), stepping into the origin only when it is the sole choice; -1
+    where no edge lies in the wedge.  The step depends on nothing but the
+    vertex and the wedge, so one pass over the vertex-star table finds all.
+    """
+    owner, nbr, ang = star
+    n, first = cap.n_vertices, cap._star_start[:-1]
+    # an edge off the bisector by at most pi always beats one into q
+    penalty = np.where(nbr == qs.origin, 2 * math.pi, 0.0)
+    out = np.full((4, n), -1)
     for i in range(4):
         wedge = qs.quadrant(i)
-        for v in others[order][quad == i].tolist():
-            if v in parent:
-                continue
-            path = grow_path(cap, parent, v, wedge, avoid=q)
-            if q in path[1:]:
-                raise _RetryThroughOrigin(
-                    f"path from {v} forced through origin {q}"
-                )
-            commit(path, i)
+        off = np.abs(unwrap_directions(ang, wedge.bisector)) + penalty
+        key = np.where(_in_wedge(wedge, ang) & (nbr >= 0), off, np.inf)
+        best = np.minimum.reduceat(key, first)
+        won = (key == best[owner]) & (key < np.inf)
+        step = np.minimum.reduceat(np.where(won, nbr, n), first)
+        out[i] = np.where(step < n, step, -1)
+    return out
 
-    missing = set(int(v) for v in cap.interior_vertices) - set(parent)
-    if missing:
-        raise ForestError(f"forest failed to span vertices {sorted(missing)}")
-    return SpanningForest(parent=parent, quadrant_of_vertex=quadrant_of_vertex,
+
+def _levels(step: np.ndarray, seeds: np.ndarray, stop: np.ndarray):
+    """Walk every seed along ``step`` at once, one level at a time, until
+    each walk meets a vertex in ``stop``; yield each level's vertices.  The
+    caller adds a yielded level to ``stop`` before asking for the next."""
+    slot = np.empty(len(step), dtype=np.intp)
+    front = seeds
+    while len(front):
+        yield front
+        nxt = step[front]
+        nxt = nxt[~stop[nxt]]
+        # walks that merge keep one copy: the last write to a slot wins
+        slot[nxt] = np.arange(len(nxt))
+        front = nxt[slot[nxt] == np.arange(len(nxt))]
+
+
+def _build_once(cap: ConvexCap, qs: QuadrantSystem, star) -> SpanningForest:
+    """Span q by its own walk, then each quadrant in order: every vertex
+    still unclaimed in it walks its quadrant's successors to the rim or to
+    a claimed vertex.  All walks of one quadrant advance together, and a
+    walk through q or off the wedge replays the quadrant walk by walk."""
+    P = cap.vertices[:, :2]
+    q = qs.origin
+    nxt = _successors(cap, qs, star)
+    parent = np.full(cap.n_vertices, -1)
+    quadrant = np.full(cap.n_vertices, -1)
+    stop = np.zeros(cap.n_vertices, dtype=bool)   # on the rim or claimed
+    stop[cap.rim] = True
+
+    others = cap.interior_vertices[cap.interior_vertices != q]
+    d = P[others] - P[q]
+    member = qs.quadrant_of(np.arctan2(d[:, 1], d[:, 0]))
+    # span the origin first so it stays a leaf of its tree
+    walks = [(_best_quadrant_for_origin(cap, qs, star), np.array([q]))]
+    walks += [(i, others[member == i]) for i in range(4)]
+    for i, seeds in walks:
+        step, claimed = nxt[i], stop.copy()
+        for front in _levels(step, seeds[~stop[seeds]], stop):
+            to = step[front]
+            if (to < 0).any() or (to == q).any():
+                _replay(cap, qs, i, step, seeds, claimed)
+            parent[front], quadrant[front], stop[front] = to, i, True
+
+    child = np.flatnonzero(parent >= 0)
+    missing = np.setdiff1d(cap.interior_vertices, child)
+    if len(missing):
+        raise ForestError(f"forest failed to span vertices {missing.tolist()}")
+    # one int object per vertex, shared by the keys and values of both dicts
+    label = np.array(range(cap.n_vertices), dtype=object)
+    keys = label[child].tolist()
+    return SpanningForest(parent=dict(zip(keys, label[parent[child]].tolist())),
+                          quadrant_of_vertex=dict(zip(keys, quadrant[child].tolist())),
                           system=qs, cap=cap)
 
 
-def _best_quadrant_for_origin(cap: ConvexCap, qs: QuadrantSystem) -> int:
+def _replay(cap: ConvexCap, qs: QuadrantSystem, i: int, step: np.ndarray,
+            seeds: np.ndarray, stop: np.ndarray) -> None:
+    """Walk the seeds of quadrant ``i`` one at a time, farthest from q
+    first (ties by label), over the claimed set ``stop`` at the quadrant's
+    start, and raise the first failure met: a vertex with no step in the
+    wedge, or a walk forced into q."""
+    q = qs.origin
+    d = cap.vertices[seeds, :2] - cap.vertices[q, :2]
+    stop = stop.copy()
+    for v in seeds[np.lexsort((seeds, -np.hypot(d[:, 0], d[:, 1])))].tolist():
+        cur = v
+        while not stop[cur]:
+            if step[cur] < 0:
+                wedge = qs.quadrant(i)
+                raise ForestError(
+                    f"no admissible edge at vertex {cur} for wedge "
+                    f"[{wedge.base:.6f}, +{wedge.width:.6f}]; "
+                    f"neighbor star: {cap.vertex_fan(cur)[0]}")
+            stop[cur] = True
+            cur = int(step[cur])
+            if cur == q:
+                raise _RetryThroughOrigin(f"path from {v} forced through origin {q}")
+
+
+def _best_quadrant_for_origin(cap: ConvexCap, qs: QuadrantSystem, star) -> int:
     """Quadrant whose wedge holds the edge at q best centered in it."""
-    P = cap.vertices[:, :2]
-    neighbors, _ = cap.vertex_fan(qs.origin)
-    d = P[neighbors] - P[qs.origin]
-    ang = np.arctan2(d[:, 1], d[:, 0])
+    # q's star entries, less the last one, which closes the star
+    ang = star[2][cap._star_start[qs.origin]:cap._star_start[qs.origin + 1] - 1]
     i = qs.quadrant_of(ang)
     off = np.abs(unwrap_directions(ang, qs.base + i * qs.theta + 0.5 * qs.theta))
     off[i < 0] = np.inf

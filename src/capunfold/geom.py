@@ -26,7 +26,6 @@ __all__ = [
     "signed_turn",
     "turn_angle",
     "unwrap_directions",
-    "wedge_contains",
 ]
 
 #: Absolute tolerance for geometric predicates.
@@ -165,13 +164,3 @@ class Wedge:
     def bisector(self) -> float:
         return self.base + 0.5 * self.width
 
-
-def wedge_contains(wedge: Wedge, direction: float, slack: float = EPS_GEOM) -> bool:
-    """True if a direction angle lies in the closed wedge, within eps slack."""
-    delta = math.fmod(direction - wedge.base, 2.0 * math.pi)
-    if delta < 0.0:
-        delta += 2.0 * math.pi
-    if delta <= wedge.width + slack:
-        return True
-    # A direction just below `base` wraps to delta ~ 2*pi.
-    return delta >= 2.0 * math.pi - slack

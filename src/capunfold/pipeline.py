@@ -74,7 +74,7 @@ def cut_and_unfold(cap: ConvexCap, origin_mode: str = "central",
         strips = waterfall_strips(cap, forest)
         net.strip_of = dict(strips.strip_of)
         stage = "certify"
-        _certify(cap, forest, strips, net, diag, metrics)
+        _certify(cap, forest, strips, net, diag)
         stage = "overlap"
         report = check_overlap(net)
     except Exception as exc:
@@ -154,7 +154,7 @@ def _forest(cap: ConvexCap, origin_mode: str, diag: dict, metrics):
 
 
 def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
-             net: Net, diag: dict, metrics):
+             net: Net, diag: dict):
     m = diag["metrics"]
     q = int(forest.system.origin)
 
@@ -168,7 +168,7 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
     try:
         for path in forest.leaf_paths:
             cp = path_angles(cap, path)
-            td = turn_distortion(cap, cp, metrics=metrics)
+            td = turn_distortion(cap, cp)
             max_dq = max(max_dq, td.max_abs)
             chain_pairs.append((develop_chain(cap, cp, "left"),
                                 develop_chain(cap, cp, "right")))

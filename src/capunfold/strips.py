@@ -24,8 +24,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .forest import QuadrantSystem, SpanningForest, verify_angle_monotone
-from .geom import corner_angles, points_close
+from .forest import QuadrantSystem, SpanningForest
+from .geom import EPS_GEOM, corner_angles, direction_spreads, points_close
 from .mesh import ConvexCap
 from .monotone import left_of
 
@@ -399,6 +399,18 @@ def _crossing_pairs(polylines: list[np.ndarray]) -> list[tuple[int, int]]:
     return [(int(j), int(k)) for j, k in pairs]
 
 
+def _direction_spreads(polylines) -> np.ndarray:
+    """Width of the cone of edge directions of each planar polyline, all
+    polylines in one pass."""
+    sizes = np.array([len(p) for p in polylines], dtype=np.intp)
+    if (sizes < 2).any():
+        raise ValueError("polyline needs at least one edge")
+    d = np.diff(np.concatenate(polylines or [np.zeros((0, 2))]), axis=0)
+    d = np.delete(d, np.cumsum(sizes)[:-1] - 1, axis=0)
+    return direction_spreads(np.arctan2(d[:, 1], d[:, 0]),
+                             np.cumsum(sizes - 1) - (sizes - 1))
+
+
 def strip_certificates(cap: ConvexCap, forest: SpanningForest,
                        system: StripSystem, net) -> dict:
     """Certificate bundle for the strip partition."""
@@ -434,13 +446,15 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
             pairs.append((upper, ps[j].points))
     # a waterfall path that is not radially monotone raises, as before
     ordered = iter(left_of(pairs, strict=True))
+    monotone = iter(_direction_spreads(
+        [wp.points for i in range(4) for wp in system.paths[i]]) <= theta + EPS_GEOM)
     out["paths_monotone"] = True
     out["paths_noncrossing"] = True
     out["paths_ordered"] = True
     for i in range(4):
         ps = system.paths[i]
         for wp in ps:
-            if verify_angle_monotone(wp.points, theta) is None:
+            if not next(monotone):
                 out["paths_monotone"] = False
                 out["errors"].append(
                     f"waterfall path to leaf {wp.leaf} not angle-monotone")

@@ -171,6 +171,122 @@ def forest_reference(cap, parent):
         trees=[trees[r] for r in sorted(trees)], directions=directions)
 
 
+def wedge_contains(wedge, direction: float, slack: float = 1e-9) -> bool:
+    """The scalar rule for a direction in a closed wedge, within ``slack``
+    on both sides."""
+    delta = math.fmod(direction - wedge.base, 2.0 * math.pi)
+    if delta < 0.0:
+        delta += 2.0 * math.pi
+    if delta <= wedge.width + slack:
+        return True
+    # a direction just below ``base`` wraps to delta ~ 2*pi
+    return delta >= 2.0 * math.pi - slack
+
+
+def grow_path(cap, in_forest, v, wedge, avoid=None):
+    """One greedy walk from interior vertex ``v``, neighbour by neighbour:
+    each step takes the edge in ``wedge`` closest to its bisector (ties to
+    the smaller label), into ``avoid`` only when it is the sole choice,
+    until the walk reaches the rim or a vertex of ``in_forest``."""
+    from capunfold.forest import ForestError
+    from capunfold.geom import normalize_angle
+
+    P = cap.vertices[:, :2]
+    path, visited, cur = [v], {v}, v
+    for _ in range(cap.n_vertices + 1):
+        neighbors, _ = cap.vertex_fan(cur)
+        admissible = []
+        for u in neighbors:
+            d = P[u] - P[cur]
+            ang = math.atan2(d[1], d[0])
+            if wedge_contains(wedge, ang):
+                admissible.append((abs(normalize_angle(ang - wedge.bisector)), u))
+        if not admissible:
+            raise ForestError(
+                f"no admissible edge at vertex {cur} for wedge "
+                f"[{wedge.base:.6f}, +{wedge.width:.6f}]; "
+                f"neighbor star: {neighbors}")
+        admissible.sort()
+        chosen = next((u for _, u in admissible if u != avoid), admissible[0][1])
+        if chosen in visited:
+            raise ForestError(f"path revisited vertex {chosen}")
+        path.append(chosen)
+        visited.add(chosen)
+        if chosen in cap.rim_vertex_set or chosen in in_forest:
+            return path
+        cur = chosen
+    raise ForestError("path growth failed to terminate")
+
+
+def forest_growth_reference(cap, qs, max_retries: int = 50) -> SimpleNamespace:
+    """:func:`capunfold.forest.build_forest` grown path by path: q's own
+    walk first, then each quadrant's vertices, farthest from q first (ties
+    by label), each walking by :func:`grow_path` to the rim or the forest
+    grown so far.  A walk forced into q retries with nudged axes, as
+    ``build_forest`` does.  Returns ``parent``, ``quadrant_of_vertex``,
+    ``system`` and the number of ``retries``."""
+    from capunfold import forest as forest_mod
+    from capunfold.geom import unwrap_directions
+
+    def once(qs):
+        P = cap.vertices[:, :2]
+        q = qs.origin
+        parent, quadrant_of_vertex = {}, {}
+
+        def commit(path, quad):
+            for a, b in zip(path, path[1:]):
+                parent[a] = b
+                quadrant_of_vertex.setdefault(a, quad)
+
+        neighbors, _ = cap.vertex_fan(q)
+        d = P[neighbors] - P[q]
+        ang = np.arctan2(d[:, 1], d[:, 0])
+        i = qs.quadrant_of(ang)
+        off = np.abs(unwrap_directions(
+            ang, qs.base + i * qs.theta + 0.5 * qs.theta))
+        off[i < 0] = np.inf
+        if np.isinf(off.min(initial=np.inf)):
+            raise forest_mod.ForestError(
+                f"no edge at origin {q} lies in any quadrant")
+        quad0 = int(i[off.argmin()])
+        commit(grow_path(cap, parent, q, qs.quadrant(quad0)), quad0)
+        others = cap.interior_vertices[cap.interior_vertices != q]
+        d = P[others] - P[q]
+        order = np.lexsort((others, -np.hypot(d[:, 0], d[:, 1])))
+        quad = qs.quadrant_of(np.arctan2(d[:, 1], d[:, 0]))[order]
+        for i in range(4):
+            for v in others[order][quad == i].tolist():
+                if v in parent:
+                    continue
+                path = grow_path(cap, parent, v, qs.quadrant(i), avoid=q)
+                if q in path[1:]:
+                    raise forest_mod._RetryThroughOrigin(
+                        f"path from {v} forced through origin {q}")
+                commit(path, i)
+        missing = set(cap.interior_vertices.tolist()) - set(parent)
+        if missing:
+            raise forest_mod.ForestError(
+                f"forest failed to span vertices {sorted(missing)}")
+        return parent, quadrant_of_vertex
+
+    last_err = None
+    for retries in range(max_retries):
+        try:
+            parent, quadrant_of_vertex = once(qs)
+            return SimpleNamespace(parent=parent,
+                                   quadrant_of_vertex=quadrant_of_vertex,
+                                   system=qs, retries=retries)
+        except forest_mod._RetryThroughOrigin as err:
+            last_err = err
+            qs = forest_mod._settle_axes(cap, forest_mod.QuadrantSystem(
+                origin=qs.origin, theta=qs.theta,
+                gap_direction=qs.gap_direction + 37 * forest_mod._PERTURB))
+            if qs is None:
+                break
+    raise forest_mod.ForestError(
+        f"forest construction kept routing through the origin: {last_err}")
+
+
 def rim_fan(k: int, lift: float = 0.1) -> ConvexCap:
     """``k`` triangles around one centre vertex that touches every rim
     vertex: the longest star a cap of its size can have."""

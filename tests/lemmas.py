@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from capunfold.forest import verify_angle_monotone
 from capunfold.geom import EPS_GEOM, turn_angle, unwrap_directions
 from capunfold.mesh import ConvexCap
 from capunfold.monotone import _as_chain, is_radially_monotone
@@ -234,6 +233,25 @@ def distances_nondecreasing(points, source) -> bool:
     return bool(np.all(np.diff(d) >= -EPS_GEOM * max(1.0, d.max())))
 
 
+def verify_angle_monotone(points, theta: float) -> float | None:
+    """Certify that all edge directions of a planar polyline fit in a wedge
+    of width ``theta``: return the wedge base ``beta``, or ``None``.
+
+    Directions are unwrapped relative to the first edge, which is exact for
+    any ``theta < pi``.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 2:
+        raise ValueError("polyline needs at least one edge")
+    d = np.diff(pts, axis=0)
+    ang = np.arctan2(d[:, 1], d[:, 0])
+    rel = ang[0] + unwrap_directions(ang)
+    spread = float(rel.max() - rel.min())
+    if spread <= theta + EPS_GEOM:
+        return float(rel.min())
+    return None
+
+
 def angle_monotone_implies_rm(points, theta: float) -> bool:
     """Check the implication: a theta-monotone chain with theta <= 90deg is
     radially monotone.  A counterexample is a hard failure."""
@@ -275,6 +293,8 @@ def cone_of(points) -> Cone:
     return Cone(sigma_min=float(rel.min()), sigma_max=float(rel.max()))
 
 
-def within_bound(td) -> bool:
-    """Whether a :class:`capunfold.develop.TurnDistortion` keeps its bound."""
-    return td.max_abs <= td.bound + 1e-9
+def within_bound(td, metrics) -> bool:
+    """Whether a :class:`capunfold.develop.TurnDistortion` keeps the bound
+    3*delta_perp(Phi) + 2*Omega of its cap's
+    :class:`capunfold.mesh.CapMetrics`."""
+    return td.max_abs <= 3 * metrics.delta_perp_max + 2 * metrics.omega_total + 1e-9

@@ -9,11 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from capunfold import forest as forest_mod
 from capunfold import monotone as monotone_mod
 from capunfold import pipeline as pipeline_mod
 from capunfold import strips as strips_mod
 from capunfold.develop import develop_chain, layout_net, turn_distortion
-from capunfold.forest import build_forest, choose_origin, verify_angle_monotone
+from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.geom import delta_perp, omega_bound, phi_budget
 from capunfold.mesh import ConvexCap, compute_metrics
@@ -30,6 +31,7 @@ from lemmas import (
     angle_monotone_implies_rm,
     enclosed_curvature,
     total_turn,
+    verify_angle_monotone,
     vertex_point,
 )
 from test_develop import layout_reference, record_levels
@@ -349,6 +351,44 @@ class TestWorkCounts:
             all_pairs += (segs.sum() ** 2 - (segs ** 2).sum()) // 2
         assert all_pairs > 1e6
         assert sum(tested) < 0.05 * all_pairs, (sum(tested), all_pairs)
+
+    def test_forest_grows_level_by_level(self, monkeypatch):
+        # the forest walks every quadrant's vertices at once along its
+        # successor array: no vertex star is read one vertex at a time, and
+        # a quadrant takes no more levels than the longest leaf path
+        cap = generate_budget_cap(2000, seed=3)
+        qs = choose_origin(cap, "central")
+        fans, levels = [], []
+        fan = ConvexCap.vertex_fan
+        monkeypatch.setattr(ConvexCap, "vertex_fan", lambda self, v: (
+            fans.append(v), fan(self, v))[1])
+        walk = forest_mod._levels
+
+        def counted(*args):
+            for front in walk(*args):
+                levels.append(len(front))
+                yield front
+
+        monkeypatch.setattr(forest_mod, "_levels", counted)
+        forest = build_forest(cap, qs)
+        assert fans == []
+        longest = max(len(p) for p in forest.leaf_paths)
+        assert longest > 20
+        assert len(levels) <= 4 * (longest + 1), (len(levels), longest)
+        assert sum(levels) == len(cap.interior_vertices)  # each walked once
+
+    def test_origin_choice_evaluates_few_rim_pairs(self, monkeypatch):
+        # q comes from the points that can be nearest to or farthest from
+        # the rim, each against the rim segments that can be nearest to it
+        cap = generate_budget_cap(2000, seed=3)
+        kernel = forest_mod._segment_distances
+        pairs = []
+        monkeypatch.setattr(forest_mod, "_segment_distances", lambda *a: (
+            pairs.append(len(a[0])), kernel(*a))[1])
+        choose_origin(cap, "central")
+        interior = len(cap.interior_vertices)
+        assert len(cap.rim) > 100
+        assert sum(pairs) <= 2 * interior, (sum(pairs), interior)
 
     def test_layout_makes_one_pass_per_level(self, monkeypatch):
         cap, forest = self._cap()

@@ -27,6 +27,7 @@ from capunfold.develop import (
 )
 from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
+from capunfold.geom import turn_angle
 from capunfold.mesh import ConvexCap, compute_metrics
 
 from fixtures import (adjacency_reference, flat_hex_disk, oracle_set,
@@ -108,23 +109,41 @@ class TestDevelopChain:
 class TestTurnDistortion:
     def test_near_flat_cap_has_tiny_distortion(self):
         cap = generate_cap(70, phi=2 * DEG, seed=5)
+        metrics = compute_metrics(cap)
         forest = build_forest(cap, choose_origin(cap, "central"))
         for path in forest_paths(cap, forest):
             td = turn_distortion(cap, path)
             assert td.max_abs < 0.05
-            assert within_bound(td)
+            assert within_bound(td, metrics)
 
     def test_bound_holds_on_random_caps(self):
         for seed in range(6):
             cap, forest = sample_cap(seed=seed, phi=30 * DEG)
+            metrics = compute_metrics(cap)
             for path in forest_paths(cap, forest):
                 td = turn_distortion(cap, path)
-                assert within_bound(td), (seed, path, td.max_abs, td.bound)
+                assert within_bound(td, metrics), (seed, path, td.max_abs)
 
     def test_single_edge_path_has_no_turns(self):
         cap = pentagonal_pyramid()
         td = turn_distortion(cap, [5, 0])
         assert td.max_abs == 0.0
+
+    def test_prefixes_match_scalar_turn_angle(self):
+        # one vectorized pass over a path's own edges gives the prefixes
+        # the scalar turn_angle of each interior vertex gives, within ulps
+        for cap, forest in oracle_set()[::7]:
+            P = cap.vertices[:, :2]
+            for path in forest.leaf_paths:
+                td = turn_distortion(cap, path)
+                cp = path_angles(cap, path)
+                k = len(path) - 1
+                planar = [turn_angle(P[a], P[b], P[c])
+                          for a, b, c in zip(path, path[1:], path[2:])]
+                left = np.cumsum(math.pi - cp.lam[1:k] - planar)
+                right = np.cumsum(cp.rho[1:k] - math.pi - planar)
+                assert td.prefix_left == pytest.approx(left, rel=0, abs=1e-13)
+                assert td.prefix_right == pytest.approx(right, rel=0, abs=1e-13)
 
 
 class TestLayoutNet:

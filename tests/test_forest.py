@@ -1,10 +1,12 @@
 """Quadrant system, origin choice, path growth, spanning forest."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from capunfold import forest as forest_mod
 from capunfold.forest import (
     ForestError,
     QuadrantSystem,
@@ -12,13 +14,15 @@ from capunfold.forest import (
     build_forest,
     choose_origin,
     gap_is_empty,
-    grow_path,
-    verify_angle_monotone,
     verify_forest,
 )
 from capunfold.generate import generate_budget_cap, generate_cap
+from capunfold.geom import Wedge
 from capunfold.mesh import compute_metrics
-from fixtures import DEG, forest_reference, oracle_set, pentagonal_pyramid
+from fixtures import (DEG, forest_growth_reference, forest_reference,
+                      grow_path, large_net_cap, oracle_set, pentagonal_pyramid,
+                      quarter_turn)
+from lemmas import verify_angle_monotone
 
 
 class TestQuadrantSystem:
@@ -105,16 +109,14 @@ class TestChooseOrigin:
                     == choose_origin(cap, mode))
 
     def test_central_fallback_reuses_rim_distances(self, monkeypatch):
-        from capunfold import forest as forest_mod
-
         # seen from the innermost vertex of a dense cap, no vertex-free
         # angular interval is wide enough for the gap cone, so central falls
         # back to the boundary-nearest vertex, from the same rim distances
         cap = generate_budget_cap(150, seed=2)
         P = cap.vertices[:, :2]
-        dists, _ = forest_mod._rim_distances(P[cap.interior_vertices],
-                                             P[cap.rim])
-        innermost = int(cap.interior_vertices[np.argmax(dists)])
+        _, far, _ = forest_mod._rim_distances(P[cap.interior_vertices],
+                                              P[cap.rim])
+        innermost = int(cap.interior_vertices[far])
         calls = []
         rim_distances = forest_mod._rim_distances
         monkeypatch.setattr(forest_mod, "_rim_distances", lambda *a: (
@@ -124,19 +126,97 @@ class TestChooseOrigin:
         assert qs.origin != innermost
         assert qs == choose_origin(cap, mode="closest_to_boundary")
 
+    def test_rim_distances_match_dense_reference(self):
+        # the pruned kernel evaluates the pairs that can decide the nearest
+        # and farthest point, with the arithmetic of a dense pass over all,
+        # and aims q's gap cone with the bits of a segment-by-segment scan
+        for cap, _ in oracle_set():
+            P = cap.vertices[:, :2]
+            pts, rim = P[cap.interior_vertices], P[cap.rim]
+            got = forest_mod._rim_distances(pts, rim)
+            assert got[:2] == rim_distances_reference(pts, rim)[:2]
+            assert got == rim_scan_reference(pts, rim)
+
+    def test_gap_direction_keeps_the_scan_bits(self):
+        # elementwise arithmetic gives this cap's nearest vertex another
+        # direction by 7.8e-16, which moves three faces to another strip
+        cap = generate_budget_cap(200, seed=71)
+        P = cap.vertices[:, :2]
+        pts, rim = P[cap.interior_vertices], P[cap.rim]
+        dense = rim_distances_reference(pts, rim)
+        scan = rim_scan_reference(pts, rim)
+        assert dense[:2] == scan[:2] and dense[2] != scan[2]
+        assert forest_mod._rim_distances(pts, rim) == scan
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             choose_origin(pentagonal_pyramid(), mode="random")
 
 
+def rim_distances_reference(pts, rim_pts):
+    """Every point against every rim segment, elementwise: the index of the
+    point nearest to the rim and of the farthest (first of ties), and the
+    direction from the nearest toward the first of its nearest segments."""
+    a = rim_pts[None, :, :]
+    ab = np.roll(rim_pts, -1, axis=0)[None, :, :] - a
+    p = pts[:, None, :]
+    w = p - a
+    t = np.clip((w[..., 0] * ab[..., 0] + w[..., 1] * ab[..., 1])
+                / (ab[..., 0] * ab[..., 0] + ab[..., 1] * ab[..., 1]), 0.0, 1.0)
+    delta = a + t[..., None] * ab - p
+    d = np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1])
+    seg = d.argmin(axis=1)
+    best = d[np.arange(len(pts)), seg]
+    near = int(best.argmin())
+    dx, dy = delta[near, seg[near]]
+    return near, int(best.argmax()), float(np.arctan2(dy, dx))
+
+
+def rim_scan_reference(pts, rim_pts):
+    """The rim segments one at a time, each against all points by a matvec,
+    keeping a point's first nearest segment: the indices of the nearest and
+    farthest point and the direction from the nearest toward the rim."""
+    a = rim_pts
+    ab = np.roll(rim_pts, -1, axis=0) - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    best_d = np.full(len(pts), np.inf)
+    best_dir = np.zeros(len(pts))
+    for j in range(len(a)):
+        t = np.clip((pts - a[j]) @ ab[j] / denom[j], 0.0, 1.0)
+        delta = a[j] + t[:, None] * ab[j] - pts
+        d = np.linalg.norm(delta, axis=1)
+        better = d < best_d
+        best_d[better] = d[better]
+        best_dir[better] = np.arctan2(delta[better, 1], delta[better, 0])
+    near = int(np.argmin(best_d))
+    return near, int(np.argmax(best_d)), float(best_dir[near])
+
+
 class TestGrowPath:
+    """The successor table against the neighbour-by-neighbour walk."""
+
     def test_pyramid_apex_reaches_rim_in_one_edge(self):
         cap = pentagonal_pyramid()
         qs = choose_origin(cap)
-        path = grow_path(cap, set(), 5, qs.quadrant(0))
-        assert len(path) == 2
-        assert path[0] == 5
-        assert path[1] in cap.rim_vertex_set
+        nxt = forest_mod._successors(cap, qs, forest_mod._star_directions(cap))
+        for i in range(4):
+            path = grow_path(cap, set(), 5, qs.quadrant(i), avoid=5)
+            assert len(path) == 2
+            assert path == [5, nxt[i, 5]]
+            assert path[1] in cap.rim_vertex_set
+
+    def test_every_step_is_the_greedy_one(self):
+        # a walk stopped after one step by a forest that holds every vertex
+        for cap, forest in oracle_set()[::9]:
+            qs = forest.system
+            nxt = forest_mod._successors(cap, qs,
+                                         forest_mod._star_directions(cap))
+            everything = set(range(cap.n_vertices))
+            for i in range(4):
+                want = [grow_path(cap, everything, v, qs.quadrant(i),
+                                  avoid=qs.origin)[1]
+                        for v in cap.interior_vertices.tolist()]
+                assert nxt[i, cap.interior_vertices].tolist() == want
 
     def test_paths_certify(self):
         cap = generate_budget_cap(120, seed=4)
@@ -147,12 +227,81 @@ class TestGrowPath:
             assert verify_angle_monotone(P[path], qs.theta) is not None
 
     def test_impossible_wedge_errors(self):
+        # a zero-width wedge aimed between the apex edges: no admissible step
         cap = pentagonal_pyramid()
-        from capunfold.geom import Wedge
+        qs = ZeroWidth(*dataclasses.astuple(choose_origin(cap)))
+        nxt = forest_mod._successors(cap, qs, forest_mod._star_directions(cap))
+        assert (nxt[:, 5] == -1).all()
+        with pytest.raises(ForestError) as ref:
+            grow_path(cap, set(), 5, qs.quadrant(0))
+        with pytest.raises(ForestError) as ref_build:
+            forest_growth_reference(cap, qs)
+        with pytest.raises(ForestError) as got:
+            build_forest(cap, qs)
+        assert str(ref.value).startswith("no admissible edge at vertex 5 ")
+        assert str(got.value) == str(ref_build.value) == str(ref.value)
 
-        with pytest.raises(ForestError):
-            # zero-width wedge aimed between edges: no admissible step
-            grow_path(cap, set(), 5, Wedge(base=0.123, width=1e-9))
+
+class ZeroWidth(QuadrantSystem):
+    """A frame whose every quadrant is one zero-width wedge."""
+
+    def quadrant(self, i):
+        return Wedge(base=0.123, width=1e-9)
+
+
+class Swapped(QuadrantSystem):
+    """A frame whose quadrant i walks in the wedge of quadrant i + 2, so
+    its vertices walk toward q."""
+
+    def quadrant(self, i):
+        return super().quadrant((i + 2) % 4)
+
+
+class TestForestGrowth:
+    """The level-wise closures against the path-by-path growth."""
+
+    @staticmethod
+    def _same(cap, forest):
+        ref = forest_growth_reference(cap, forest.system)
+        assert ref.retries == 0
+        assert forest.parent == ref.parent
+        assert forest.quadrant_of_vertex == ref.quadrant_of_vertex
+        assert forest.system == ref.system
+
+    def test_oracle_set(self):
+        for cap, forest in oracle_set():
+            self._same(cap, forest)
+
+    def test_large_net_at_four_quarter_turns(self):
+        for k in range(4):
+            cap = quarter_turn(large_net_cap(), k)
+            self._same(cap, build_forest(cap, choose_origin(cap, "central")))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_n20000(self, seed):
+        cap = generate_budget_cap(20000, seed=seed)
+        self._same(cap, build_forest(cap, choose_origin(cap, "central")))
+
+    @pytest.mark.parametrize("n, seed", [(60, 0), (200, 1)])
+    def test_walk_into_q_retries_alike(self, n, seed):
+        cap = generate_budget_cap(n, seed=seed)
+        qs = Swapped(*dataclasses.astuple(choose_origin(cap, "central")))
+        with pytest.raises(ForestError) as ref:
+            forest_growth_reference(cap, qs, max_retries=1)
+        with pytest.raises(ForestError) as got:
+            build_forest(cap, qs, max_retries=1)
+        assert "forced through origin" in str(ref.value)
+        assert str(got.value) == str(ref.value)
+        # the retry runs in nudged plain axes, the same for both
+        ref = forest_growth_reference(cap, qs)
+        forest = build_forest(cap, qs)
+        assert ref.retries == 1
+        assert type(forest.system) is QuadrantSystem
+        assert forest.system == ref.system
+        assert forest.system.gap_direction != qs.gap_direction
+        assert forest.parent == ref.parent
+        assert forest.quadrant_of_vertex == ref.quadrant_of_vertex
+        assert verify_forest(cap, forest) == []
 
 
 class TestBuildForest:

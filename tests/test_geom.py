@@ -24,8 +24,10 @@ from capunfold.geom import (
     signed_turn,
     turn_angle,
     unwrap_directions,
-    wedge_contains,
 )
+from capunfold.forest import _in_wedge
+
+from fixtures import wedge_contains
 
 DEG = math.pi / 180.0
 
@@ -203,37 +205,58 @@ class TestBudgets:
             assert exact == pytest.approx(alpha, rel=5e-3)
 
 
+def contains(wedge, direction):
+    """The scalar wedge rule, checked against the forest successor
+    kernel's array rule on the same direction."""
+    want = wedge_contains(wedge, direction)
+    assert bool(_in_wedge(wedge, np.array([direction]))[0]) == want
+    return want
+
+
 class TestWedge:
     def test_contains_basics(self):
         w = Wedge(base=0.0, width=math.pi / 2)
-        assert wedge_contains(w, 0.0)
-        assert wedge_contains(w, math.pi / 4)
-        assert wedge_contains(w, math.pi / 2)
-        assert not wedge_contains(w, math.pi / 2 + 1e-6)
-        assert not wedge_contains(w, -1e-6 - 1e-9)
+        assert contains(w, 0.0)
+        assert contains(w, math.pi / 4)
+        assert contains(w, math.pi / 2)
+        assert not contains(w, math.pi / 2 + 1e-6)
+        assert not contains(w, -1e-6 - 1e-9)
 
     def test_contains_wraps(self):
         w = Wedge(base=7 * math.pi / 4, width=math.pi / 2)
-        assert wedge_contains(w, 0.0)
-        assert wedge_contains(w, 2 * math.pi)
-        assert wedge_contains(w, math.pi / 8)
-        assert not wedge_contains(w, math.pi / 2)
+        assert contains(w, 0.0)
+        assert contains(w, 2 * math.pi)
+        assert contains(w, math.pi / 8)
+        assert not contains(w, math.pi / 2)
 
     def test_eps_slack(self):
         w = Wedge(base=0.0, width=1.0)
-        assert wedge_contains(w, 1.0 + 1e-12)
+        assert contains(w, 1.0 + 1e-12)
         assert wedge_contains(w, 1.0 + 0.5, slack=0.5)
 
     @given(st.floats(-10, 10), st.floats(0.1, 6.0), st.floats(0, 1))
     def test_interior_sample_always_contained(self, base, width, frac):
         width = min(width, 2 * math.pi - 1e-9)
         w = Wedge(base=base, width=width)
-        assert wedge_contains(w, base + frac * width)
+        assert contains(w, base + frac * width)
 
     def test_degenerate_ray(self):
         w = Wedge(base=1.0, width=0.0)
-        assert wedge_contains(w, 1.0)
-        assert not wedge_contains(w, 1.1)
+        assert contains(w, 1.0)
+        assert not contains(w, 1.1)
+
+
+def test_wedge_array_rule_matches_scalar_rule():
+    # every direction, also within an ulp of both wedge ends and their wraps
+    for base, width in ((0.3, 1.5), (-2.9, 1.52), (5.9, 0.01)):
+        w = Wedge(base=base, width=width)
+        ends = [base + k * 2 * math.pi + e + s * 1e-9 for k in (-1, 0, 1)
+                for e in (0.0, width) for s in (-1, 0, 1)]
+        ang = np.concatenate([np.linspace(-8, 8, 4001), ends,
+                              np.nextafter(ends, np.inf),
+                              np.nextafter(ends, -np.inf)])
+        got = _in_wedge(w, ang)
+        assert got.tolist() == [wedge_contains(w, a) for a in ang.tolist()]
 
 
 class TestHelpers:

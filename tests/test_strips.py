@@ -3,8 +3,9 @@ import math
 import numpy as np
 
 from capunfold.develop import layout_net
-from capunfold.forest import build_forest, choose_origin, verify_angle_monotone
+from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
+from capunfold.geom import EPS_GEOM
 from capunfold import strips as strips_mod
 from capunfold.strips import (
     Strip,
@@ -21,8 +22,9 @@ from capunfold.strips import (
     waterfall_strips,
 )
 
-from fixtures import (adjacency_reference, flat_hex_disk, oracle_set,
-                      pentagonal_pyramid)
+from fixtures import (adjacency_reference, flat_hex_disk, large_net_cap,
+                      oracle_set, pentagonal_pyramid, quarter_turn)
+from lemmas import verify_angle_monotone
 
 DEG = math.pi / 180
 
@@ -301,6 +303,25 @@ class TestArrayPassesAgainstReference:
             for i in range(4):
                 pls = [wp.points for wp in system.paths[i]]
                 assert _crossing_pairs(pls) == crossing_reference(pls)
+
+    def test_direction_cones_match_per_path_reference(self):
+        # one pass over all waterfall paths gives each the verdict of the
+        # per-path check, also on the caps where some path fails it
+        caps = [generate_budget_cap(300, seed=s) for s in (17, 23)]
+        caps += [quarter_turn(large_net_cap(), k) for k in (0, 1)]
+        sets = list(oracle_set()) + [
+            (cap, build_forest(cap, choose_origin(cap, "central")))
+            for cap in caps]
+        failed = 0
+        for cap, forest in sets:
+            theta = forest.system.theta
+            paths = waterfall_strips(cap, forest).paths
+            pls = [wp.points for i in range(4) for wp in paths[i]]
+            got = strips_mod._direction_spreads(pls) <= theta + EPS_GEOM
+            want = [verify_angle_monotone(p, theta) is not None for p in pls]
+            assert got.tolist() == want
+            failed += want.count(False)
+        assert failed >= 4
 
     def test_crossing_polylines_are_reported(self):
         zig = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
