@@ -2,7 +2,8 @@
 certificates, render SVG/OBJ artifacts, and print mesh statistics.
 
 Exit codes: 0 every certificate proven, 1 clean net with certificate
-warnings (tilt over budget), 2 overlap or any error.
+warnings (tilt over budget), 2 overlap or any error, 3 clean net with a
+failed certificate (status ``certificate_failed``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from .svgout import render_forest_svg, render_net_svg
 EXIT_PROVEN = 0
 EXIT_EMPIRICAL = 1
 EXIT_FAIL = 2
+EXIT_CERTIFICATE = 3
+
+EXIT_CODES = ("exit codes: 0 proven_clean (every certificate proven), "
+              "1 empirical_clean (clean net, certificate warnings: tilt over "
+              "budget), 2 overlap or error, 3 certificate_failed (clean net, "
+              "but a certificate recorded an error)")
 
 DEG = math.pi / 180
 
@@ -45,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="capunfold",
         description="Unfold nearly flat convex caps into non-overlapping "
-                    "planar nets, with certificates.")
+                    "planar nets, with certificates.",
+        epilog=EXIT_CODES)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     g = sub.add_parser("generate", help="generate a random cap")
@@ -68,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("unfold", cmd_unfold, "run the full pipeline and write artifacts"),
             ("verify", cmd_verify, "run the pipeline, report certificates only"),
             ("render", cmd_render, "render SVG/OBJ for a cap")):
-        c = sub.add_parser(name, help=hlp)
+        c = sub.add_parser(name, help=hlp, epilog=EXIT_CODES)
         c.add_argument("--input", type=Path, default=None,
                        help="OFF or OBJ mesh file")
         c.add_argument("--n", type=int, default=None,
@@ -228,12 +236,13 @@ def _metrics_dict(cap) -> dict:
     }
 
 
+_EXIT_OF_STATUS = {"proven_clean": EXIT_PROVEN,
+                   "empirical_clean": EXIT_EMPIRICAL,
+                   "certificate_failed": EXIT_CERTIFICATE}
+
+
 def _triage(result) -> int:
-    if result.diagnostics["status"] == "proven_clean":
-        return EXIT_PROVEN
-    if result.diagnostics["status"] == "empirical_clean":
-        return EXIT_EMPIRICAL
-    return EXIT_FAIL
+    return _EXIT_OF_STATUS.get(result.diagnostics["status"], EXIT_FAIL)
 
 
 def _verify_one(job) -> dict:
@@ -259,6 +268,8 @@ def _verify_suite(args) -> int:
     print(json.dumps({"runs": rows, "counts": counts}, indent=2))
     if counts.get("error") or counts.get("overlap"):
         return EXIT_FAIL
+    if counts.get("certificate_failed"):
+        return EXIT_CERTIFICATE
     if counts.get("empirical_clean"):
         return EXIT_EMPIRICAL
     return EXIT_PROVEN

@@ -311,7 +311,7 @@ def _segment_circle_ts(a, b, c, r, e) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def left_of(A, B=None, check: str = "angle", strict: bool = False):
+def left_of(A, B=None, check: str = "angle"):
     """Is chain ``A`` weakly left of chain ``B`` seen from their common
     source?
 
@@ -326,9 +326,9 @@ def left_of(A, B=None, check: str = "angle", strict: bool = False):
 
     Given a list of ``(A, B)`` pairs as ``A`` and no ``B``, returns one
     verdict per pair, ``None`` for a pair with a chain that is not radially
-    monotone (with ``strict``, that raises as it does for one pair).  Any
-    other failure raises the exception that the first failing pair raises
-    on its own.
+    monotone.  Any other failure raises the exception that the first
+    failing pair raises on its own.  The certificates call it so on the
+    leaf developments and on the cut banks of every leaf path.
     """
     if B is not None:
         (out,) = _left_of_all([(A, B)], check)
@@ -337,8 +337,8 @@ def left_of(A, B=None, check: str = "angle", strict: bool = False):
         return out
     outs = _left_of_all(A, check)
     for out in outs:
-        if isinstance(out, Exception) and (
-                strict or not isinstance(out, NotRadiallyMonotoneError)):
+        if (isinstance(out, Exception)
+                and not isinstance(out, NotRadiallyMonotoneError)):
             raise out
     return [None if isinstance(out, Exception) else out for out in outs]
 

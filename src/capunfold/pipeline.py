@@ -52,7 +52,7 @@ class UnfoldResult:
 
     @property
     def proven(self) -> bool:
-        return self.clean and not self.diagnostics["warnings"]
+        return self.diagnostics["status"] == "proven_clean"
 
 
 def cut_and_unfold(cap: ConvexCap, origin_mode: str = "central",
@@ -92,7 +92,8 @@ def cut_and_unfold(cap: ConvexCap, origin_mode: str = "central",
 
     diag["status"] = (
         "overlap" if not report.clean
-        else ("proven_clean" if not diag["warnings"] else "empirical_clean"))
+        else "certificate_failed" if diag["errors"]
+        else "proven_clean" if not diag["warnings"] else "empirical_clean")
     return UnfoldResult(cap=cap, forest=forest, strips=strips, net=net,
                         diagnostics=diag)
 

@@ -11,8 +11,10 @@ store whole triangles, assigned by which side of the paths their projected
 centroid lies; the actual cuts remain exactly the forest edges, and the
 paths only dictate strip ordering and certificates.  Pocket repair and the
 connectivity certificate find the components of all strips in one pass over
-the cap's face-neighbour array; the noncrossing certificate sweeps each
-quadrant's path segments once.
+the cap's face-neighbour array.  Each path keeps the exact oblique points it
+was built from, a staircase nondecreasing in both coordinates; the path
+certificates are decided on those points (one merge per consecutive pair),
+and the global points serve output and face assignment only.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .forest import QuadrantSystem, SpanningForest
-from .geom import EPS_GEOM, corner_angles, direction_spreads, points_close
+from .geom import corner_angles, points_close
 from .mesh import ConvexCap
-from .monotone import left_of
 
 
 class StripError(RuntimeError):
@@ -36,10 +37,13 @@ class StripError(RuntimeError):
 
 @dataclass(frozen=True)
 class WaterfallPath:
-    """Polyline from q out to a leaf (global planar coordinates)."""
+    """Polyline from q out to a leaf: the oblique (a, b) points of its
+    quadrant's frame it was built from, and the global planar points
+    derived from them."""
 
     leaf: int
     points: np.ndarray          # (k, 2), q first, leaf last
+    ab: np.ndarray              # (k, 2), (0, 0) first, leaf last
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,7 @@ def _quadrant_paths(cap: ConvexCap, forest: SpanningForest, quadrant: int,
         ab = np.array([p for j, p in enumerate(ab_pts)
                        if j == 0 or not points_close(p, ab_pts[j - 1])])
         pts = _to_global(_cartesian(ab, theta), origin, rot)
-        out.append(WaterfallPath(leaf=leaves[i - 1], points=pts))
+        out.append(WaterfallPath(leaf=leaves[i - 1], points=pts, ab=ab))
         env = _pl_max(env, _path_graph(ab))
     return out, eps, r
 
@@ -352,70 +356,40 @@ def _label_components(cap: ConvexCap, code: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _segments_cross(p1, d1, p3, d2):
-    """Proper crossing of segments ``p1 + t d1`` and ``p3 + u d2``, per item."""
-    tol = 1e-12
-    den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    w = p3 - p1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (w[..., 0] * d2[..., 1] - w[..., 1] * d2[..., 0]) / den
-        u = (w[..., 0] * d1[..., 1] - w[..., 1] * d1[..., 0]) / den
-    ok = np.abs(den) >= tol
-    return ok & (t > tol) & (t < 1 - tol) & (u > tol) & (u < 1 - tol)
+def _staircase(ab: np.ndarray) -> bool:
+    """No step of the path decreases a or b, and none is zero: the path is
+    angle-monotone in its quadrant's wedge, so simple and radially
+    monotone."""
+    d = np.diff(ab, axis=0)
+    return bool((d >= 0).all() and d.any(axis=1).all())
 
 
-_SWEEP_CHUNK = 1 << 15   # candidate segment pairs per exact-test batch
+def _heights(ab: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest b of a staircase from (0, 0) at each abscissa
+    ``x`` >= 0, the path held at its leaf's height beyond its leaf."""
+    a, b = ab[:, 0], ab[:, 1]
+    lo = np.searchsorted(a, x, side="left")        # first vertex at or past x
+    hi = np.searchsorted(a, x, side="right") - 1   # last vertex at or before x
+    low, high = b[np.minimum(lo, len(a) - 1)], b[hi]
+    inside = (lo > hi) & (lo < len(a))   # strictly between vertices hi, lo
+    lo, hi, x = lo[inside], hi[inside], x[inside]
+    low[inside] = high[inside] = (
+        b[hi] + (x - a[hi]) / (a[lo] - a[hi]) * (b[lo] - b[hi]))
+    return low, high
 
 
-def _crossing_pairs(polylines: list[np.ndarray]) -> list[tuple[int, int]]:
-    """Sorted pairs (j, k), j < k, of polylines that properly cross.  A sort
-    by left end and sweep (after Bentley & Ottmann) finds the segment pairs
-    whose x-extents meet; those of two polylines whose y-extents also meet
-    get the exact test of :func:`_segments_cross`, in fixed-size batches."""
-    if len(polylines) < 2:
-        return []
-    owner = np.repeat(np.arange(len(polylines)),
-                      [len(p) - 1 for p in polylines])
-    a = np.concatenate([p[:-1] for p in polylines])
-    b = np.concatenate([p[1:] for p in polylines])
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    by_x = np.argsort(lo[:, 0], kind="stable")
-    # segment by_x[p] meets by_x[p+1 : p+1+count[p]] in x
-    pos = np.arange(len(by_x))
-    count = np.searchsorted(lo[by_x, 0], hi[by_x, 0], side="right") - pos - 1
-    batches = np.searchsorted(np.cumsum(count),
-                              np.arange(_SWEEP_CHUNK, count.sum(), _SWEEP_CHUNK))
-    found = []
-    for p in np.split(pos, batches):
-        first = np.repeat(np.cumsum(count[p]) - count[p], count[p])
-        i = np.repeat(p, count[p])
-        i, k = by_x[i], by_x[i + 1 + np.arange(len(i)) - first]
-        keep = ((owner[i] != owner[k]) & (lo[i, 1] <= hi[k, 1])
-                & (lo[k, 1] <= hi[i, 1]))
-        i, k = i[keep], k[keep]
-        hit = _segments_cross(a[i], b[i] - a[i], a[k], b[k] - a[k])
-        found.append(np.sort(np.stack([owner[i[hit]], owner[k[hit]]], 1), 1))
-    pairs = np.unique(np.concatenate(found), axis=0)
-    return [(int(j), int(k)) for j, k in pairs]
-
-
-def _direction_spreads(polylines) -> np.ndarray:
-    """Width of the cone of edge directions of each planar polyline, all
-    polylines in one pass."""
-    sizes = np.array([len(p) for p in polylines], dtype=np.intp)
-    if (sizes < 2).any():
-        raise ValueError("polyline needs at least one edge")
-    d = np.diff(np.concatenate(polylines or [np.zeros((0, 2))]), axis=0)
-    d = np.delete(d, np.cumsum(sizes)[:-1] - 1, axis=0)
-    return direction_spreads(np.arctan2(d[:, 1], d[:, 0]),
-                             np.cumsum(sizes - 1) - (sizes - 1))
+def _ordered(lower: np.ndarray, upper: np.ndarray) -> bool:
+    """Is staircase ``upper`` nowhere below staircase ``lower``?  Both are
+    linear between the abscissae of their vertices, so comparing the lowest
+    point of one with the highest of the other at each of those decides."""
+    x = np.union1d(lower[:, 0], upper[:, 0])
+    return bool((_heights(upper, x)[0] >= _heights(lower, x)[1]).all())
 
 
 def strip_certificates(cap: ConvexCap, forest: SpanningForest,
                        system: StripSystem, net) -> dict:
     """Certificate bundle for the strip partition."""
     qs = forest.system
-    theta = qs.theta
     out: dict = {"errors": []}
 
     # partition + area tiling
@@ -435,39 +409,26 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
     if out["area_relative_error"] > 1e-6:
         out["errors"].append("strip areas do not tile the cap")
 
-    # boundaries: theta-monotone, pairwise noncrossing, ordered; every
-    # consecutive pair of every quadrant in one left_of call
-    pairs = []
-    for i in range(4):
-        ps = system.paths[i]
-        for j in range(len(ps) - 1):
-            upper = ps[j + 1].points.copy()
-            upper[0] = ps[j].points[0]
-            pairs.append((upper, ps[j].points))
-    # a waterfall path that is not radially monotone raises, as before
-    ordered = iter(left_of(pairs, strict=True))
-    monotone = iter(_direction_spreads(
-        [wp.points for i in range(4) for wp in system.paths[i]]) <= theta + EPS_GEOM)
+    # boundaries: every path a staircase, and every path nowhere below the
+    # one before it, which orders them all and so keeps any two from crossing
     out["paths_monotone"] = True
     out["paths_noncrossing"] = True
     out["paths_ordered"] = True
     for i in range(4):
         ps = system.paths[i]
-        for wp in ps:
-            if not next(monotone):
+        monotone = [_staircase(wp.ab) for wp in ps]
+        for wp, ok in zip(ps, monotone):
+            if not ok:
                 out["paths_monotone"] = False
                 out["errors"].append(
                     f"waterfall path to leaf {wp.leaf} not angle-monotone")
-        for j, k in _crossing_pairs([wp.points for wp in ps]):
-            out["paths_noncrossing"] = False
-            out["errors"].append(
-                f"waterfall paths cross in quadrant {i} "
-                f"(leaves {ps[j].leaf}, {ps[k].leaf})")
         for j in range(len(ps) - 1):
-            if not next(ordered)[0]:
+            if not (monotone[j] and monotone[j + 1]
+                    and _ordered(ps[j].ab, ps[j + 1].ab)):
                 out["paths_ordered"] = False
                 out["errors"].append(
                     f"quadrant {i}: path {j + 1} not left of path {j}")
+    out["paths_noncrossing"] = out["paths_ordered"]
 
     # strip content: each strip's faces share one edge-connected component
     out["strips_connected"] = True

@@ -316,8 +316,8 @@ def large_net_cap() -> ConvexCap:
 
 def turned_defect_cap() -> ConvexCap:
     """``generate_budget_cap(500, seed=9)`` turned about z by
-    5.612820548402247 rad: within the tilt budget, yet one of its waterfall
-    paths is not simple, so the certify stage raises."""
+    5.612820548402247 rad: within the tilt budget, yet the rounded global
+    points of one of its waterfall paths are not simple."""
     from capunfold.generate import generate_budget_cap
 
     cap = generate_budget_cap(500, seed=9)
@@ -332,9 +332,11 @@ def turned_defect_cap() -> ConvexCap:
 def certificate_pairs():
     """Every chain pair the certificates hand to ``left_of``, per family:
     ``"chains"`` (left and right developments of each leaf path, angle
-    check), ``"banks"`` (the two net banks of each leaf path, oracle check)
-    and ``"waterfall"`` (consecutive waterfall paths of each quadrant,
-    angle check), over the :func:`oracle_set` caps, the
+    check) and ``"banks"`` (the two net banks of each leaf path, oracle
+    check); and, as more test data for the kernel, ``"waterfall"``
+    (the global points of consecutive waterfall paths of each quadrant,
+    angle check, which the certificates decide on the paths' oblique
+    points instead); over the :func:`oracle_set` caps, the
     ``generate_budget_cap(5000, seed=0)`` cap at all four quarter turns and
     :func:`turned_defect_cap`."""
     from capunfold.develop import (bank_chains, develop_chain, layout_net,

@@ -4,11 +4,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from capunfold import cli, pipeline
 from capunfold.cli import main
+from capunfold.generate import generate_budget_cap
 from capunfold.mesh import ConvexCap
 from capunfold.meshio import save_mesh
 
-from fixtures import flat_hex_disk, pentagonal_pyramid, turned_defect_cap
+from fixtures import flat_hex_disk, pentagonal_pyramid
+from test_pipeline import inject_strip_error
 
 
 def run(args):
@@ -107,13 +110,25 @@ class TestUnfold:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == f"{mesh}: {message}"
 
-    def test_pipeline_error_names_its_stage(self, tmp_path, capsys):
-        mesh = tmp_path / "turned.off"
-        save_mesh(mesh, turned_defect_cap())
+    def test_pipeline_error_names_its_stage(self, tmp_path, capsys,
+                                            monkeypatch):
+        def fail(*args):
+            raise ValueError("chain is not simple")
+
+        monkeypatch.setattr(pipeline, "banks_ordered", fail)
+        mesh = tmp_path / "cap.off"
+        save_mesh(mesh, generate_budget_cap(60, seed=0))
         assert run(["unfold", "--input", mesh, "--out-dir", tmp_path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["stage"] == "certify"
         assert err["error"].startswith("[certify] chain is not simple")
+
+    def test_certificate_failure_exit_three(self, tmp_path, monkeypatch):
+        inject_strip_error(monkeypatch)
+        assert run(["unfold", "--n", 50, "--seed", 3,
+                    "--out-dir", tmp_path]) == 3
+        d = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert d["status"] == "certificate_failed"
 
     def test_requires_one_input_source(self, tmp_path):
         assert run(["unfold", "--out-dir", tmp_path]) == 2
@@ -131,6 +146,25 @@ class TestVerify:
         d = json.loads(capsys.readouterr().out)
         assert len(d["runs"]) == 3
         assert d["counts"] == {"proven_clean": 3}
+
+    def test_suite_counts_certificate_failures(self, capsys, monkeypatch):
+        # the workers fork from this process, so they see the patch
+        inject_strip_error(monkeypatch)
+        assert run(["verify", "--n", 30, "--suite", 2, "--jobs", 2]) == 3
+        d = json.loads(capsys.readouterr().out)
+        assert d["counts"] == {"certificate_failed": 2}
+        # an error or overlap run still exits 2
+        generate = cli._generate
+
+        def seed_zero_fails(n, phi, seed):
+            if seed == 0:
+                raise RuntimeError("no cap for seed 0")
+            return generate(n, phi, seed)
+
+        monkeypatch.setattr(cli, "_generate", seed_zero_fails)
+        assert run(["verify", "--n", 30, "--suite", 2, "--jobs", 2]) == 2
+        d = json.loads(capsys.readouterr().out)
+        assert d["counts"] == {"error": 1, "certificate_failed": 1}
 
     def test_suite_rejects_rasterize(self, capsys):
         assert run(["verify", "--n", 30, "--suite", 2, "--rasterize"]) == 2

@@ -204,13 +204,12 @@ def kernel_outcomes(pairs, check):
             for o in monotone_mod._left_of_all(pairs, check)]
 
 
-def batch_expected(ref, strict=False):
+def batch_expected(ref):
     """What ``left_of(pairs)`` must do, given the per-pair reference
     outcomes: raise the first failure (other than a chain that is not
-    radially monotone, unless strict) or give the verdicts with None."""
+    radially monotone) or give the verdicts with None."""
     for o in ref:
-        if isinstance(o[0], str) and (
-                strict or o[0] != "NotRadiallyMonotoneError"):
+        if isinstance(o[0], str) and o[0] != "NotRadiallyMonotoneError":
             return o
     return [None if isinstance(o[0], str) else o for o in ref]
 
@@ -243,8 +242,6 @@ class TestBatchedKernel:
                 or ("ValueError", "chain is not simple") in ref)
         assert kernel_outcomes(pairs, check) == ref
         assert outcome(left_of, pairs, check=check) == batch_expected(ref)
-        assert outcome(left_of, pairs, check=check, strict=True) == \
-            batch_expected(ref, strict=True)
 
     def test_chains_match_reference(self):
         chains = [c for family, _ in FAMILIES
@@ -323,10 +320,8 @@ class TestBatchedKernel:
         for pairs in cases:
             ref = [outcome(reference.left_of, a, b) for a, b in pairs]
             assert kernel_outcomes(pairs, "angle") == ref
-            for strict in (False, True):
-                assert outcome(left_of, pairs, strict=strict) == \
-                    batch_expected(ref, strict=strict), (pairs, strict)
+            assert outcome(left_of, pairs) == batch_expected(ref), pairs
         assert left_of(cases[-1]) == [(True, None), None]
         with pytest.raises(NotRadiallyMonotoneError):
-            left_of(cases[-1], strict=True)
+            left_of(*cases[-1][1])
         assert left_of([]) == []

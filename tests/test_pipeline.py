@@ -233,9 +233,34 @@ class TestCertifyFailureOrder:
             "[certify] chain is not simple"
 
 
-@pytest.mark.xfail(strict=True, raises=PipelineError,
-                   reason="a waterfall path of this turned cap is not simple "
-                          "(a rounding-dependent verdict), so certify raises "
-                          "'chain is not simple'")
 def test_turned_cap_certifies():
-    cut_and_unfold(turned_defect_cap())
+    # its rounded waterfall points once made a path read as not simple
+    d = cut_and_unfold(turned_defect_cap()).diagnostics
+    assert (d["status"], d["errors"]) == ("proven_clean", [])
+
+
+def inject_strip_error(monkeypatch):
+    """Make every strip certificate bundle record one error."""
+    certify = pipeline.strip_certificates
+
+    def failing(*args):
+        out = certify(*args)
+        out["errors"].append("injected strip error")
+        out["clean"] = False
+        return out
+
+    monkeypatch.setattr(pipeline, "strip_certificates", failing)
+
+
+@pytest.mark.parametrize("cap", [generate_budget_cap(60, seed=0),
+                                 pentagonal_pyramid()],
+                         ids=["proven", "empirical"])
+def test_certificate_error_fails_the_status(monkeypatch, cap):
+    # a clean net whose errors list is not empty is neither proven nor
+    # empirically clean, with or without warnings
+    inject_strip_error(monkeypatch)
+    res = cut_and_unfold(cap)
+    d = res.diagnostics
+    assert d["errors"] == ["injected strip error"]
+    assert d["status"] == "certificate_failed"
+    assert res.clean and not res.proven

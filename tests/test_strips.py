@@ -1,22 +1,26 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from capunfold.develop import layout_net
 from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
-from capunfold.geom import EPS_GEOM
+from capunfold.monotone import left_of
 from capunfold import strips as strips_mod
 from capunfold.strips import (
     Strip,
     StripError,
+    WaterfallPath,
     _assign_faces,
-    _crossing_pairs,
+    _cartesian,
     _oblique,
+    _ordered,
     _path_graph,
     _quadrant_frame,
     _repair_connectivity,
-    _segments_cross,
+    _staircase,
+    _to_global,
     _to_local,
     strip_certificates,
     waterfall_strips,
@@ -52,12 +56,17 @@ class TestWaterfallPaths:
 
     def test_paths_run_from_origin_to_their_leaves(self):
         cap, forest, net, system = unfolded(seed=1)
-        q = forest.system.origin
+        qs = forest.system
         P = cap.vertices[:, :2]
         for i in range(4):
             for wp in system.paths[i]:
-                assert np.allclose(wp.points[0], P[q], atol=1e-12)
+                assert np.allclose(wp.points[0], P[qs.origin], atol=1e-12)
                 assert np.allclose(wp.points[-1], P[wp.leaf], atol=1e-12)
+                # the global points are the oblique ones, mapped once
+                assert wp.ab[0].tolist() == [0.0, 0.0]
+                assert np.array_equal(wp.points, _to_global(
+                    _cartesian(wp.ab, qs.theta), P[qs.origin],
+                    _quadrant_frame(qs, i)))
 
     def test_every_nonorigin_leaf_gets_a_path(self):
         cap, forest, net, system = unfolded(seed=2)
@@ -279,11 +288,23 @@ def repair_reference(cap, strip_of):
     raise StripError("strip connectivity repair did not converge")
 
 
+def segments_cross(p1, d1, p3, d2):
+    """Proper crossing of segments ``p1 + t d1`` and ``p3 + u d2``, per item."""
+    tol = 1e-12
+    den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    w = p3 - p1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (w[..., 0] * d2[..., 1] - w[..., 1] * d2[..., 0]) / den
+        u = (w[..., 0] * d1[..., 1] - w[..., 1] * d1[..., 0]) / den
+    ok = np.abs(den) >= tol
+    return ok & (t > tol) & (t < 1 - tol) & (u > tol) & (u < 1 - tol)
+
+
 def polylines_cross(A, B):
     """Brute-force proper-crossing test between two polylines, over all
     their segment pairs at once."""
-    return bool(_segments_cross(A[:-1][:, None], (A[1:] - A[:-1])[:, None],
-                                B[:-1][None], (B[1:] - B[:-1])[None]).any())
+    return bool(segments_cross(A[:-1][:, None], (A[1:] - A[:-1])[:, None],
+                               B[:-1][None], (B[1:] - B[:-1])[None]).any())
 
 
 def crossing_reference(polylines):
@@ -293,52 +314,149 @@ def crossing_reference(polylines):
             if polylines_cross(polylines[j], polylines[k])]
 
 
+def ordered_reference(lower, upper):
+    """Is no point of staircase ``upper`` strictly below a point of
+    ``lower`` at the same abscissa?  Every pair of segments, in exact
+    rationals, each path extended by a level segment beyond its leaf."""
+    far = max(lower[-1, 0], upper[-1, 0]) + 1
+
+    def segments(ab):
+        pts = [(Fraction(a), Fraction(b)) for a, b in ab.tolist()]
+        pts.append((Fraction(far), pts[-1][1]))
+        return list(zip(pts, pts[1:]))
+
+    def span(seg, x):
+        (a0, b0), (a1, b1) = seg
+        if a0 == a1:
+            return b0, b1
+        y = b0 + (x - a0) / (a1 - a0) * (b1 - b0)
+        return y, y
+
+    for s in segments(upper):
+        for t in segments(lower):
+            x0, x1 = max(s[0][0], t[0][0]), min(s[1][0], t[1][0])
+            if x0 <= x1 and any(span(s, x)[0] < span(t, x)[1]
+                                for x in (x0, x1)):
+                return False
+    return True
+
+
+def random_staircase(rng, k):
+    """k steps from (0, 0), each a or b or both by 1 or 2, so that every
+    height the certificate interpolates is exact."""
+    steps = rng.integers(0, 3, size=(k, 2)).astype(float)
+    steps[~steps.any(axis=1), 0] = 1.0
+    return np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+
+
+def staircase_system(cap, forest, quadrant, abs_):
+    """The strip system of ``cap`` with ``quadrant``'s paths replaced by
+    the oblique staircases ``abs_``."""
+    qs = forest.system
+    origin = cap.vertices[qs.origin, :2]
+    system = waterfall_strips(cap, forest)
+    system.paths[quadrant] = [
+        WaterfallPath(leaf=k, ab=ab, points=_to_global(
+            _cartesian(ab, qs.theta), origin, _quadrant_frame(qs, quadrant)))
+        for k, ab in enumerate(abs_)]
+    return system
+
+
 class TestArrayPassesAgainstReference:
     def test_repair_and_crossings_match_loop_references(self):
+        # the staircase order of every consecutive pair agrees with left_of
+        # on the global points, and no two paths of an ordered quadrant
+        # cross by the all-pairs test
         for cap, forest in oracle_set():
             system = waterfall_strips(cap, forest)
             assigned = _assign_faces(cap, forest, system.paths)
             assert (_repair_connectivity(cap, assigned)
                     == repair_reference(cap, assigned) == system.strip_of)
             for i in range(4):
-                pls = [wp.points for wp in system.paths[i]]
-                assert _crossing_pairs(pls) == crossing_reference(pls)
+                ps = system.paths[i]
+                got = [_ordered(lo.ab, up.ab) for lo, up in zip(ps, ps[1:])]
+                pairs = []
+                for lo, up in zip(ps, ps[1:]):
+                    upper = up.points.copy()
+                    upper[0] = lo.points[0]
+                    pairs.append((upper, lo.points))
+                assert got == [v is not None and v[0] for v in left_of(pairs)]
+                assert all(got)
+                assert crossing_reference([wp.points for wp in ps]) == []
 
     def test_direction_cones_match_per_path_reference(self):
-        # one pass over all waterfall paths gives each the verdict of the
-        # per-path check, also on the caps where some path fails it
-        caps = [generate_budget_cap(300, seed=s) for s in (17, 23)]
-        caps += [quarter_turn(large_net_cap(), k) for k in (0, 1)]
-        sets = list(oracle_set()) + [
-            (cap, build_forest(cap, choose_origin(cap, "central")))
-            for cap in caps]
-        failed = 0
-        for cap, forest in sets:
+        # a staircase in its quadrant's oblique frame is a path whose global
+        # edge directions fit in theta; the per-path cone check on the
+        # global points agrees, except on the paths whose rounded points
+        # leave the cone by about 1e-9 rad (the staircases hold exactly)
+        caps = {(17,): generate_budget_cap(300, seed=17),
+                (23,): generate_budget_cap(300, seed=23)}
+        caps.update({(5000, k): quarter_turn(large_net_cap(), k)
+                     for k in (0, 1, 2)})
+        rounded = {(17,): [205], (23,): [213], (5000, 0): [809],
+                   (5000, 1): [809], (5000, 2): [2175]}
+        sets = [(None, cap, forest) for cap, forest in oracle_set()] + [
+            (name, cap, build_forest(cap, choose_origin(cap, "central")))
+            for name, cap in caps.items()]
+        for name, cap, forest in sets:
             theta = forest.system.theta
             paths = waterfall_strips(cap, forest).paths
-            pls = [wp.points for i in range(4) for wp in paths[i]]
-            got = strips_mod._direction_spreads(pls) <= theta + EPS_GEOM
-            want = [verify_angle_monotone(p, theta) is not None for p in pls]
-            assert got.tolist() == want
-            failed += want.count(False)
-        assert failed >= 4
+            wps = [wp for i in range(4) for wp in paths[i]]
+            assert all(_staircase(wp.ab) for wp in wps)
+            cone = [wp.leaf for wp in wps
+                    if verify_angle_monotone(wp.points, theta) is None]
+            assert cone == rounded.get(name, []), name
 
     def test_crossing_polylines_are_reported(self):
-        zig = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
-        flat = np.array([[-1.0, 0.5], [4.0, 0.5]])
-        high = np.array([[0.0, 2.0], [3.0, 2.0]])
-        touch = np.array([[1.0, 1.0], [1.5, 1.8]])   # meets zig at a vertex
-        pls = [zig, high, flat, touch]
-        assert _crossing_pairs(pls) == crossing_reference(pls) == [(0, 2)]
-        assert _crossing_pairs([flat, zig]) == [(0, 1)]
-        assert _crossing_pairs([zig]) == []
+        cap, forest, net, system = unfolded(seed=3)
+        i = max(range(4), key=lambda k: len(system.paths[k]))
+        ps = system.paths[i]
+        assert len(ps) >= 3
+        # consecutive paths swapped: the pair is out of order
+        swapped = [wp.ab for wp in ps]
+        swapped[1], swapped[2] = swapped[2], swapped[1]
+        cert = strip_certificates(
+            cap, forest, staircase_system(cap, forest, i, swapped), net)
+        assert not cert["paths_ordered"] and not cert["paths_noncrossing"]
+        assert cert["paths_monotone"]
+        assert f"quadrant {i}: path 2 not left of path 1" in cert["errors"]
+        # two staircases that properly cross, and one touching the lower
+        # from above at a vertex
+        r = system.radius[i]
+        low = r * np.array([[0, 0], [1, 0], [1, 1], [3, 1], [3, 2.0]])
+        cross = r * np.array([[0, 0], [2, 0.5], [2, 3.0]])
+        touch = r * np.array([[0, 0], [0, 1], [1, 1], [4, 4.0]])
+        cert = strip_certificates(
+            cap, forest, staircase_system(cap, forest, i, [low, cross]), net)
+        assert not cert["paths_noncrossing"] and not cert["clean"]
+        assert cert["errors"] == [f"quadrant {i}: path 1 not left of path 0"]
+        sys_cross = staircase_system(cap, forest, i, [low, cross, touch])
+        assert crossing_reference(
+            [wp.points for wp in sys_cross.paths[i]]) == [(0, 1), (1, 2)]
+        assert (_ordered(low, cross), _ordered(low, touch)) == (False, True)
+        assert ordered_reference(low, touch)
+        assert not ordered_reference(low, cross)
+        # a path that repeats a point or steps back in a is no staircase,
+        # nor ordered
+        assert not _staircase(np.vstack([low[:2], low[1:]]))
+        back = r * np.array([[0, 0], [0, 2], [2, 3], [1.5, 4.0]])
+        cert = strip_certificates(
+            cap, forest, staircase_system(cap, forest, i, [low, back]), net)
+        assert cert["errors"] == [
+            "waterfall path to leaf 1 not angle-monotone",
+            f"quadrant {i}: path 1 not left of path 0"]
 
-    def test_crossing_sweep_matches_all_pairs_on_random_polylines(self):
+    def test_staircase_order_matches_exact_reference(self):
         rng = np.random.default_rng(2)
-        for _ in range(30):
-            pls = [np.cumsum(rng.normal(size=(int(rng.integers(2, 7)), 2)),
-                             axis=0) for _ in range(int(rng.integers(0, 9)))]
-            assert _crossing_pairs(pls) == crossing_reference(pls)
+        verdicts = set()
+        for _ in range(300):
+            lower, upper = (random_staircase(rng, int(rng.integers(1, 7)))
+                            for _ in range(2))
+            assert _staircase(lower) and _staircase(upper)
+            got = _ordered(lower, upper)
+            assert got == ordered_reference(lower, upper), (lower, upper)
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_strip_split_into_two_pockets_is_repaired(self):
         # a ring of six faces, face k next to k-1 and k+1: strips A and B
