@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -97,7 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
             c.add_argument("--suite", type=int, default=None, metavar="K",
                            help="verify K generated caps (seeds 0..K-1) "
                                 "in parallel")
-            c.add_argument("--jobs", type=int, default=None)
+            c.add_argument("--jobs", type=int, default=None, metavar="J",
+                           help="with --suite: at most J worker processes "
+                                "(J >= 1; default one per CPU), never more "
+                                "than K")
         else:
             c.add_argument("--out-dir", type=Path, default=Path("."))
         c.set_defaults(func=fn)
@@ -162,10 +166,14 @@ def cmd_unfold(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite is None and args.jobs is not None:
+        raise ValueError("--jobs needs --suite")
     if args.suite is not None:
         if args.suite < 1 or args.input is not None or args.rasterize:
             raise ValueError("--suite needs K >= 1 and takes neither "
                              "--input nor --rasterize")
+        if args.jobs is not None and args.jobs < 1:
+            raise ValueError("--jobs needs J >= 1")
         return _verify_suite(args)
     cap = _load_or_generate(args)
     result = cut_and_unfold(cap, origin_mode=args.origin_mode,
@@ -260,7 +268,9 @@ def _verify_suite(args) -> int:
         raise ValueError("--suite requires --n")
     jobs = [(args.n, args.phi, seed, args.origin_mode)
             for seed in range(args.suite)]
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at once, so never more than K
+    workers = min(args.jobs or os.cpu_count() or 1, args.suite)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(_verify_one, jobs))
     counts: dict[str, int] = {}
     for row in rows:

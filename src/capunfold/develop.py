@@ -3,9 +3,10 @@
 Cutting every forest edge leaves a simply connected surface whose loops
 enclose no interior vertex (the forest spans them all), so developing faces
 across uncut edges is path-independent and the net is well defined by a
-single breadth-first unfolding.  Cut paths additionally get their classical
-left/right chain developments, turn-distortion accounting, and bank
-extraction for the left-of certificates.
+single breadth-first unfolding.  The leaf-to-rim cut paths additionally
+get their classical left/right chain developments, turn-distortion
+accounting and net banks for the left-of certificates, all paths at once
+over the forest table.
 """
 
 from __future__ import annotations
@@ -19,142 +20,111 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from .forest import SpanningForest
-from .geom import points_close, unwrap_directions
+from .geom import unwrap_directions
 from .mesh import ConvexCap
 from .monotone import left_of
 
 
 # --------------------------------------------------------------------------
-# cut-path surface angles
+# leaf-path developments, every path at once over the forest table
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CutPath:
-    """Leaf-to-rim cut path with per-vertex surface angles.
+def _path_cumsum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of every path's run ``x[offsets[j]:offsets[j+1]]`` in
+    one pass: the runs are padded with zeros into one (paths, longest) array,
+    whose rows add up in the order each run alone adds up."""
+    lens = np.diff(offsets)
+    inside = np.arange(lens.max(initial=0)) < lens[:, None]
+    pad = np.zeros(inside.shape + x.shape[1:])
+    pad[inside] = x
+    return np.cumsum(pad, axis=1)[inside]
 
-    ``lam[i]``, ``rho[i]``, ``omega[i]`` are the left angle, right angle and
-    curvature at interior path vertex ``i`` (1 <= i <= k-1); entries 0 and k
-    are zero placeholders.
+
+def _path_positions(forest: SpanningForest) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``forest.path_vertices`` that have an edge to the next
+    one (all but each path's root), and the interior ones among them (not
+    the leaf either)."""
+    off = forest.path_offsets
+    step = np.ones(off[-1], dtype=bool)
+    step[off[1:] - 1] = False
+    inner = step.copy()
+    inner[off[:-1]] = False
+    return np.flatnonzero(step), np.flatnonzero(inner)
+
+
+def _leaving_directions(forest: SpanningForest, positions) -> np.ndarray:
+    """Planar direction of the forest edge leaving each of these positions
+    in ``forest.path_vertices``."""
+    return forest.directions[np.searchsorted(
+        forest.edges[:, 0], forest.path_vertices[positions])]
+
+
+def path_turns(cap: ConvexCap, forest: SpanningForest) -> np.ndarray:
+    """Turns of the left and right developments of every leaf path, (2,
+    len(forest.path_vertices)) aligned with ``path_vertices``, ccw positive:
+    ``pi - lam`` and ``rho - pi`` at an interior path vertex whose surface
+    angle left of the path is ``lam`` and right of it ``rho``, 0 at each
+    path's two ends.
+
+    ``lam`` sweeps the vertex star counterclockwise from the outgoing edge
+    back to the incoming one, so ``lam + omega + rho == 2*pi``.
     """
-
-    vertices: tuple[int, ...]
-    lam: np.ndarray
-    rho: np.ndarray
-    omega: np.ndarray
-
-
-def path_angles(cap: ConvexCap, vertices) -> CutPath:
-    """Split the full surface angle at each interior path vertex into the
-    part left of the path and the part right of it.
-
-    At every such vertex ``lam + omega + rho == 2*pi``.
-    """
-    vs = [int(v) for v in vertices]
-    if len(vs) < 2:
-        raise ValueError("cut path needs at least one edge")
-    a, b = vs[:-1], vs[1:]
-    missing = np.flatnonzero(
-        cap.side_faces(a + b, b + a).reshape(2, -1).max(axis=0) < 0)
-    if len(missing):
-        i = missing[0]
-        raise ValueError(f"path edge ({a[i]}, {b[i]}) is not a mesh edge")
-    k = len(vs) - 1
-    lam = np.zeros(k + 1)
-    rho = np.zeros(k + 1)
-    omega = np.zeros(k + 1)
-    for i in range(1, k):
-        v = vs[i]
-        if v in cap.rim_vertex_set:
-            raise ValueError(f"path interior vertex {v} lies on the rim")
-        cone = cap.fan_total(v)
-        omega[i] = 2 * math.pi - cone
-        neighbors, theta = cap.vertex_fan(v)
-        t_prev = theta[neighbors.index(vs[i - 1])]
-        t_next = theta[neighbors.index(vs[i + 1])]
-        # ccw fan: the angle left of the travel direction sweeps from the
-        # outgoing edge counterclockwise back to the incoming edge
-        lam[i] = (t_prev - t_next) % cone
-        rho[i] = cone - lam[i]
-    return CutPath(vertices=tuple(vs), lam=lam, rho=rho, omega=omega)
+    pv = forest.path_vertices
+    _, inner = _path_positions(forest)
+    v = pv[inner]
+    cone = cap.fan_totals()[v]
+    lam = (cap.star_angles(v, pv[inner - 1])
+           - cap.star_angles(v, pv[inner + 1])) % cone
+    turns = np.zeros((2, len(pv)))
+    turns[0, inner] = math.pi - lam
+    turns[1, inner] = (cone - lam) - math.pi
+    return turns
 
 
-def _cut_path(cap: ConvexCap, path) -> CutPath:
-    """``path`` itself if it is a :class:`CutPath`, else its surface angles."""
-    return path if isinstance(path, CutPath) else path_angles(cap, path)
+def turn_distortion(forest: SpanningForest, turns: np.ndarray) -> float:
+    """Largest difference, over every prefix of every leaf path and both
+    sides, between the cumulative turning of the developed chain (``turns``
+    of :func:`path_turns`) and that of the projected path, whose edge
+    directions the forest table holds.  The bound it must keep,
+    3*delta_perp(Phi) + 2*Omega, is the cap's (see
+    :class:`capunfold.mesh.CapMetrics`)."""
+    step, inner = _path_positions(forest)
+    ang = np.zeros(len(forest.path_vertices))
+    ang[step] = _leaving_directions(forest, step)
+    planar = np.zeros(len(ang))
+    planar[inner] = unwrap_directions(ang[inner], ang[inner - 1])
+    prefix = _path_cumsum((turns - planar).T, forest.path_offsets)
+    return float(np.abs(prefix).max(initial=0.0))
 
 
-def develop_chain(cap: ConvexCap, path, side: str) -> np.ndarray:
-    """Isometric planar development of a cut path along one of its banks.
-
-    ``path`` is a vertex list or the :class:`CutPath` of one.
+def develop_chain(cap: ConvexCap, forest: SpanningForest, turns: np.ndarray,
+                  side: str) -> np.ndarray:
+    """Isometric planar development of every leaf path along one of its
+    banks, (len(forest.path_vertices), 2) aligned with ``path_vertices``.
 
     The right chain starts along the projected direction of the first edge;
     the left chain starts rotated counterclockwise by the leaf curvature
     (opening the leaf cone flat separates the two copies of the first edge
-    by exactly that defect).  Turn at interior vertex i is ``pi - lam[i]``
-    on the left and ``rho[i] - pi`` on the right (ccw positive).
+    by exactly that defect).  Each then turns by its row of ``turns`` (see
+    :func:`path_turns`) at every interior vertex.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    cp = _cut_path(cap, path)
-    vs = np.asarray(cp.vertices)
     V = cap.vertices
-    lengths = np.linalg.norm(V[vs[1:]] - V[vs[:-1]], axis=1)
-    d0 = V[vs[1], :2] - V[vs[0], :2]
-    heading = math.atan2(d0[1], d0[0])
-    k = len(vs) - 1
+    pv, off = forest.path_vertices, forest.path_offsets
+    first, (step, _) = off[:-1], _path_positions(forest)
+    heading = turns[int(side == "right")].copy()
+    heading[first] = _leaving_directions(forest, first)
     if side == "left":
-        leaf = int(vs[0])
-        if leaf not in cap.rim_vertex_set:
-            heading += cap.vertex_curvature(leaf)
-        turns = math.pi - cp.lam[1:k]
-    else:
-        turns = cp.rho[1:k] - math.pi
-    headings = np.cumsum(np.concatenate([[heading], turns]))
-    steps = lengths[:, None] * np.column_stack([np.cos(headings),
-                                                np.sin(headings)])
-    return np.cumsum(np.vstack([V[vs[0], :2], steps]), axis=0)
-
-
-# --------------------------------------------------------------------------
-# turn distortion
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TurnDistortion:
-    """Prefix-wise turn difference between a developed cut path and its
-    planar projection; the bound it must keep, 3*delta_perp(Phi) + 2*Omega,
-    is the cap's (see :class:`capunfold.mesh.CapMetrics`)."""
-
-    prefix_left: np.ndarray
-    prefix_right: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        vals = [0.0]
-        if len(self.prefix_left):
-            vals.append(float(np.abs(self.prefix_left).max()))
-        if len(self.prefix_right):
-            vals.append(float(np.abs(self.prefix_right).max()))
-        return max(vals)
-
-
-def turn_distortion(cap: ConvexCap, path) -> TurnDistortion:
-    """Compare the cumulative turning of each developed chain against the
-    projected path (a vertex list or its :class:`CutPath`), prefix by
-    prefix."""
-    cp = _cut_path(cap, path)
-    k = len(cp.vertices) - 1
-    d = np.diff(cap.vertices[list(cp.vertices), :2], axis=0)
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    planar = unwrap_directions(ang[1:], ang[:-1])
-    tau_left = math.pi - cp.lam[1:k]
-    tau_right = cp.rho[1:k] - math.pi
-    prefix_left = np.cumsum(tau_left - planar) if k > 1 else np.zeros(0)
-    prefix_right = np.cumsum(tau_right - planar) if k > 1 else np.zeros(0)
-    return TurnDistortion(prefix_left=prefix_left, prefix_right=prefix_right)
+        heading[first] += 2 * math.pi - cap.fan_totals()[pv[first]]
+    heading = _path_cumsum(heading, off)[step]
+    lengths = np.linalg.norm(V[pv[step + 1]] - V[pv[step]], axis=1)
+    x = np.empty((len(pv), 2))
+    x[first] = V[pv[first], :2]
+    x[step + 1] = lengths[:, None] * np.column_stack([np.cos(heading),
+                                                      np.sin(heading)])
+    return _path_cumsum(x, off)
 
 
 # --------------------------------------------------------------------------
@@ -283,8 +253,11 @@ def net_congruent(cap: ConvexCap, net: Net, tol: float = 1e-9) -> bool:
 # --------------------------------------------------------------------------
 
 
-def bank_chains(cap: ConvexCap, net: Net, vertices) -> tuple[np.ndarray, np.ndarray]:
-    """Planar images of the two banks of a cut path as placed in the net.
+def _banks(cap: ConvexCap, net: Net,
+           forest: SpanningForest) -> tuple[np.ndarray, np.ndarray]:
+    """Planar images of the left and right banks of every leaf path as
+    placed in the net, each (len(forest.path_vertices), 2) aligned with
+    ``path_vertices``.
 
     The left bank reads each path vertex out of the face lying left of the
     corresponding directed edge; where a junction splits the surrounding fan
@@ -293,51 +266,52 @@ def bank_chains(cap: ConvexCap, net: Net, vertices) -> tuple[np.ndarray, np.ndar
     upper envelope), which removes the micro radial dips the opened junction
     gaps introduce.
     """
-    vs = np.asarray(vertices, dtype=np.intp)
-    a, b = vs[:-1], vs[1:]
-    steps = np.arange(len(a))
-    out = []
+    pv, off = forest.path_vertices, forest.path_offsets
+    first, last = off[:-1], off[1:] - 1
+    step, _ = _path_positions(forest)
+    a, b = pv[step], pv[step + 1]
     # the face left of each path edge holds it forwards, the right one back
-    for fs in (cap.side_faces(a, b), cap.side_faces(b, a)):
-        corners = cap.triangles[fs]
-        img = np.stack([net.placed[f] for f in fs.tolist()])
-        start = img[steps, (corners == a[:, None]).argmax(axis=1)]
-        end = img[steps, (corners == b[:, None]).argmax(axis=1)]
+    faces = cap.side_faces(np.r_[a, b], np.r_[b, a])
+    corners = cap.triangles[faces]
+    img = np.stack([net.placed[f] for f in faces.tolist()])
+    k = np.arange(len(faces))
+    starts = img[k, (corners == np.r_[a, a][:, None]).argmax(axis=1)]
+    ends = img[k, (corners == np.r_[b, b][:, None]).argmax(axis=1)]
+    lens = np.diff(off)
+    out = []
+    for e in (slice(0, len(step)), slice(len(step), None)):
+        # at each position, the image of its vertex in the face of the edge
+        # leaving it (nxt) and of the edge arriving at it (prev)
+        nxt = np.zeros((len(pv), 2))
+        prev = np.zeros((len(pv), 2))
+        nxt[step], prev[step + 1] = starts[e], ends[e]
+        src = np.repeat(nxt[first], lens, axis=0)
         # at an interior path vertex the next face's image of it is a
         # second point unless it is within 1e-12 of this face's (as
         # points_close); the one farther from the leaf is kept
-        prev, nxt = end[:-1], start[1:]
         apart = np.any(np.abs(nxt - prev) > 1e-12 + 1e-5 * np.abs(prev),
                        axis=1)
-        farther = (np.linalg.norm(nxt - start[0], axis=1)
-                   > np.linalg.norm(prev - start[0], axis=1))
-        mid = np.where((apart & farther)[:, None], nxt, prev)
-        out.append(np.vstack([start[:1], mid, end[-1:]]))
+        farther = (np.linalg.norm(nxt - src, axis=1)
+                   > np.linalg.norm(prev - src, axis=1))
+        bank = np.where((apart & farther)[:, None], nxt, prev)
+        bank[first], bank[last] = nxt[first], prev[last]
+        out.append(bank)
     return out[0], out[1]
 
 
-def banks_ordered(cap: ConvexCap, net: Net, vertices):
-    """left_of certificate for the two banks of one leaf-to-root cut path.
-
-    Given a list of paths, one verdict per path, ``None`` where a bank is
-    not radially monotone, from one :func:`left_of` call; a failure raises
-    as it would on the first failing path alone."""
-    many = len(vertices) == 0 or np.ndim(vertices[0]) > 0
-    pairs = []
-    try:
-        for path in (vertices if many else [vertices]):
-            L, R = bank_chains(cap, net, path)
-            if not points_close(L[0], R[0], atol=1e-9):
-                raise RuntimeError("cut banks do not share the leaf image")
-            R = R.copy()
-            R[0] = L[0]
-            pairs.append((L, R))
-    except Exception:
-        left_of(pairs, check="oracle")   # an earlier path's failure first
-        raise
-    if many:
-        return left_of(pairs, check="oracle")
-    return left_of(*pairs[0], check="oracle")
+def banks_ordered(cap: ConvexCap, net: Net, forest: SpanningForest) -> list:
+    """left_of certificate for the two net banks of every leaf path, from one
+    :func:`left_of` call: one verdict per path, ``None`` where the banks do
+    not share the leaf image or break a precondition of left_of."""
+    L, R = _banks(cap, net, forest)
+    first, split = forest.path_offsets[:-1], forest.path_offsets[1:-1]
+    # the leaf images agree as points_close(L, R, atol=1e-9) has it
+    shared = np.all(np.abs(L[first] - R[first])
+                    <= 1e-9 + 1e-5 * np.abs(R[first]), axis=1)
+    R[first] = L[first]
+    verdicts = left_of(list(zip(np.split(L, split), np.split(R, split))),
+                       check="oracle")
+    return [v if ok else None for v, ok in zip(verdicts, shared.tolist())]
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "EPS_GEOM",
     "Wedge",
-    "angle_between",
     "corner_angles",
     "delta_perp",
     "direction_spreads",
@@ -22,8 +21,6 @@ __all__ = [
     "omega_bound",
     "phi_budget",
     "points_close",
-    "project_angle",
-    "signed_turn",
     "turn_angle",
     "unwrap_directions",
 ]
@@ -69,22 +66,6 @@ def points_close(p, q, atol: float = 1e-8) -> bool:
             and abs(p[1] - q[1]) <= atol + 1e-5 * abs(q[1]))
 
 
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Unsigned angle between two vectors (2D or 3D), robust near 0 and pi."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("zero-length vector has no direction")
-    # atan2 form avoids the acos precision cliff near parallel/antiparallel.
-    if u.shape[-1] == 2:
-        cross = abs(u[0] * v[1] - u[1] * v[0])
-    else:
-        cross = float(np.linalg.norm(np.cross(u, v)))
-    return math.atan2(cross, float(np.dot(u, v)))
-
-
 def corner_angles(tris) -> np.ndarray:
     """Interior angles of a batch of triangles: (m, 3, d) corners, 2D or 3D,
     to (m, 3) angles, entry ``[f, i]`` at corner ``i`` of triangle ``f``."""
@@ -96,22 +77,18 @@ def corner_angles(tris) -> np.ndarray:
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-def signed_turn(d_in: np.ndarray, d_out: np.ndarray) -> float:
-    """Signed CCW turn in the plane from heading d_in to heading d_out, in (-pi, pi]."""
-    a_in = math.atan2(d_in[1], d_in[0])
-    a_out = math.atan2(d_out[1], d_out[0])
-    return normalize_angle(a_out - a_in)
-
-
 def turn_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Signed CCW exterior (turn) angle at b for the planar polyline a->b->c.
+    """Signed CCW exterior (turn) angle at b for the planar polyline a->b->c,
+    in (-pi, pi].
 
     Zero for collinear continuation, +pi/2 for a left right-angle turn.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    return signed_turn(b - a, c - b)
+    d_in, d_out = b - a, c - b
+    return normalize_angle(math.atan2(d_out[1], d_out[0])
+                           - math.atan2(d_in[1], d_in[0]))
 
 
 def delta_perp(phi: float) -> float:
@@ -124,13 +101,6 @@ def delta_perp(phi: float) -> float:
         raise ValueError(f"phi must lie in [0, pi/2), got {phi}")
     s2 = math.sin(phi) ** 2
     return math.acos(s2 / (s2 - 2.0)) - math.pi / 2
-
-
-def project_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between the xy-projections of two 3D vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return angle_between(u[:2], v[:2])
 
 
 def omega_bound(phi: float) -> float:

@@ -29,7 +29,8 @@ class ConvexCap:
     :meth:`face_neighbors`, the rim and the edge count all come from it.
     :meth:`vertex_corners` reads one sort of the corners by vertex.  The
     counterclockwise star of every vertex is walked once, in flat arrays:
-    :meth:`vertex_fan`, the cone and rim angles and the curvatures read it.
+    :meth:`vertex_fan`, :meth:`star_angles`, the cone and rim angles and the
+    curvatures read it.
 
     Parameters
     ----------
@@ -83,7 +84,7 @@ class ConvexCap:
         Slot ``p`` of ``v`` (``_star_start[v] + p``) holds the neighbour where
         wedge ``p`` starts and the angle swept before it, summed one wedge at
         a time as a walk around ``v`` alone sums it; a last slot closes the
-        star."""
+        star.  ``_star_slot`` gives the slot of every corner."""
         # in a ccw triangle (v, a, b) the wedge at v runs ccw from v->a to
         # v->b; the next wedge is v's corner in the face across side b->v,
         # whose flat index is that of the side v->b.  Past an open end the
@@ -114,7 +115,10 @@ class ConvexCap:
                 f"fan at vertex {int(broken.min())} is not a single chain")
         self._star_nbr = nbr = np.append(a_of, -1)[corner]
         nbr[off[walked + 1] - 1] = b_of[corner[off[walked + 1] - 2]]
-        for arr in (self._angles, nbr, theta):
+        # the slot of every corner: each corner fills exactly one slot
+        self._star_slot = slot = np.empty(len(v_of), dtype=np.intp)
+        slot[corner[corner >= 0]] = np.flatnonzero(corner >= 0)
+        for arr in (self._angles, nbr, theta, slot):
             arr.flags.writeable = False
 
     # -- adjacency ---------------------------------------------------------
@@ -162,6 +166,14 @@ class ConvexCap:
         # for an interior vertex theta has one extra entry: the cone angle
         closed = v not in self.rim_vertex_set
         return self._star_nbr[s:e - closed].tolist(), self._star_theta[s:e]
+
+    def star_angles(self, v, u) -> np.ndarray:
+        """Angle swept in the star of ``v`` from its first edge to the edge
+        ``v -> u``, as :meth:`vertex_fan`'s ``theta`` gives it; elementwise
+        over arrays of vertex ids, NaN where no face holds the side
+        ``v -> u``."""
+        c = self._side_index_of(v, u)
+        return np.where(c >= 0, self._star_theta[self._star_slot[c]], np.nan)
 
     def fan_totals(self) -> np.ndarray:
         """Total intrinsic angle around every vertex: the cone angle inside,

@@ -43,8 +43,10 @@ _ANGLE_SLACK = math.sin(1e-9)
 
 def _as_chain(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-        raise ValueError("chain must be a sequence of >= 2 planar points")
+    if (pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2
+            or not np.isfinite(pts).all()):
+        raise ValueError("chain must be a sequence of >= 2 finite planar "
+                         "points")
     d = pts[1:] - pts[:-1]
     if np.any((d[:, 0] == 0.0) & (d[:, 1] == 0.0)):
         raise ValueError("chain has coincident consecutive points")
@@ -325,22 +327,18 @@ def left_of(A, B=None, check: str = "angle"):
     of near-coincident double points on chains read out of a net).
 
     Given a list of ``(A, B)`` pairs as ``A`` and no ``B``, returns one
-    verdict per pair, ``None`` for a pair with a chain that is not radially
-    monotone.  Any other failure raises the exception that the first
-    failing pair raises on its own.  The certificates call it so on the
-    leaf developments and on the cut banks of every leaf path.
+    verdict per pair, and never raises for a pair: ``None`` where the pair
+    fails a precondition (a malformed chain, no common source, a chain that
+    is not simple or not radially monotone).  The certificates call it so
+    on the leaf developments and on the cut banks of every leaf path.
     """
     if B is not None:
         (out,) = _left_of_all([(A, B)], check)
         if isinstance(out, Exception):
             raise out
         return out
-    outs = _left_of_all(A, check)
-    for out in outs:
-        if (isinstance(out, Exception)
-                and not isinstance(out, NotRadiallyMonotoneError)):
-            raise out
-    return [None if isinstance(out, Exception) else out for out in outs]
+    return [None if isinstance(out, Exception) else out
+            for out in _left_of_all(A, check)]
 
 
 def _left_of_all(pairs, check: str) -> list:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .develop import (
     Net,
     banks_ordered,
@@ -19,7 +21,7 @@ from .develop import (
     develop_chain,
     layout_net,
     net_congruent,
-    path_angles,
+    path_turns,
     rasterize_overlap_oracle,
     turn_distortion,
 )
@@ -157,34 +159,21 @@ def _forest(cap: ConvexCap, origin_mode: str, diag: dict, metrics):
 def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
              net: Net, diag: dict):
     m = diag["metrics"]
-    q = int(forest.system.origin)
 
     if not net_congruent(cap, net):
         diag["errors"].append("net placement not congruent to the surface")
 
-    # per-path certificates
+    # leaf-path certificates, every path at once over the forest table; a
+    # pair that breaks a precondition of left_of gives None, so the
+    # certificate fails (warning over budget, error within) instead of raising
     bound = 3 * m["delta_perp_max"] + 2 * m["omega_total"]
-    max_dq = 0.0
-    chain_pairs, paths = [], []
-    try:
-        for path in forest.leaf_paths:
-            cp = path_angles(cap, path)
-            td = turn_distortion(cap, cp)
-            max_dq = max(max_dq, td.max_abs)
-            chain_pairs.append((develop_chain(cap, cp, "left"),
-                                develop_chain(cap, cp, "right")))
-            paths.append(path)
-        # a chain or bank that is not radially monotone gives None: the
-        # certificate fails (warning over budget, error within) instead of
-        # raising
-        chains = left_of(chain_pairs)
-        banks = banks_ordered(cap, net, paths)
-    except Exception:
-        # raise the failure a leaf-by-leaf check meets first
-        for pair, path in zip(chain_pairs, paths):
-            left_of([pair])
-            banks_ordered(cap, net, [path])
-        raise
+    turns = path_turns(cap, forest)
+    max_dq = turn_distortion(forest, turns)
+    split = forest.path_offsets[1:-1]
+    chains = left_of(list(zip(
+        np.split(develop_chain(cap, forest, turns, "left"), split),
+        np.split(develop_chain(cap, forest, turns, "right"), split))))
+    banks = banks_ordered(cap, net, forest)
     paths_ordered = all(v is not None and v[0] for v in chains)
     banks_ok = all(v is not None and v[0] for v in banks)
     diag["paths"] = {

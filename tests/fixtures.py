@@ -328,34 +328,142 @@ def turned_defect_cap() -> ConvexCap:
     return ConvexCap(V, cap.triangles)
 
 
+def path_angles(cap, vertices) -> SimpleNamespace:
+    """Surface angles of one cut path, vertex by vertex from
+    :meth:`ConvexCap.vertex_fan`: ``lam[i]``, ``rho[i]``, ``omega[i]`` are
+    the left angle, right angle and curvature at interior path vertex ``i``
+    (1 <= i <= k-1), with ``lam + omega + rho == 2*pi``; entries 0 and k
+    are zero placeholders.  The reference of
+    :func:`capunfold.develop.path_turns`."""
+    vs = [int(v) for v in vertices]
+    if len(vs) < 2:
+        raise ValueError("cut path needs at least one edge")
+    a, b = vs[:-1], vs[1:]
+    missing = np.flatnonzero(
+        cap.side_faces(a + b, b + a).reshape(2, -1).max(axis=0) < 0)
+    if len(missing):
+        i = missing[0]
+        raise ValueError(f"path edge ({a[i]}, {b[i]}) is not a mesh edge")
+    k = len(vs) - 1
+    lam, rho, omega = np.zeros(k + 1), np.zeros(k + 1), np.zeros(k + 1)
+    for i in range(1, k):
+        v = vs[i]
+        if v in cap.rim_vertex_set:
+            raise ValueError(f"path interior vertex {v} lies on the rim")
+        cone = cap.fan_total(v)
+        omega[i] = 2 * math.pi - cone
+        neighbors, theta = cap.vertex_fan(v)
+        t_prev = theta[neighbors.index(vs[i - 1])]
+        t_next = theta[neighbors.index(vs[i + 1])]
+        # ccw fan: the angle left of the travel direction sweeps from the
+        # outgoing edge counterclockwise back to the incoming edge
+        lam[i] = (t_prev - t_next) % cone
+        rho[i] = cone - lam[i]
+    return SimpleNamespace(vertices=tuple(vs), lam=lam, rho=rho, omega=omega)
+
+
+def develop_chain(cap, vertices, side: str) -> np.ndarray:
+    """One cut path developed along one bank, the path's own arrays only:
+    the reference of :func:`capunfold.develop.develop_chain`."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    cp = path_angles(cap, vertices)
+    vs = np.asarray(cp.vertices)
+    V = cap.vertices
+    lengths = np.linalg.norm(V[vs[1:]] - V[vs[:-1]], axis=1)
+    d0 = V[vs[1], :2] - V[vs[0], :2]
+    heading = math.atan2(d0[1], d0[0])
+    k = len(vs) - 1
+    if side == "left":
+        if int(vs[0]) not in cap.rim_vertex_set:
+            heading += cap.vertex_curvature(int(vs[0]))
+        turns = math.pi - cp.lam[1:k]
+    else:
+        turns = cp.rho[1:k] - math.pi
+    headings = np.cumsum(np.concatenate([[heading], turns]))
+    steps = lengths[:, None] * np.column_stack([np.cos(headings),
+                                                np.sin(headings)])
+    return np.cumsum(np.vstack([V[vs[0], :2], steps]), axis=0)
+
+
+def turn_distortion(cap, vertices) -> SimpleNamespace:
+    """Prefix-wise turn difference between each developed chain of one cut
+    path and its planar projection (``prefix_left``, ``prefix_right``) and
+    their largest magnitude ``max_abs``: the reference of
+    :func:`capunfold.develop.turn_distortion`."""
+    from capunfold.geom import unwrap_directions
+
+    cp = path_angles(cap, vertices)
+    k = len(cp.vertices) - 1
+    d = np.diff(cap.vertices[list(cp.vertices), :2], axis=0)
+    ang = np.arctan2(d[:, 1], d[:, 0])
+    planar = unwrap_directions(ang[1:], ang[:-1])
+    left = np.cumsum(math.pi - cp.lam[1:k] - planar)
+    right = np.cumsum(cp.rho[1:k] - math.pi - planar)
+    return SimpleNamespace(
+        prefix_left=left, prefix_right=right,
+        max_abs=max([0.0] + [float(np.abs(p).max()) for p in (left, right)
+                             if len(p)]))
+
+
+def bank_chains(cap, net, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Planar images of the two banks of one cut path as placed in the net,
+    each double point kept at its image farther from the leaf: the
+    reference of the banks :func:`capunfold.develop.banks_ordered`
+    checks."""
+    vs = np.asarray(vertices, dtype=np.intp)
+    a, b = vs[:-1], vs[1:]
+    steps = np.arange(len(a))
+    out = []
+    for fs in (cap.side_faces(a, b), cap.side_faces(b, a)):
+        corners = cap.triangles[fs]
+        img = np.stack([net.placed[f] for f in fs.tolist()])
+        start = img[steps, (corners == a[:, None]).argmax(axis=1)]
+        end = img[steps, (corners == b[:, None]).argmax(axis=1)]
+        prev, nxt = end[:-1], start[1:]
+        apart = np.any(np.abs(nxt - prev) > 1e-12 + 1e-5 * np.abs(prev),
+                       axis=1)
+        farther = (np.linalg.norm(nxt - start[0], axis=1)
+                   > np.linalg.norm(prev - start[0], axis=1))
+        mid = np.where((apart & farther)[:, None], nxt, prev)
+        out.append(np.vstack([start[:1], mid, end[-1:]]))
+    return out[0], out[1]
+
+
 @functools.lru_cache(maxsize=None)
-def certificate_pairs():
-    """Every chain pair the certificates hand to ``left_of``, per family:
-    ``"chains"`` (left and right developments of each leaf path, angle
-    check) and ``"banks"`` (the two net banks of each leaf path, oracle
-    check); and, as more test data for the kernel, ``"waterfall"``
-    (the global points of consecutive waterfall paths of each quadrant,
-    angle check, which the certificates decide on the paths' oblique
-    points instead); over the :func:`oracle_set` caps, the
+def certificate_caps():
+    """``(cap, forest, net)`` of the :func:`oracle_set` caps, the
     ``generate_budget_cap(5000, seed=0)`` cap at all four quarter turns and
-    :func:`turned_defect_cap`."""
-    from capunfold.develop import (bank_chains, develop_chain, layout_net,
-                                   path_angles)
+    :func:`turned_defect_cap`, each with its central-origin forest."""
+    from capunfold.develop import layout_net
     from capunfold.forest import build_forest, choose_origin
-    from capunfold.strips import waterfall_strips
 
     caps = [quarter_turn(large_net_cap(), k) for k in range(4)]
     caps.append(turned_defect_cap())
     sets = list(oracle_set()) + [
         (cap, build_forest(cap, choose_origin(cap, "central")))
         for cap in caps]
+    return tuple((cap, forest, layout_net(cap, forest))
+                 for cap, forest in sets)
+
+
+@functools.lru_cache(maxsize=None)
+def certificate_pairs():
+    """Every chain pair the certificates hand to ``left_of``, per family,
+    built path by path by the references above over the
+    :func:`certificate_caps`, in their order: ``"chains"`` (left and right
+    developments of each leaf path, angle check) and ``"banks"`` (the two
+    net banks of each leaf path, oracle check); and, as more test data for
+    the kernel, ``"waterfall"`` (the global points of consecutive waterfall
+    paths of each quadrant, angle check, which the certificates decide on
+    the paths' oblique points instead)."""
+    from capunfold.strips import waterfall_strips
+
     out = {"chains": [], "banks": [], "waterfall": []}
-    for cap, forest in sets:
-        net = layout_net(cap, forest)
+    for cap, forest, net in certificate_caps():
         for path in forest.leaf_paths:
-            cp = path_angles(cap, path)
-            out["chains"].append((develop_chain(cap, cp, "left"),
-                                  develop_chain(cap, cp, "right")))
+            out["chains"].append((develop_chain(cap, path, "left"),
+                                  develop_chain(cap, path, "right")))
             L, R = bank_chains(cap, net, path)
             R = R.copy()
             R[0] = L[0]

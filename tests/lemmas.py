@@ -294,7 +294,8 @@ def cone_of(points) -> Cone:
 
 
 def within_bound(td, metrics) -> bool:
-    """Whether a :class:`capunfold.develop.TurnDistortion` keeps the bound
+    """Whether a turn distortion (anything with a ``max_abs``, as
+    ``fixtures.turn_distortion`` gives) keeps the bound
     3*delta_perp(Phi) + 2*Omega of its cap's
     :class:`capunfold.mesh.CapMetrics`."""
     return td.max_abs <= 3 * metrics.delta_perp_max + 2 * metrics.omega_total + 1e-9

@@ -1,0 +1,75 @@
+"""Print one SHA-256 per pipeline output for a fixed set of caps, so that two
+checkouts can be compared line by line.
+
+    python tests/output_digest.py [N:SEED ...] > digest.txt
+
+Caps: every ``oracle_set()`` cap, the ``large-net`` cap at four quarter
+turns and, for each ``N:SEED`` argument, ``generate_budget_cap(N,
+seed=SEED)``.  Each line holds the cap's name and the digests of the forest
+``parent`` links, the ``Net.placed`` bytes, the cut edges, ``strip_of``, the
+waterfall ``points`` and ``json.dumps(diagnostics, sort_keys=True)``; then
+the digest of the diagnostics without ``paths.max_turn_distortion``, and
+that value's ``repr``, so a move of that one float can be read off.
+Not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from capunfold.generate import generate_budget_cap  # noqa: E402
+from capunfold.pipeline import cut_and_unfold  # noqa: E402
+from fixtures import large_net_cap, oracle_set, quarter_turn  # noqa: E402
+
+
+def _sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def digest(cap) -> list[str]:
+    res = cut_and_unfold(cap)
+    placed = res.net.placed
+    points = [p.points for i in range(4) for p in res.strips.paths[i]]
+    diag = res.diagnostics
+    rest = copy.deepcopy(diag)
+    mtd = rest["paths"].pop("max_turn_distortion")
+    return [
+        _sha(json.dumps(sorted(res.forest.parent.items()))),
+        _sha(b"".join(placed[f].tobytes() for f in sorted(placed))),
+        _sha(json.dumps(sorted(res.net.cut_edges))),
+        _sha(json.dumps(sorted(res.net.strip_of.items()))),
+        _sha(b"".join(np.ascontiguousarray(p).tobytes() for p in points)),
+        _sha(json.dumps(diag, sort_keys=True)),
+        _sha(json.dumps(rest, sort_keys=True)),
+        repr(mtd),
+    ]
+
+
+def caps(extra):
+    for k, (cap, _) in enumerate(oracle_set()):
+        yield f"oracle-{k}", cap
+    for turn in range(4):
+        yield f"large-net-turn{turn}", quarter_turn(large_net_cap(), turn)
+    for arg in extra:
+        n, seed = (int(x) for x in arg.split(":"))
+        yield f"budget-{n}-seed{seed}", generate_budget_cap(n, seed=seed)
+
+
+def main(argv) -> int:
+    for name, cap in caps(argv):
+        print(name, *digest(cap), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,7 +14,7 @@ from capunfold import forest as forest_mod
 from capunfold import monotone as monotone_mod
 from capunfold import pipeline as pipeline_mod
 from capunfold import strips as strips_mod
-from capunfold.develop import develop_chain, layout_net, turn_distortion
+from capunfold.develop import layout_net
 from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.geom import delta_perp, omega_bound, phi_budget
@@ -467,6 +467,40 @@ class TestWorkCounts:
             # never more blocks than padding all to the longest would need
             per_block = max(1, B // cells(sizes.max()))
             assert len(out) <= math.ceil(len(sizes) / per_block)
+
+    def test_certify_reads_stars_and_sides_in_array_passes(self, monkeypatch):
+        # the leaf-path certificates read the vertex-star table and the face
+        # graph over the whole forest table: no vertex_fan call, and as many
+        # side_faces calls on a 4,921-vertex cap as on a 217-vertex one
+        calls = {"vertex_fan": 0, "side_faces": 0}
+        certifying = []
+        for name in calls:
+            method = getattr(ConvexCap, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += bool(certifying)
+                return _method(self, *args)
+
+            monkeypatch.setattr(ConvexCap, name, counted)
+        certify = pipeline_mod._certify
+
+        def traced(*args):
+            certifying.append(True)
+            try:
+                return certify(*args)
+            finally:
+                certifying.pop()
+
+        monkeypatch.setattr(pipeline_mod, "_certify", traced)
+        seen = []
+        for cap in (generate_budget_cap(200, seed=0), large_net_cap()):
+            leaves = len(cut_and_unfold(cap).forest.leaves)
+            seen.append((leaves, dict(calls)))
+            calls.update(dict.fromkeys(calls, 0))
+        (few, small), (many, large) = seen
+        assert many > 5 * few > 100, seen
+        assert small == large and large["vertex_fan"] == 0, seen
+        assert large["side_faces"] <= 2, seen
 
     def test_certify_memory_on_the_large_net_cap(self, monkeypatch):
         certify = pipeline_mod._certify

@@ -178,6 +178,46 @@ class TestVerify:
         assert out.out == ""
         assert "--suite" in json.loads(out.err)["error"]
 
+    @pytest.mark.parametrize("jobs, k, workers", [(5000, 2, 2), (1, 3, 1),
+                                                  (2, 3, 2), (None, 1, 1)])
+    def test_suite_starts_at_most_k_workers(self, monkeypatch, capsys, jobs,
+                                            k, workers):
+        # a pool forks all its workers up front: record the count, run the
+        # jobs in this process, start no process
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        args = ["verify", "--n", 30, "--suite", k]
+        if jobs is not None:
+            args += ["--jobs", jobs]
+        assert run(args) == 0
+        assert started == [workers]
+        assert len(json.loads(capsys.readouterr().out)["runs"]) == k
+
+    @pytest.mark.parametrize("args", [["--suite", 2, "--jobs", 0],
+                                      ["--suite", 2, "--jobs", -3],
+                                      ["--jobs", 2]],
+                             ids=["zero", "negative", "no-suite"])
+    def test_bad_jobs_exit_two(self, monkeypatch, capsys, args):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        assert run(["verify", "--n", 30, *args]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--jobs" in json.loads(out.err)["error"]
+
     def test_suite_rejects_input(self, tmp_path, capsys):
         save_mesh(tmp_path / "f.off", pentagonal_pyramid())
         assert run(["verify", "--n", 30, "--suite", 2,

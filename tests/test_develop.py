@@ -15,23 +15,23 @@ from capunfold.develop import (
     _contact_tolerance,
     _pairwise_penetration,
     _root_placement,
-    bank_chains,
     banks_ordered,
     check_overlap,
-    develop_chain,
     layout_net,
     net_congruent,
-    path_angles,
+    path_turns,
     rasterize_overlap_oracle,
-    turn_distortion,
 )
 from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.geom import turn_angle
 from capunfold.mesh import ConvexCap, compute_metrics
+from capunfold.monotone import left_of
 
-from fixtures import (adjacency_reference, flat_hex_disk, oracle_set,
-                      pentagonal_pyramid)
+from fixtures import (adjacency_reference, bank_chains, certificate_caps,
+                      certificate_pairs, develop_chain, flat_hex_disk,
+                      oracle_set, path_angles, pentagonal_pyramid,
+                      turn_distortion)
 from lemmas import within_bound
 
 DEG = math.pi / 180
@@ -131,9 +131,11 @@ class TestTurnDistortion:
 
     def test_prefixes_match_scalar_turn_angle(self):
         # one vectorized pass over a path's own edges gives the prefixes
-        # the scalar turn_angle of each interior vertex gives, within ulps
+        # the scalar turn_angle of each interior vertex gives, within ulps,
+        # and the pass over the forest table gives their largest magnitude
         for cap, forest in oracle_set()[::7]:
             P = cap.vertices[:, :2]
+            worst = 0.0
             for path in forest.leaf_paths:
                 td = turn_distortion(cap, path)
                 cp = path_angles(cap, path)
@@ -144,6 +146,9 @@ class TestTurnDistortion:
                 right = np.cumsum(cp.rho[1:k] - math.pi - planar)
                 assert td.prefix_left == pytest.approx(left, rel=0, abs=1e-13)
                 assert td.prefix_right == pytest.approx(right, rel=0, abs=1e-13)
+                worst = max([worst, *np.abs(left), *np.abs(right)])
+            got = develop_mod.turn_distortion(forest, path_turns(cap, forest))
+            assert got == pytest.approx(worst, rel=0, abs=1e-13)
 
 
 class TestLayoutNet:
@@ -205,9 +210,9 @@ class TestBanks:
         for seed in range(5):
             cap, forest = sample_cap(seed=seed)
             net = layout_net(cap, forest)
-            for path in forest_paths(cap, forest):
-                ok, radius = banks_ordered(cap, net, path)
-                assert ok, (seed, path, radius)
+            verdicts = banks_ordered(cap, net, forest)
+            assert len(verdicts) == len(forest.leaf_paths) > 1
+            assert verdicts == [(True, None)] * len(verdicts), (seed, verdicts)
 
     def test_chain_development_matches_bank_without_junctions(self):
         # a single-edge-tree path: the net bank and the pure chain development
@@ -498,27 +503,72 @@ def bank_chains_reference(cap, net, vs):
     return out
 
 
+def table_chains(cap, forest, net=None):
+    """The left and right developments of every leaf path, and with a net
+    its two banks, from the passes over the forest table, split per path."""
+    split = forest.path_offsets[1:-1]
+    turns = path_turns(cap, forest)
+    out = [np.split(develop_mod.develop_chain(cap, forest, turns, side), split)
+           for side in ("left", "right")]
+    if net is not None:
+        out += [np.split(b, split) for b in develop_mod._banks(cap, net, forest)]
+    return out
+
+
 class TestChainsAgainstReference:
     def test_developments_and_banks_match_the_vertex_loops(self):
         for cap, forest in oracle_set():
             P = cap.vertices[:, :2]
             diam = float(np.linalg.norm(P.max(axis=0) - P.min(axis=0)))
             net = layout_net(cap, forest)
-            for path in forest_paths(cap, forest):
+            left, right, bank_l, bank_r = table_chains(cap, forest, net)
+            for k, path in enumerate(forest_paths(cap, forest)):
                 cp = path_angles(cap, path)
-                for side in ("left", "right"):
-                    chain = develop_chain(cap, cp, side)
+                for side, chain in (("left", left[k]), ("right", right[k])):
                     ref = develop_chain_reference(cap, cp, side)
                     assert chain.shape == ref.shape
                     assert np.abs(chain - ref).max() <= 1e-12 * diam
-                for bank, ref in zip(bank_chains(cap, net, path),
+                for bank, ref in zip((bank_l[k], bank_r[k]),
                                      bank_chains_reference(cap, net, path)):
                     assert np.array_equal(bank, ref)
 
     def test_batched_banks_ordered_is_the_per_path_verdicts(self):
         cap, forest = oracle_set()[0]
         net = layout_net(cap, forest)
-        paths = forest_paths(cap, forest)
-        assert banks_ordered(cap, net, paths) == \
-            [banks_ordered(cap, net, p) for p in paths]
-        assert banks_ordered(cap, net, []) == []
+        want = []
+        for path in forest_paths(cap, forest):
+            L, R = bank_chains(cap, net, path)
+            R = R.copy()
+            R[0] = L[0]
+            want.append(left_of(L, R, check="oracle"))
+        assert banks_ordered(cap, net, forest) == want
+
+    def test_table_matches_per_path_references(self):
+        # every leaf path at once over the forest table gives the chains,
+        # banks, turn distortion and verdicts of the path-by-path
+        # references, on the oracle caps, the large-net cap at four quarter
+        # turns and the turned cap
+        pairs = certificate_pairs()
+        k = 0
+        for cap, forest, net in certificate_caps():
+            n = len(forest.leaf_paths)
+            chains, banks = pairs["chains"][k:k + n], pairs["banks"][k:k + n]
+            k += n
+            left, right, bank_l, bank_r = table_chains(cap, forest, net)
+            # a chain's first heading is the forest table's np.arctan2,
+            # which is math.atan2 up to an ulp
+            for got, want in zip(zip(left, right), chains):
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert np.abs(g - w).max() <= 4e-15
+            for got, want in zip(zip(bank_l, bank_r), banks):
+                assert np.array_equal(got[0], want[0])
+                # the right bank's leaf image is the left one's in a pair
+                assert np.array_equal(got[1][1:], want[1][1:])
+            assert develop_mod.turn_distortion(
+                forest, path_turns(cap, forest)) == max(
+                turn_distortion(cap, p).max_abs for p in forest.leaf_paths)
+            assert left_of(list(zip(left, right))) == left_of(chains)
+            assert banks_ordered(cap, net, forest) == \
+                left_of(banks, check="oracle")
+        assert k == len(pairs["chains"]) > 4000

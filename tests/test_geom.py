@@ -13,15 +13,12 @@ from hypothesis import given, strategies as st
 
 from capunfold.geom import (
     Wedge,
-    angle_between,
     corner_angles,
     delta_perp,
     normalize_angle,
     omega_bound,
     phi_budget,
     points_close,
-    project_angle,
-    signed_turn,
     turn_angle,
     unwrap_directions,
 )
@@ -30,6 +27,13 @@ from capunfold.forest import _in_wedge
 from fixtures import wedge_contains
 
 DEG = math.pi / 180.0
+
+
+def project_angle(u, v) -> float:
+    """Angle between the xy-projections of two 3D vectors."""
+    u = np.asarray(u, dtype=float)[:2]
+    v = np.asarray(v, dtype=float)[:2]
+    return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), float(np.dot(u, v)))
 
 
 def tilted_angle(phi: float, alpha: float, theta: float) -> float:
@@ -277,15 +281,10 @@ class TestHelpers:
             assert unwrap_directions(a).tolist() == want
             assert unwrap_directions(a.tolist()).tolist() == want
 
-    def test_angle_between_3d(self):
-        assert angle_between([1, 0, 0], [1, 1, 0]) == pytest.approx(math.pi / 4)
-        with pytest.raises(ValueError):
-            angle_between([0, 0, 0], [1, 0, 0])
-
     def test_signed_turn_antisymmetry(self):
-        d1 = np.array([1.0, 0.2])
-        d2 = np.array([-0.3, 0.9])
-        assert signed_turn(d1, d2) == pytest.approx(-signed_turn(d2, d1))
+        # a polyline walked backwards turns the other way
+        a, b, c = [0.0, 0.0], [1.0, 0.2], [0.7, 1.1]
+        assert turn_angle(c, b, a) == pytest.approx(-turn_angle(a, b, c))
 
 
 class TestCornerAngles:

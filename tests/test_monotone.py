@@ -205,12 +205,8 @@ def kernel_outcomes(pairs, check):
 
 
 def batch_expected(ref):
-    """What ``left_of(pairs)`` must do, given the per-pair reference
-    outcomes: raise the first failure (other than a chain that is not
-    radially monotone) or give the verdicts with None."""
-    for o in ref:
-        if isinstance(o[0], str) and o[0] != "NotRadiallyMonotoneError":
-            return o
+    """What ``left_of(pairs)`` must give, given the per-pair reference
+    outcomes: the verdicts, with None wherever the pair alone raises."""
     return [None if isinstance(o[0], str) else o for o in ref]
 
 
@@ -304,7 +300,9 @@ class TestBatchedKernel:
         ok, radius = left_of(below, ray)
         assert not ok and radius > 0
 
-    def test_batch_raises_what_the_loop_raised_first(self):
+    def test_batch_gives_none_wherever_a_pair_raises(self):
+        # malformed, no common source, not simple, not radially monotone:
+        # the batch never raises, whichever failure comes first
         good = (spiral_out(4), spiral_out(4, turn=0.01))
         back = [[0, 0], [2, 0], [2, 1], [0.2, 1]]        # not radially monotone
         crossed = [[0, 0], [2, 0], [1, 1], [1, -1]]      # not simple
@@ -315,12 +313,15 @@ class TestBatchedKernel:
              (crossed, spiral_out(3))],
             [good, ([[5, 5], [6, 5]], spiral_out(3)), (crossed, spiral_out(3))],
             [good, ([0, 1, 2], spiral_out(3)), (crossed, spiral_out(3))],
+            [good, ([[0, 0], [1, math.nan]], spiral_out(3)),
+             (back, crossed)],
             [good, (back, spiral_out(3))],
         ]
         for pairs in cases:
             ref = [outcome(reference.left_of, a, b) for a, b in pairs]
             assert kernel_outcomes(pairs, "angle") == ref
             assert outcome(left_of, pairs) == batch_expected(ref), pairs
+            assert left_of(pairs)[1:] == [None] * (len(pairs) - 1)
         assert left_of(cases[-1]) == [(True, None), None]
         with pytest.raises(NotRadiallyMonotoneError):
             left_of(*cases[-1][1])

@@ -191,46 +191,69 @@ class TestTracerTargets:
         assert m["monotone.left_of_s"] > 0
 
 
-class TestCertifyFailureOrder:
-    """The batched certificates raise the failure that checking leaf by
-    leaf (chains, then banks) meets first."""
+def break_leaf_paths(monkeypatch, crossed=None, moved=None):
+    """Make the left development of leaf path ``crossed`` not simple, and
+    move the right bank's leaf image of leaf path ``moved`` off the left
+    one's; both are indices into ``forest.leaves``."""
+    develop_chain, banks = pipeline.develop_chain, develop._banks
 
-    @staticmethod
-    def _fail(monkeypatch, crossed_leaf, bank_leaf):
-        cap = generate_budget_cap(200, seed=0)
-        develop_chain, bank_chains = pipeline.develop_chain, develop.bank_chains
+    def chain(cap, forest, turns, side):
+        out = develop_chain(cap, forest, turns, side)
+        if crossed is not None and side == "left":
+            i = forest.path_offsets[crossed]
+            out[i + 1:i + 4] = out[i] + np.array([[2, 0], [1, 1], [1, -1.0]])
+        return out
 
-        def chain(cap, cp, side):
-            out = develop_chain(cap, cp, side)
-            if cp.vertices[0] == crossed_leaf and side == "left":
-                return out[0] + np.array([[0, 0], [2, 0], [1, 1], [1, -1.0]])
-            return out
+    def moved_banks(cap, net, forest):
+        L, R = banks(cap, net, forest)
+        if moved is not None:
+            R[forest.path_offsets[moved]] += 1e-3
+        return L, R
 
-        def banks(cap, net, path):
-            if path[0] == bank_leaf:
-                raise RuntimeError("bank failure")
-            return bank_chains(cap, net, path)
+    monkeypatch.setattr(pipeline, "develop_chain", chain)
+    monkeypatch.setattr(develop, "_banks", moved_banks)
 
-        monkeypatch.setattr(pipeline, "develop_chain", chain)
-        monkeypatch.setattr(develop, "bank_chains", banks)
-        with pytest.raises(PipelineError) as info:
-            cut_and_unfold(cap)
-        return str(info.value)
 
-    def test_earlier_leaf_fails_first(self, monkeypatch):
-        cap = generate_budget_cap(200, seed=0)
+class TestLeafPathVerdicts:
+    """A leaf path that fails its certificate fails the verdict of its
+    family, whichever leaf it is; nothing raises."""
+
+    CAP = (200, 0)   # generate_budget_cap(200, seed=0): within budget
+
+    def _leaves(self):
+        """The cap, and two of its leaf paths with at least four vertices."""
+        cap = generate_budget_cap(*self.CAP)
         forest = pipeline.build_forest(
             cap, pipeline.choose_origin(cap, "central"))
-        leaves = forest.leaves.tolist()
-        assert self._fail(monkeypatch, leaves[2], leaves[5]) == \
-            "[certify] chain is not simple"
-        monkeypatch.undo()
-        assert self._fail(monkeypatch, leaves[5], leaves[2]) == \
-            "[certify] bank failure"
-        monkeypatch.undo()
-        # on one leaf the chains come before the banks
-        assert self._fail(monkeypatch, leaves[3], leaves[3]) == \
-            "[certify] chain is not simple"
+        lens = np.diff(forest.path_offsets)
+        return cap, np.flatnonzero(lens >= 4)[[1, 3]].tolist()
+
+    def test_failing_leaves_fail_their_verdicts(self, monkeypatch):
+        cap, (crossed, moved) = self._leaves()
+        for kw, want in (({"crossed": crossed}, (False, True)),
+                         ({"moved": moved}, (True, False)),
+                         ({"crossed": crossed, "moved": moved},
+                          (False, False))):
+            break_leaf_paths(monkeypatch, **kw)
+            d = cut_and_unfold(cap).diagnostics
+            monkeypatch.undo()
+            got = (d["paths"]["chains_ordered"], d["paths"]["banks_ordered"])
+            assert got == want, kw
+            assert d["status"] == "certificate_failed"
+            assert len(d["errors"]) == 2 - sum(want), d["errors"]
+            assert not d["warnings"]
+
+    def test_bad_leaf_in_the_cli_exits_three(self, tmp_path, monkeypatch):
+        from capunfold.cli import main
+
+        _, (crossed, moved) = self._leaves()
+        break_leaf_paths(monkeypatch, crossed=crossed, moved=moved)
+        n, seed = self.CAP
+        assert main(["unfold", "--n", str(n), "--seed", str(seed),
+                     "--out-dir", str(tmp_path)]) == 3
+        d = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert d["status"] == "certificate_failed"
+        assert not (d["paths"]["chains_ordered"] or d["paths"]["banks_ordered"])
 
 
 def test_turned_cap_certifies():
