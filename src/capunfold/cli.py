@@ -62,12 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--phi", type=float, default=None,
                    help="max face tilt in degrees; omit to sit at 0.9x the "
                         "tilt budget of the planar margin")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--jitter", type=float, default=0.25)
-    g.add_argument("--lift", choices=("paraboloid", "sphere"),
-                   default="paraboloid")
+    g.add_argument("--seed", type=int, default=None, help="default 0")
+    g.add_argument("--jitter", type=float, default=None, help="default 0.25")
+    g.add_argument("--lift", choices=("paraboloid", "sphere"), default=None,
+                   help="default paraboloid")
     g.add_argument("--angle-mode", choices=("non_obtuse", "strict_acute"),
-                   default="non_obtuse")
+                   default=None, help="default non_obtuse")
     g.add_argument("--out-dir", type=Path, default=Path("."))
     g.add_argument("--config", type=Path, default=None,
                    help="JSON file of generator settings; flags win")
@@ -120,26 +120,24 @@ def _build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
+# generate settings: a flag given wins, then the --config file, then these
 _GEN_DEFAULTS = {"phi": None, "seed": 0, "jitter": 0.25,
                  "lift": "paraboloid", "angle_mode": "non_obtuse"}
 
 
 def cmd_generate(args) -> int:
-    cfg = {"n": args.n, "phi": args.phi, "seed": args.seed,
-           "jitter": args.jitter, "lift": args.lift,
-           "angle_mode": args.angle_mode}
+    stored = {}
     if args.config is not None:
         stored = json.loads(args.config.read_text())
-        for k, v in stored.items():
-            if k in cfg and cfg[k] == _GEN_DEFAULTS.get(k, None):
-                cfg[k] = v
-    if cfg["n"] is None or cfg["n"] < 4:
-        raise ValueError("--n must be at least 4")
-    cap = _generate(cfg["n"], cfg["phi"], cfg["seed"], jitter=cfg["jitter"],
+        if not isinstance(stored, dict):
+            raise ValueError("--config must hold a JSON object")
+    cfg = {k: stored.get(k, d) if getattr(args, k) is None else getattr(args, k)
+           for k, d in _GEN_DEFAULTS.items()}
+    cap = _generate(args.n, cfg["phi"], cfg["seed"], jitter=cfg["jitter"],
                     lift=cfg["lift"], angle_mode=cfg["angle_mode"])
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    stem = f"cap-n{cfg['n']}-seed{cfg['seed']}"
+    stem = f"cap-n{args.n}-seed{cfg['seed']}"
     save_mesh(out / f"{stem}.off", cap)
     metrics = _metrics_dict(cap)
     (out / f"{stem}.metrics.json").write_text(
@@ -157,7 +155,7 @@ def cmd_unfold(args) -> int:
     save_mesh(out / "cap.obj", cap,
               cut_edges=set(result.net.cut_edges))
     (out / "net.svg").write_text(
-        render_net_svg(cap, result.net, result.forest))
+        render_net_svg(cap, result.net, result.forest, result.strips))
     (out / "diagnostics.json").write_text(
         json.dumps(result.diagnostics, indent=2, sort_keys=True) + "\n")
     print(json.dumps({"status": result.diagnostics["status"],
@@ -188,7 +186,7 @@ def cmd_render(args) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "net.svg").write_text(
-        render_net_svg(cap, result.net, result.forest))
+        render_net_svg(cap, result.net, result.forest, result.strips))
     (out / "forest.svg").write_text(
         render_forest_svg(cap, result.forest, result.strips))
     save_mesh(out / "cap.obj", cap, cut_edges=set(result.net.cut_edges))

@@ -12,7 +12,9 @@ over the forest table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -136,18 +138,17 @@ def develop_chain(cap: ConvexCap, forest: SpanningForest, turns: np.ndarray,
 class Net:
     """Planar placement of every face of the cut-open cap.
 
-    ``placed[f]`` is a (3, 2) array of corner images aligned with
-    ``cap.triangles[f]``; ``strip_of`` (filled by the strip stage) maps a
-    face to its (quadrant, strip) provenance.
+    ``images[f]`` holds the (3, 2) corner images of face ``f``, aligned
+    with ``cap.triangles[f]``.
     """
 
-    placed: dict[int, np.ndarray]
+    images: np.ndarray
     cut_edges: set[tuple[int, int]]
-    strip_of: dict[int, tuple[int, int]] = field(default_factory=dict)
 
-    def triangle_array(self) -> np.ndarray:
-        order = sorted(self.placed)
-        return np.stack([self.placed[f] for f in order]), order
+    @property
+    def placed(self) -> Mapping[int, np.ndarray]:
+        """Read-only ``face -> images[face]`` view, built on each access."""
+        return MappingProxyType(dict(enumerate(self.images)))
 
 
 def layout_net(cap: ConvexCap, forest: SpanningForest) -> Net:
@@ -184,8 +185,7 @@ def layout_net(cap: ConvexCap, forest: SpanningForest) -> Net:
     pos[0] = _root_placement(cap, 0, local[0])
     for lv in np.split(np.arange(len(G)), cuts):
         _place_level(pos, local, G[lv], F[lv], kg[lv], kf[lv])
-    return Net(placed=dict(zip(order.tolist(), pos[order])),
-               cut_edges=set(zip(lo.tolist(), hi.tolist())))
+    return Net(images=pos, cut_edges=set(zip(lo.tolist(), hi.tolist())))
 
 
 def _all_face_locals(cap: ConvexCap) -> np.ndarray:
@@ -238,12 +238,9 @@ def _place_level(pos, local, G, F, kg, kf) -> None:
 
 def net_congruent(cap: ConvexCap, net: Net, tol: float = 1e-9) -> bool:
     """Every placed triangle keeps its three 3D edge lengths."""
-    order = sorted(net.placed)
-    imgs = np.stack([net.placed[f] for f in order])
-    tris = cap.triangles[np.asarray(order)]
-    V = cap.vertices
+    T, V, imgs = cap.triangles, cap.vertices, net.images
     roll = [1, 2, 0]
-    l3 = np.linalg.norm(V[tris[:, roll]] - V[tris], axis=2)
+    l3 = np.linalg.norm(V[T[:, roll]] - V[T], axis=2)
     l2 = np.linalg.norm(imgs[:, roll] - imgs, axis=2)
     return bool(np.all(np.abs(l3 - l2) <= tol * np.maximum(1.0, l3)))
 
@@ -273,7 +270,7 @@ def _banks(cap: ConvexCap, net: Net,
     # the face left of each path edge holds it forwards, the right one back
     faces = cap.side_faces(np.r_[a, b], np.r_[b, a])
     corners = cap.triangles[faces]
-    img = np.stack([net.placed[f] for f in faces.tolist()])
+    img = net.images[faces]
     k = np.arange(len(faces))
     starts = img[k, (corners == np.r_[a, a][:, None]).argmax(axis=1)]
     ends = img[k, (corners == np.r_[b, b][:, None]).argmax(axis=1)]
@@ -341,7 +338,7 @@ def check_overlap(net: Net, eps: float | None = None) -> OverlapReport:
     edges and vertices count as contact; only genuine interior penetration
     deeper than eps is reported.
     """
-    tris, order = net.triangle_array()
+    tris = net.images
     e = _contact_tolerance(tris) if eps is None else eps
     cand = _box_pairs(tris.min(axis=1), tris.max(axis=1), e)
     pairs = []
@@ -349,7 +346,7 @@ def check_overlap(net: Net, eps: float | None = None) -> OverlapReport:
         c = cand[k:k + _NARROW_CHUNK]
         depths = _pairwise_penetration(tris[c[:, 0]], tris[c[:, 1]])
         for (i, j), depth in zip(c[depths > e], depths[depths > e]):
-            pairs.append((order[int(i)], order[int(j)], float(depth)))
+            pairs.append((int(i), int(j), float(depth)))
     return OverlapReport(pairs=tuple(sorted(pairs)))
 
 
@@ -397,7 +394,7 @@ def rasterize_overlap_oracle(net: Net, resolution: int = 256) -> bool:
     """Coarse grid occupancy check: True when some cell center lies strictly
     inside two different placed triangles.  Second opinion for
     :func:`check_overlap`."""
-    tris, _ = net.triangle_array()
+    tris = net.images
     lo = tris.reshape(-1, 2).min(axis=0)
     hi = tris.reshape(-1, 2).max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1])) or 1.0

@@ -20,8 +20,10 @@ k-d tree over the rim segments' midpoints.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -75,38 +77,41 @@ class QuadrantSystem:
                      width=self.gap_angle)
 
 
-@dataclass
+@dataclass(eq=False)
 class SpanningForest:
     """Parent-pointer forest over the interior vertices, rooted on the rim.
 
-    Its table is built once, from the parent links, with the forest:
-    ``edges`` (the ``(child, parent)`` links sorted by child), their planar
-    ``directions``, the sorted ``leaves``, each leaf's path to the rim
-    (``leaf_paths``, views of ``path_vertices`` split at ``path_offsets``),
-    the tree ``root`` of every vertex, the set of tree ``roots`` and the
-    edges tree by tree (``tree_order``, roots then children ascending; tree
-    ``t`` starts at ``tree_starts[t]``).  A cycle raises
-    :class:`ForestError`; ``parent`` must not change afterwards.
+    ``edges`` holds one ``(child, parent)`` row per interior vertex, sorted
+    by child, and ``quadrant`` the quadrant whose wedge each row's edge was
+    grown in.  The rest of the table is built once from the edges: their
+    planar ``directions``, the sorted ``leaves``, each leaf's path to the
+    rim (``leaf_paths``, views of ``path_vertices`` split at
+    ``path_offsets``), the tree ``root`` of every vertex and the edges tree
+    by tree (``tree_order``, roots then children ascending; tree ``t``
+    starts at ``tree_starts[t]``).  A cycle raises :class:`ForestError`.
     """
 
-    parent: dict[int, int]
-    roots: set[int] = field(init=False)
-    quadrant_of_vertex: dict[int, int]
+    edges: np.ndarray
+    quadrant: np.ndarray
     system: QuadrantSystem
     cap: InitVar[ConvexCap]
-    edges: np.ndarray = field(init=False, repr=False, compare=False)
-    directions: np.ndarray = field(init=False, repr=False, compare=False)
-    leaves: np.ndarray = field(init=False, repr=False, compare=False)
-    path_vertices: np.ndarray = field(init=False, repr=False, compare=False)
-    path_offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    leaf_paths: tuple = field(init=False, repr=False, compare=False)
-    root: np.ndarray = field(init=False, repr=False, compare=False)
-    tree_order: np.ndarray = field(init=False, repr=False, compare=False)
-    tree_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    directions: np.ndarray = field(init=False, repr=False)
+    leaves: np.ndarray = field(init=False, repr=False)
+    path_vertices: np.ndarray = field(init=False, repr=False)
+    path_offsets: np.ndarray = field(init=False, repr=False)
+    leaf_paths: tuple = field(init=False, repr=False)
+    root: np.ndarray = field(init=False, repr=False)
+    tree_order: np.ndarray = field(init=False, repr=False)
+    tree_starts: np.ndarray = field(init=False, repr=False)
+
+    @property
+    def parent(self) -> Mapping[int, int]:
+        """Read-only ``child -> parent`` view of ``edges``, built on each
+        access."""
+        return MappingProxyType(dict(self.edges.tolist()))
 
     def __post_init__(self, cap: ConvexCap) -> None:
-        E = np.array(sorted(self.parent.items()), dtype=np.intp).reshape(-1, 2)
-        child, par = E[:, 0], E[:, 1]
+        child, par = self.edges[:, 0], self.edges[:, 1]
         up = np.arange(cap.n_vertices)
         up[child] = par
         # pointer jumping: after k rounds root[v] is v's 2**k-th ancestor or
@@ -128,8 +133,7 @@ class SpanningForest:
         flat = walk[np.arange(walk.shape[1]) < length[:, None]]
         d = cap.vertices[par, :2] - cap.vertices[child, :2]
         order = np.argsort(root[child], kind="stable")
-        self.edges, self.leaves, self.root = E, leaves, root
-        self.roots = set(root[child].tolist())
+        self.leaves, self.root = leaves, root
         self.directions = np.arctan2(d[:, 1], d[:, 0])
         self.path_vertices, self.path_offsets = flat, offsets
         self.leaf_paths = tuple(flat[i:j] for i, j in zip(offsets, offsets[1:]))
@@ -435,12 +439,8 @@ def _build_once(cap: ConvexCap, qs: QuadrantSystem, star) -> SpanningForest:
     missing = np.setdiff1d(cap.interior_vertices, child)
     if len(missing):
         raise ForestError(f"forest failed to span vertices {missing.tolist()}")
-    # one int object per vertex, shared by the keys and values of both dicts
-    label = np.array(range(cap.n_vertices), dtype=object)
-    keys = label[child].tolist()
-    return SpanningForest(parent=dict(zip(keys, label[parent[child]].tolist())),
-                          quadrant_of_vertex=dict(zip(keys, quadrant[child].tolist())),
-                          system=qs, cap=cap)
+    return SpanningForest(np.column_stack([child, parent[child]]),
+                          quadrant[child], qs, cap)
 
 
 def _replay(cap: ConvexCap, qs: QuadrantSystem, i: int, step: np.ndarray,
@@ -493,8 +493,6 @@ def verify_forest(cap: ConvexCap, forest: SpanningForest) -> list[str]:
 
     if not np.array_equal(E[:, 0], cap.interior_vertices):
         issues.append("forest does not span the interior vertices exactly")
-    if forest.parent != dict(E.tolist()):
-        issues.append("parent links changed after the forest table was built")
 
     # every leaf path ends on the rim and its edge directions fit in theta
     ends = forest.root[forest.leaves]

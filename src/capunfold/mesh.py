@@ -268,26 +268,31 @@ def validate_cap(cap: ConvexCap, angle_mode: str = "non_obtuse") -> list[str]:
     if euler != 1:
         issues.append(f"Euler characteristic {euler} != 1 (not a disk)")
 
+    # lengths are measured against the cap's diameter, areas against its
+    # square, so the verdict does not depend on units or position
+    diam = float(np.linalg.norm(V.max(axis=0) - V.min(axis=0))) or 1.0
+
     # injective upward projection: every projected triangle positively
     # oriented, and their areas tile the projected rim polygon exactly
     P = V[:, :2]
     a, b, c = P[T[:, 0]], P[T[:, 1]], P[T[:, 2]]
     u, w = b - a, c - a
     areas2 = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]  # twice signed area
-    scale = max(1.0, float(np.abs(P).max()) ** 2)
-    if np.any(areas2 <= e * scale):
+    if np.any(areas2 <= e * diam * diam):
         k = int(np.argmin(areas2))
         issues.append(
             f"projected face {k} is degenerate or clockwise "
             f"(signed area {areas2[k] / 2:.3e})"
         )
-    rim_pts = P[cap.rim]
+    # the shoelace sum taken about a rim point, not the coordinate origin,
+    # whose distance would cancel away the area's digits
+    rim_pts = P[cap.rim] - P[cap.rim[0]]
     nxt = np.roll(rim_pts, -1, axis=0)
     rim_area2 = float(
         (rim_pts[:, 0] * nxt[:, 1] - rim_pts[:, 1] * nxt[:, 0]).sum()
     )
     if not math.isclose(float(areas2.sum()), rim_area2,
-                        rel_tol=1e-9, abs_tol=e * scale):
+                        rel_tol=1e-9, abs_tol=e * diam * diam):
         issues.append(
             "projected faces overlap: summed face area "
             f"{areas2.sum() / 2:.6g} != rim polygon area {rim_area2 / 2:.6g}"
@@ -296,15 +301,14 @@ def validate_cap(cap: ConvexCap, angle_mode: str = "non_obtuse") -> list[str]:
     # rim planarity
     rim_z = V[cap.rim, 2]
     z_spread = float(np.ptp(rim_z))
-    if z_spread > e * max(1.0, float(np.abs(V).max())):
+    if z_spread > e * diam:
         issues.append(f"rim is not planar (z spread {z_spread:.3e})")
-    if np.any(V[cap.interior_vertices, 2] < rim_z.max() - e):
+    if np.any(V[cap.interior_vertices, 2] < rim_z.max() - e * diam):
         issues.append("an interior vertex lies below the rim plane")
 
     # convex dihedrals: across each interior edge lo-hi, between faces
     # f < g, the far vertex of g lies (weakly) below the plane of f; edges
     # are taken in (lo, hi) order
-    diam = float(np.linalg.norm(V.max(axis=0) - V.min(axis=0))) or 1.0
     nbr = cap.face_neighbors()
     f, k = np.nonzero(nbr > np.arange(cap.n_triangles)[:, None])
     lo = np.minimum(T[f, k], T[f, (k + 1) % 3])

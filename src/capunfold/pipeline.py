@@ -74,7 +74,6 @@ def cut_and_unfold(cap: ConvexCap, origin_mode: str = "central",
         net = layout_net(cap, forest)
         stage = "strips"
         strips = waterfall_strips(cap, forest)
-        net.strip_of = dict(strips.strip_of)
         stage = "certify"
         _certify(cap, forest, strips, net, diag)
         stage = "overlap"
@@ -147,7 +146,7 @@ def _forest(cap: ConvexCap, origin_mode: str, diag: dict, metrics):
         "theta": forest.system.theta,
         "gap_direction": normalize_angle(forest.system.gap_direction),
         "axis_rotation": forest.system.axis_rotation,
-        "n_trees": len(forest.roots),
+        "n_trees": len(forest.tree_starts),
         "n_leaves": len(forest.leaves),
         "violations": violations,
     }

@@ -20,7 +20,7 @@ and the global points serve output and face assignment only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -58,11 +58,14 @@ class Strip:
 
 @dataclass
 class StripSystem:
+    """The waterfall paths of each quadrant, the strips between them, and
+    ``strip_of``, one ``(quadrant, strip)`` row per face."""
+
     strips: list[Strip]
     paths: dict[int, list[WaterfallPath]]   # per quadrant, in height order
     eps: dict[int, float]
     radius: dict[int, float]
-    strip_of: dict[int, tuple[int, int]] = field(default_factory=dict)
+    strip_of: np.ndarray
 
 
 # --------------------------------------------------------------------------
@@ -107,28 +110,25 @@ def _path_graph(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def waterfall_strips(cap: ConvexCap, forest: SpanningForest) -> StripSystem:
-    q = int(forest.system.origin)
-    quad = {v: forest.quadrant_of_vertex[v] for v in forest.leaves.tolist()
-            if v != q}
+    leaves = forest.leaves[forest.leaves != forest.system.origin]
+    quad = forest.quadrant[np.searchsorted(forest.edges[:, 0], leaves)]
     paths: dict[int, list[WaterfallPath]] = {}
     eps_q: dict[int, float] = {}
     rad_q: dict[int, float] = {}
     for i in range(4):
         paths[i], eps_q[i], rad_q[i] = _quadrant_paths(
-            cap, forest, i, [v for v, qi in quad.items() if qi == i])
+            cap, forest, i, leaves[quad == i].tolist())
 
-    strip_of = _assign_faces(cap, forest, paths)
-    strip_of = _repair_connectivity(cap, strip_of)
+    strip_of = _repair_connectivity(cap, _assign_faces(cap, forest, paths))
 
-    strips: list[Strip] = []
-    for i in range(4):
-        members: dict[int, list[int]] = {s: [] for s in range(len(paths[i]) + 1)}
-        for f, (qi, s) in strip_of.items():
-            if qi == i:
-                members.setdefault(s, []).append(f)
-        for s in sorted(members):
-            strips.append(Strip(quadrant=i, index=s,
-                                faces=tuple(sorted(members[s]))))
+    # strips numbered quadrant by quadrant, strip by strip; faces ascending
+    count = [len(paths[i]) + 1 for i in range(4)]
+    slot = np.cumsum([0] + count[:-1])[strip_of[:, 0]] + strip_of[:, 1]
+    members = np.split(np.argsort(slot, kind="stable"),
+                       np.cumsum(np.bincount(slot, minlength=sum(count)))[:-1])
+    labels = [(i, s) for i in range(4) for s in range(count[i])]
+    strips = [Strip(quadrant=i, index=s, faces=tuple(faces.tolist()))
+              for (i, s), faces in zip(labels, members)]
     return StripSystem(strips=strips, paths=paths, eps=eps_q, radius=rad_q,
                        strip_of=strip_of)
 
@@ -276,8 +276,8 @@ def _epsilon(cap: ConvexCap, forest: SpanningForest, quadrant: int,
 
 
 def _assign_faces(cap: ConvexCap, forest: SpanningForest,
-                  paths: dict[int, list[WaterfallPath]]):
-    """(quadrant, strip) of every face by its projected centroid: the strip
+                  paths: dict[int, list[WaterfallPath]]) -> np.ndarray:
+    """(quadrant, strip) row of every face by its projected centroid: the strip
     index is the first path of the quadrant the centroid is not above, or
     the path count if it is above all of them."""
     qs = forest.system
@@ -301,10 +301,10 @@ def _assign_faces(cap: ConvexCap, forest: SpanningForest,
             for wp in paths[i]])
         strip[faces] = np.where(above.all(axis=0), len(paths[i]),
                                 above.argmin(axis=0))
-    return {f: (int(quad[f]), int(strip[f])) for f in range(cap.n_triangles)}
+    return np.column_stack([quad, strip])
 
 
-def _repair_connectivity(cap: ConvexCap, strip_of: dict):
+def _repair_connectivity(cap: ConvexCap, strip_of: np.ndarray) -> np.ndarray:
     """Strips are thinner than triangles near the target circle, so
     centroid-side assignment leaves stray pockets.  Merge every minority
     component of a strip into the most common strip among its outside
@@ -312,9 +312,7 @@ def _repair_connectivity(cap: ConvexCap, strip_of: dict):
     to the smallest) until every strip is edge-connected.  A pass takes
     strips by first face, and a strip's components by size, then first
     face; one array pass finds all components."""
-    labels = sorted(set(strip_of.values()))
-    index = {lab: i for i, lab in enumerate(labels)}
-    code = np.array([index[strip_of[f]] for f in range(len(strip_of))])
+    labels, code = np.unique(strip_of, axis=0, return_inverse=True)
     nbr = cap.face_neighbors()
     for _ in range(100):
         comp = _label_components(cap, code)
@@ -338,7 +336,7 @@ def _repair_connectivity(cap: ConvexCap, strip_of: dict):
                 code[faces] = vals[votes.argmax()]
                 moved = True
         if not moved:
-            return {f: labels[c] for f, c in enumerate(code.tolist())}
+            return labels[code]
     raise StripError("strip connectivity repair did not converge")
 
 
@@ -393,8 +391,11 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
     out: dict = {"errors": []}
 
     # partition + area tiling
-    assigned = set(system.strip_of)
-    if assigned != set(range(cap.n_triangles)):
+    m = cap.n_triangles
+    code = np.full(m, -1)
+    for k, strip in enumerate(system.strips):
+        code[list(strip.faces)] = k
+    if sum(len(s.faces) for s in system.strips) != m or (code < 0).any():
         out["errors"].append("strip assignment is not a partition of faces")
     P = cap.vertices[:, :2]
     tri = P[cap.triangles]
@@ -432,9 +433,6 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
 
     # strip content: each strip's faces share one edge-connected component
     out["strips_connected"] = True
-    code = np.full(cap.n_triangles, -1)
-    for k, strip in enumerate(system.strips):
-        code[list(strip.faces)] = k
     comp = _label_components(cap, code)
     for strip in system.strips:
         faces = np.unique(np.asarray(strip.faces, dtype=int))
@@ -448,7 +446,7 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
     # apex angles at q across all strips close up the cone at q
     q = int(qs.origin)
     fq, corner = cap.vertex_corners(q)
-    apex = corner_angles(np.stack([net.placed[f] for f in fq.tolist()]))
+    apex = corner_angles(net.images[fq])
     total = float(apex[np.arange(len(fq)), corner].sum())
     out["apex_angle_error"] = abs(
         total - (2 * math.pi - cap.vertex_curvature(q)))

@@ -99,27 +99,26 @@ class _Canvas:
                 f"{body}\n</svg>\n")
 
 
-def _net_points(net: Net) -> np.ndarray:
-    tris, _ = net.triangle_array()
-    return tris.reshape(-1, 2)
-
-
 def render_net_svg(cap: ConvexCap, net: Net,
                    forest: SpanningForest | None = None,
+                   strips: StripSystem | None = None,
                    width: float = 800.0) -> str:
     """Draw the planar net: faces filled, fold edges light, cut and rim
-    edges heavy, strip boundaries dashed, quadrant axes through the origin
-    image dotted (when a forest is given)."""
-    cv = _Canvas(_net_points(net), width)
+    edges heavy, strip boundaries dashed (when strips are given), quadrant
+    axes through the origin image dotted (when a forest is given)."""
+    cv = _Canvas(net.images.reshape(-1, 2), width)
 
-    for f in sorted(net.placed):
-        cv.polygon(net.placed[f], "face")
+    for img in net.images:
+        cv.polygon(img, "face")
 
     strip_segments = []
     nbr = cap.face_neighbors()
-    for f in sorted(net.placed):
-        tri = cap.triangles[f]
-        img = net.placed[f]
+    # sides whose two faces lie in different strips (read where g >= 0)
+    crosses = np.zeros(nbr.shape, dtype=bool)
+    if strips is not None:
+        lab = strips.strip_of
+        crosses = (lab[nbr] != lab[:, None]).any(axis=2)
+    for f, (tri, img) in enumerate(zip(cap.triangles, net.images)):
         for k in range(3):
             a, b = int(tri[k]), int(tri[(k + 1) % 3])
             pa, pb = img[k], img[(k + 1) % 3]
@@ -129,7 +128,7 @@ def render_net_svg(cap: ConvexCap, net: Net,
             elif (min(a, b), max(a, b)) in net.cut_edges:
                 cv.line(pa, pb, "cut")
             elif f < g:
-                if net.strip_of and net.strip_of.get(f) != net.strip_of.get(g):
+                if crosses[f, k]:
                     strip_segments.append((pa, pb))
                 else:
                     cv.line(pa, pb, "fold")
@@ -141,7 +140,7 @@ def render_net_svg(cap: ConvexCap, net: Net,
         q = int(qs.origin)
         # anchor the axes at the origin's image (unique: q is never cut open)
         fq, corner = cap.vertex_corners(q)
-        p0 = net.placed[int(fq[0])][corner[0]]
+        p0 = net.images[fq[0], corner[0]]
         span = float(np.max(cv.hi - cv.lo))
         ray = 0.12 * span
         for i in range(5):

@@ -417,7 +417,7 @@ def bank_chains(cap, net, vertices) -> tuple[np.ndarray, np.ndarray]:
     out = []
     for fs in (cap.side_faces(a, b), cap.side_faces(b, a)):
         corners = cap.triangles[fs]
-        img = np.stack([net.placed[f] for f in fs.tolist()])
+        img = net.images[fs]
         start = img[steps, (corners == a[:, None]).argmax(axis=1)]
         end = img[steps, (corners == b[:, None]).argmax(axis=1)]
         prev, nxt = end[:-1], start[1:]

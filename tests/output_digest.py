@@ -6,7 +6,7 @@ checkouts can be compared line by line.
 Caps: every ``oracle_set()`` cap, the ``large-net`` cap at four quarter
 turns and, for each ``N:SEED`` argument, ``generate_budget_cap(N,
 seed=SEED)``.  Each line holds the cap's name and the digests of the forest
-``parent`` links, the ``Net.placed`` bytes, the cut edges, ``strip_of``, the
+``edges``, the ``Net.images`` bytes, the cut edges, ``strip_of``, the
 waterfall ``points`` and ``json.dumps(diagnostics, sort_keys=True)``; then
 the digest of the diagnostics without ``paths.max_turn_distortion``, and
 that value's ``repr``, so a move of that one float can be read off.
@@ -38,16 +38,15 @@ def _sha(data) -> str:
 
 def digest(cap) -> list[str]:
     res = cut_and_unfold(cap)
-    placed = res.net.placed
     points = [p.points for i in range(4) for p in res.strips.paths[i]]
     diag = res.diagnostics
     rest = copy.deepcopy(diag)
     mtd = rest["paths"].pop("max_turn_distortion")
     return [
-        _sha(json.dumps(sorted(res.forest.parent.items()))),
-        _sha(b"".join(placed[f].tobytes() for f in sorted(placed))),
+        _sha(json.dumps(res.forest.edges.tolist())),
+        _sha(res.net.images.tobytes()),
         _sha(json.dumps(sorted(res.net.cut_edges))),
-        _sha(json.dumps(sorted(res.net.strip_of.items()))),
+        _sha(json.dumps(list(enumerate(res.strips.strip_of.tolist())))),
         _sha(b"".join(np.ascontiguousarray(p).tobytes() for p in points)),
         _sha(json.dumps(diag, sort_keys=True)),
         _sha(json.dumps(rest, sort_keys=True)),

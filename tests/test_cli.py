@@ -54,6 +54,19 @@ class TestGenerate:
                     "--out-dir", tmp_path]) == 0
         assert (tmp_path / "cap-n40-seed9.off").exists()
 
+    def test_flag_at_its_default_beats_the_config_file(self, tmp_path):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"seed": 5, "lift": "sphere"}))
+        assert run(["generate", "--n", 60, "--seed", 0, "--config", cfg,
+                    "--out-dir", tmp_path / "a"]) == 0
+        assert [p.name for p in (tmp_path / "a").glob("*.off")] == \
+            ["cap-n60-seed0.off"]
+        # the file's lift still applies where no flag was given
+        assert run(["generate", "--n", 60, "--seed", 0, "--lift", "sphere",
+                    "--out-dir", tmp_path / "b"]) == 0
+        assert (tmp_path / "a" / "cap-n60-seed0.off").read_bytes() == \
+            (tmp_path / "b" / "cap-n60-seed0.off").read_bytes()
+
     @pytest.mark.parametrize("stored", [{"seed": "x"}, {"phi": "abc"}, [1, 2]],
                              ids=["seed-text", "phi-text", "list"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, stored):

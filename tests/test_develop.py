@@ -168,7 +168,7 @@ class TestLayoutNet:
         # apex angle images sum to the full cone 2*pi - omega = 300 degrees
         total = 0.0
         for f in range(5):
-            img = net.placed[f]
+            img = net.images[f]
             tri = cap.triangles[f]
             i = int(np.where(tri == 5)[0][0])
             a = img[(i + 1) % 3] - img[i]
@@ -180,7 +180,7 @@ class TestLayoutNet:
         for seed in range(4):
             cap, forest = sample_cap(seed=seed)
             net = layout_net(cap, forest)
-            assert len(net.placed) == cap.n_triangles
+            assert net.images.shape == (cap.n_triangles, 3, 2)
             assert net_congruent(cap, net)
 
     def test_layout_leaves_no_attribute_on_the_cap(self):
@@ -195,7 +195,7 @@ class TestLayoutNet:
         q = forest.system.origin
         total = 0.0
         for f in adjacency_reference(cap.triangles).vertex_faces[q]:
-            img = net.placed[f]
+            img = net.images[f]
             tri = cap.triangles[f]
             i = int(np.where(tri == q)[0][0])
             a = img[(i + 1) % 3] - img[i]
@@ -243,8 +243,7 @@ class TestBanks:
 class TestOverlap:
     @staticmethod
     def _net_of(tris):
-        placed = {i: np.asarray(t, dtype=float) for i, t in enumerate(tris)}
-        return Net(placed=placed, cut_edges=set())
+        return Net(images=np.asarray(tris, dtype=float), cut_edges=set())
 
     def test_detects_genuine_overlap(self):
         net = self._net_of([
@@ -296,25 +295,25 @@ def dense_box_pairs(lo, hi, e):
 
 def dense_check_overlap(net, eps=None):
     """Reference overlap test: dense broad phase, one unchunked narrow phase."""
-    tris, order = net.triangle_array()
+    tris = net.images
     e = _contact_tolerance(tris) if eps is None else eps
     cand = dense_box_pairs(tris.min(axis=1), tris.max(axis=1), e)
     pairs = []
     if len(cand):
         depths = _pairwise_penetration(tris[cand[:, 0]], tris[cand[:, 1]])
         for (i, j), depth in zip(cand[depths > e], depths[depths > e]):
-            pairs.append((order[int(i)], order[int(j)], float(depth)))
+            pairs.append((int(i), int(j), float(depth)))
     return OverlapReport(pairs=tuple(sorted(pairs)))
 
 
 def grid_net(k):
     """Flat k x k grid of unit squares, each split into two triangles."""
-    placed = {}
+    tris = []
     for x in range(k):
         for y in range(k):
-            placed[len(placed)] = np.array([[x, y], [x + 1, y], [x, y + 1]], float)
-            placed[len(placed)] = np.array([[x + 1, y], [x + 1, y + 1], [x, y + 1]], float)
-    return Net(placed=placed, cut_edges=set())
+            tris.append([[x, y], [x + 1, y], [x, y + 1]])
+            tris.append([[x + 1, y], [x + 1, y + 1], [x, y + 1]])
+    return Net(images=np.array(tris, float), cut_edges=set())
 
 
 class TestSparseBroadPhase:
@@ -331,7 +330,7 @@ class TestSparseBroadPhase:
     @pytest.mark.parametrize("eps", [None, 0.0, 1e-3, -1e-3, -0.05, 0.3])
     def test_same_candidates_and_report_as_dense_oracle(self, eps):
         for net in self._nets():
-            tris, _ = net.triangle_array()
+            tris = net.images
             e = _contact_tolerance(tris) if eps is None else eps
             lo, hi = tris.min(axis=1), tris.max(axis=1)
             assert np.array_equal(_box_pairs(lo, hi, e), dense_box_pairs(lo, hi, e))
@@ -434,11 +433,11 @@ class TestLayoutAgainstReference:
             parent.clear()
             net = layout_net(cap, forest)
             ref, ref_parent = layout_reference(cap, forest)
-            assert list(net.placed) == list(ref)
+            assert sorted(ref) == list(range(cap.n_triangles))
             assert parent == ref_parent
             P = cap.vertices[:, :2]
             diam = float(np.linalg.norm(P.max(axis=0) - P.min(axis=0)))
-            worst = max(float(np.abs(net.placed[f] - ref[f]).max())
+            worst = max(float(np.abs(net.images[f] - ref[f]).max())
                         for f in ref)
             assert worst <= 1e-12 * diam
 
@@ -479,7 +478,7 @@ def bank_chains_reference(cap, net, vs):
 
     def vertex_image(face, v, triangles):
         i = int(np.where(triangles[face] == v)[0][0])
-        return net.placed[face][i]
+        return net.images[face, i]
 
     a, b = vs[:-1], vs[1:]
     out = []

@@ -160,6 +160,22 @@ class TestValidation:
         issues = validate_cap(ConvexCap(V, cap.triangles))
         assert any("rim is not planar" in s for s in issues)
 
+    @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-6, 7)])
+    def test_verdict_does_not_depend_on_scale(self, scale):
+        from capunfold.generate import generate_budget_cap
+
+        cap = generate_budget_cap(200, seed=0)
+        assert validate_cap(ConvexCap(cap.vertices * scale, cap.triangles)) == []
+
+    @pytest.mark.parametrize("shift", [(3000.0, -3000.0, 0.0),
+                                       (-1e5, 2e5, 0.0)])
+    def test_verdict_does_not_depend_on_position(self, shift):
+        from capunfold.generate import generate_budget_cap
+
+        cap = generate_budget_cap(2000, seed=0)
+        moved = ConvexCap(cap.vertices + np.array(shift), cap.triangles)
+        assert validate_cap(moved) == []
+
     def test_messages_print_plain_integers(self):
         from capunfold.generate import generate_cap
 

@@ -162,6 +162,37 @@ class TestFailures:
         assert set(res.net.placed) == set(range(res.cap.n_triangles))
 
 
+class TestResultApi:
+    """The mappings and counts that ``perfbench`` reads off a result."""
+
+    @pytest.fixture(params=[(60, 1, None), (200, 0, None), (120, 4, 33)],
+                    ids=["budget-60", "budget-200", "steep-120"])
+    def res(self, request):
+        n, seed, phi = request.param
+        cap = (generate_budget_cap(n, seed=seed) if phi is None
+               else generate_cap(n, phi=math.radians(phi), seed=seed))
+        return cut_and_unfold(cap)
+
+    def test_placed_views_the_images(self, res):
+        placed, images = res.net.placed, res.net.images
+        assert images.shape == (res.cap.n_triangles, 3, 2)
+        assert sorted(placed) == list(range(res.cap.n_triangles))
+        assert all(np.array_equal(placed[f], images[f]) for f in placed)
+        with pytest.raises(TypeError):
+            placed[0] = images[1]
+
+    def test_parent_views_the_edges(self, res):
+        parent = res.forest.parent
+        assert parent == dict(res.forest.edges.tolist())
+        with pytest.raises(TypeError):
+            parent[0] = 1
+
+    def test_one_strip_per_gap_between_paths(self, res):
+        paths = res.strips.paths
+        assert len(res.strips.strips) == sum(len(paths[i]) + 1
+                                             for i in range(4))
+
+
 def load_tracer():
     """``perfbench/tracer.py``, read and executed without importing it (no
     bytecode is written next to it)."""

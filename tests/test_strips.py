@@ -86,13 +86,15 @@ class TestStripAssignment:
     def test_faces_partitioned(self):
         for seed in range(4):
             cap, forest, net, system = unfolded(seed=seed)
-            assert set(system.strip_of) == set(range(cap.n_triangles))
+            assert system.strip_of.shape == (cap.n_triangles, 2)
             by_strip = {}
             for s in system.strips:
                 for f in s.faces:
                     assert f not in by_strip
-                    by_strip[f] = (s.quadrant, s.index)
-            assert by_strip == system.strip_of
+                    by_strip[f] = [s.quadrant, s.index]
+            assert sorted(by_strip) == list(range(cap.n_triangles))
+            assert [by_strip[f] for f in sorted(by_strip)] == \
+                system.strip_of.tolist()
 
     def test_strip_count_per_quadrant(self):
         cap, forest, net, system = unfolded(seed=3)
@@ -209,8 +211,9 @@ class TestVectorizedAgainstReference:
         for cap in reference_caps():
             forest = build_forest(cap, choose_origin(cap, "central"))
             system = waterfall_strips(cap, forest)
-            assert (_assign_faces(cap, forest, system.paths)
-                    == assign_faces_reference(cap, forest, system.paths))
+            ref = assign_faces_reference(cap, forest, system.paths)
+            assert _assign_faces(cap, forest, system.paths).tolist() == [
+                list(ref[f]) for f in range(cap.n_triangles)]
 
     def test_epsilon_matches_loop_reference(self, monkeypatch):
         fast = strips_mod._epsilon
@@ -370,8 +373,11 @@ class TestArrayPassesAgainstReference:
         for cap, forest in oracle_set():
             system = waterfall_strips(cap, forest)
             assigned = _assign_faces(cap, forest, system.paths)
-            assert (_repair_connectivity(cap, assigned)
-                    == repair_reference(cap, assigned) == system.strip_of)
+            ref = repair_reference(cap, dict(enumerate(
+                map(tuple, assigned.tolist()))))
+            assert (_repair_connectivity(cap, assigned).tolist()
+                    == [list(ref[f]) for f in range(cap.n_triangles)]
+                    == system.strip_of.tolist())
             for i in range(4):
                 ps = system.paths[i]
                 got = [_ordered(lo.ab, up.ab) for lo, up in zip(ps, ps[1:])]
@@ -467,7 +473,8 @@ class TestArrayPassesAgainstReference:
         # A's pocket {3} joins B; B's pocket {2} then sees A on one side and
         # the updated face 3 (now B) on the other, so it joins A
         want = dict(zip(range(6), [A, A, A, B, B, B]))
-        assert _repair_connectivity(cap, split) == want
+        assert _repair_connectivity(cap, np.array(list(split.values()))
+                                    ).tolist() == list(map(list, want.values()))
         assert repair_reference(cap, split) == want
 
     def test_certificate_flags_a_split_strip(self):

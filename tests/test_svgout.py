@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 from capunfold.generate import generate_budget_cap
 from capunfold.pipeline import cut_and_unfold
 from capunfold.svgout import render_forest_svg, render_net_svg
@@ -29,7 +31,7 @@ class TestNetSvg:
         # every cut edge is drawn twice (once per bank), every interior
         # fold or strip boundary once, every rim edge once
         res = _result()
-        svg = render_net_svg(res.cap, res.net, res.forest)
+        svg = render_net_svg(res.cap, res.net, res.forest, res.strips)
         n_cut = svg.count('class="cut"')
         n_fold = svg.count('class="fold"')
         n_strip = svg.count('class="strip-boundary"')
@@ -39,6 +41,30 @@ class TestNetSvg:
         assert n_rim == len(boundary)
         interior = res.cap.n_edges - len(boundary)
         assert n_fold + n_strip == interior - len(res.net.cut_edges)
+
+    def test_strip_boundaries_where_strip_rows_differ(self):
+        res = _result(200, 0)
+        cap, lab, nbr = res.cap, res.strips.strip_of, res.cap.face_neighbors()
+        T = cap.triangles
+        # each uncut interior side once, from face f < g, in face order
+        folds = [(f, k) for f, k in zip(*np.nonzero(
+                     nbr > np.arange(len(nbr))[:, None]))
+                 if (int(min(T[f, k], T[f, (k + 1) % 3])),
+                     int(max(T[f, k], T[f, (k + 1) % 3]))) not in res.net.cut_edges]
+        differ = [lab[f].tolist() != lab[nbr[f, k]].tolist() for f, k in folds]
+        assert any(differ) and not all(differ)
+
+        def lines(svg, cls):
+            return [tuple(el.get(c) for c in ("x1", "y1", "x2", "y2"))
+                    for el in ET.fromstring(svg) if el.get("class") == cls]
+
+        plain = lines(render_net_svg(cap, res.net, res.forest), "fold")
+        svg = render_net_svg(cap, res.net, res.forest, res.strips)
+        assert len(plain) == len(folds)
+        assert lines(svg, "strip-boundary") == [
+            ln for ln, d in zip(plain, differ) if d]
+        assert lines(svg, "fold") == [
+            ln for ln, d in zip(plain, differ) if not d]
 
     def test_quadrant_axes_drawn(self):
         res = _result()
