@@ -175,16 +175,22 @@ def layout_net(cap: ConvexCap, forest: SpanningForest) -> Net:
     kf = (nbr[F] == G[:, None]).argmax(axis=1)
     kg = (nbr[G] == F[:, None]).argmax(axis=1)
 
-    depth = [0] * m
-    for g, f in zip(G.tolist(), F.tolist()):
-        depth[g] = depth[f] + 1
-    cuts = np.flatnonzero(np.diff(np.asarray(depth)[G])) + 1
+    # G[i] sits at BFS position i + 1 and its parent's position does not
+    # decrease with i, so a level ends at the first face whose parent lies
+    # past every face placed before that level
+    rank = np.empty(m, dtype=int)
+    rank[order] = np.arange(m)
+    parent_rank = rank[F]
 
     local = _all_face_locals(cap)
     pos = np.empty((m, 3, 2))
     pos[0] = _root_placement(cap, 0, local[0])
-    for lv in np.split(np.arange(len(G)), cuts):
+    start = 0
+    while start < len(G):
+        stop = int(np.searchsorted(parent_rank, start + 1))
+        lv = slice(start, stop)
         _place_level(pos, local, G[lv], F[lv], kg[lv], kf[lv])
+        start = stop
     return Net(images=pos, cut_edges=set(zip(lo.tolist(), hi.tolist())))
 
 

@@ -31,7 +31,7 @@ from .mesh import ConvexCap, compute_metrics, validate_cap
 from .monotone import left_of
 from .strips import StripSystem, strip_certificates, waterfall_strips
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class PipelineError(RuntimeError):
@@ -209,6 +209,6 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
         if not diag["trees"][key]:
             diag["warnings"].append(msg)
 
-    diag["strips"] = strip_certificates(cap, forest, strips, net)
+    diag["strips"] = strip_certificates(strips)
     if not diag["strips"]["clean"]:
         diag["errors"].extend(diag["strips"]["errors"])

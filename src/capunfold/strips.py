@@ -1,20 +1,19 @@
-"""Waterfall strip partition of the projected cap.
+"""Waterfall paths of the projected cap.
 
-Each quadrant is partitioned by noncrossing, angle-monotone "waterfall"
+Each quadrant holds noncrossing, angle-monotone "waterfall"
 polylines running from the forest leaves down to the origin q: a leaf drops
 (in oblique coordinates aligned with the quadrant) onto an epsilon-offset of
 the envelope of the earlier paths, rides it to its own height level, heads to
 a target point on a small circle around q, and finishes radially.
 
-The paths are geometric polylines, not mesh polylines.  Strips therefore
-store whole triangles, assigned by which side of the paths their projected
-centroid lies; the actual cuts remain exactly the forest edges, and the
-paths only dictate strip ordering and certificates.  Pocket repair and the
-connectivity certificate find the components of all strips in one pass over
-the cap's face-neighbour array.  Each path keeps the exact oblique points it
-was built from, a staircase nondecreasing in both coordinates; the path
-certificates are decided on those points (one merge per consecutive pair),
-and the global points serve output and face assignment only.
+The paths are geometric polylines, not mesh polylines; the cuts remain
+exactly the forest edges, and the non-overlap argument needs only the
+paths' order.  Each path keeps the exact oblique points it was built from,
+a staircase nondecreasing in both coordinates; the path certificates are
+decided on those points (one merge per consecutive pair), and the global
+points serve output only.  :func:`strip_partition` assigns whole triangles
+to the strips between the paths, by which side of the paths their projected
+centroid lies, and repairs the stray pockets; only the net SVG draws it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .forest import QuadrantSystem, SpanningForest
-from .geom import corner_angles, points_close
+from .geom import points_close
 from .mesh import ConvexCap
 
 
@@ -46,26 +45,21 @@ class WaterfallPath:
     ab: np.ndarray              # (k, 2), (0, 0) first, leaf last
 
 
-@dataclass(frozen=True)
-class Strip:
-    """Region between two consecutive waterfall paths (or a path and a
-    quadrant axis), carrying whole triangles."""
-
-    quadrant: int
-    index: int
-    faces: tuple[int, ...]
-
-
 @dataclass
 class StripSystem:
-    """The waterfall paths of each quadrant, the strips between them, and
-    ``strip_of``, one ``(quadrant, strip)`` row per face."""
+    """The waterfall paths of each quadrant, with each quadrant's clearance
+    unit and target-circle radius."""
 
-    strips: list[Strip]
     paths: dict[int, list[WaterfallPath]]   # per quadrant, in height order
     eps: dict[int, float]
     radius: dict[int, float]
-    strip_of: np.ndarray
+
+    @property
+    def strips(self) -> list[tuple[int, int]]:
+        """``(quadrant, index)`` of every strip, quadrant by quadrant: a
+        quadrant with k paths has k + 1 strips."""
+        return [(i, s) for i in range(4)
+                for s in range(len(self.paths[i]) + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -118,19 +112,7 @@ def waterfall_strips(cap: ConvexCap, forest: SpanningForest) -> StripSystem:
     for i in range(4):
         paths[i], eps_q[i], rad_q[i] = _quadrant_paths(
             cap, forest, i, leaves[quad == i].tolist())
-
-    strip_of = _repair_connectivity(cap, _assign_faces(cap, forest, paths))
-
-    # strips numbered quadrant by quadrant, strip by strip; faces ascending
-    count = [len(paths[i]) + 1 for i in range(4)]
-    slot = np.cumsum([0] + count[:-1])[strip_of[:, 0]] + strip_of[:, 1]
-    members = np.split(np.argsort(slot, kind="stable"),
-                       np.cumsum(np.bincount(slot, minlength=sum(count)))[:-1])
-    labels = [(i, s) for i in range(4) for s in range(count[i])]
-    strips = [Strip(quadrant=i, index=s, faces=tuple(faces.tolist()))
-              for (i, s), faces in zip(labels, members)]
-    return StripSystem(strips=strips, paths=paths, eps=eps_q, radius=rad_q,
-                       strip_of=strip_of)
+    return StripSystem(paths=paths, eps=eps_q, radius=rad_q)
 
 
 def _quadrant_frame(qs: QuadrantSystem, quadrant: int) -> float:
@@ -271,8 +253,15 @@ def _epsilon(cap: ConvexCap, forest: SpanningForest, quadrant: int,
 
 
 # --------------------------------------------------------------------------
-# whole-triangle strip assignment
+# whole-triangle strip partition (drawn by the net SVG only)
 # --------------------------------------------------------------------------
+
+
+def strip_partition(cap: ConvexCap, forest: SpanningForest,
+                    system: StripSystem) -> np.ndarray:
+    """(quadrant, strip) row of every face, (m, 2): assigned by projected
+    centroid, then repaired so that every strip is edge-connected."""
+    return _repair_connectivity(cap, _assign_faces(cap, forest, system.paths))
 
 
 def _assign_faces(cap: ConvexCap, forest: SpanningForest,
@@ -384,37 +373,11 @@ def _ordered(lower: np.ndarray, upper: np.ndarray) -> bool:
     return bool((_heights(upper, x)[0] >= _heights(lower, x)[1]).all())
 
 
-def strip_certificates(cap: ConvexCap, forest: SpanningForest,
-                       system: StripSystem, net) -> dict:
-    """Certificate bundle for the strip partition."""
-    qs = forest.system
-    out: dict = {"errors": []}
-
-    # partition + area tiling
-    m = cap.n_triangles
-    code = np.full(m, -1)
-    for k, strip in enumerate(system.strips):
-        code[list(strip.faces)] = k
-    if sum(len(s.faces) for s in system.strips) != m or (code < 0).any():
-        out["errors"].append("strip assignment is not a partition of faces")
-    P = cap.vertices[:, :2]
-    tri = P[cap.triangles]
-    areas = 0.5 * np.abs(
-        (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1])
-        - (tri[:, 1, 1] - tri[:, 0, 1]) * (tri[:, 2, 0] - tri[:, 0, 0]))
-    rim = P[cap.rim]
-    cap_area = 0.5 * abs(float(
-        np.sum(rim[:, 0] * np.roll(rim[:, 1], -1)
-               - np.roll(rim[:, 0], -1) * rim[:, 1])))
-    out["area_relative_error"] = abs(float(areas.sum()) - cap_area) / cap_area
-    if out["area_relative_error"] > 1e-6:
-        out["errors"].append("strip areas do not tile the cap")
-
-    # boundaries: every path a staircase, and every path nowhere below the
-    # one before it, which orders them all and so keeps any two from crossing
-    out["paths_monotone"] = True
-    out["paths_noncrossing"] = True
-    out["paths_ordered"] = True
+def strip_certificates(system: StripSystem) -> dict:
+    """Certificate bundle for the waterfall paths: every path a staircase,
+    and every path nowhere below the one before it, which orders them all
+    and so keeps any two from crossing."""
+    out: dict = {"errors": [], "paths_monotone": True, "paths_ordered": True}
     for i in range(4):
         ps = system.paths[i]
         monotone = [_staircase(wp.ab) for wp in ps]
@@ -429,29 +392,5 @@ def strip_certificates(cap: ConvexCap, forest: SpanningForest,
                 out["paths_ordered"] = False
                 out["errors"].append(
                     f"quadrant {i}: path {j + 1} not left of path {j}")
-    out["paths_noncrossing"] = out["paths_ordered"]
-
-    # strip content: each strip's faces share one edge-connected component
-    out["strips_connected"] = True
-    comp = _label_components(cap, code)
-    for strip in system.strips:
-        faces = np.unique(np.asarray(strip.faces, dtype=int))
-        seen = int((comp[faces] == comp[faces[0]]).sum()) if len(faces) else 0
-        if seen != len(faces):
-            out["strips_connected"] = False
-            out["errors"].append(
-                f"strip ({strip.quadrant},{strip.index}) content is not "
-                f"edge-connected: {seen} of {len(faces)} reachable")
-
-    # apex angles at q across all strips close up the cone at q
-    q = int(qs.origin)
-    fq, corner = cap.vertex_corners(q)
-    apex = corner_angles(net.images[fq])
-    total = float(apex[np.arange(len(fq)), corner].sum())
-    out["apex_angle_error"] = abs(
-        total - (2 * math.pi - cap.vertex_curvature(q)))
-    if out["apex_angle_error"] > 1e-9:
-        out["errors"].append("strip apex angles at q do not close the cone")
-
     out["clean"] = not out["errors"]
     return out

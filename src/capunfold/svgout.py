@@ -14,7 +14,7 @@ import numpy as np
 from .develop import Net
 from .forest import SpanningForest
 from .mesh import ConvexCap
-from .strips import StripSystem
+from .strips import StripSystem, strip_partition
 
 STYLE = {
     "cut": 'stroke="#c0392b" stroke-width="{w2}" fill="none"',
@@ -52,44 +52,42 @@ class _Canvas:
         self.w2 = 0.004 * width
         self.d1 = 0.006 * width
         self.d2 = 0.012 * width
+        sizes = {k: f"{getattr(self, k):.3f}" for k in ("w1", "w2", "d1", "d2")}
+        self.style = {cls: st.format(**sizes) for cls, st in STYLE.items()}
         self.elements: list[str] = []
 
     def xy(self, p) -> tuple[float, float]:
         return (float((p[0] - self.lo[0]) * self.scale),
                 float((self.hi[1] - p[1]) * self.scale))
 
-    def _style(self, cls: str) -> str:
-        return STYLE[cls].format(w1=f"{self.w1:.3f}", w2=f"{self.w2:.3f}",
-                                 d1=f"{self.d1:.3f}", d2=f"{self.d2:.3f}")
-
     def line(self, p, q, cls: str):
         (x1, y1), (x2, y2) = self.xy(p), self.xy(q)
         self.elements.append(
             f'<line class="{cls}" x1="{x1:.3f}" y1="{y1:.3f}" '
-            f'x2="{x2:.3f}" y2="{y2:.3f}" {self._style(cls)}/>')
+            f'x2="{x2:.3f}" y2="{y2:.3f}" {self.style[cls]}/>')
 
     def polyline(self, pts, cls: str):
         coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(self.xy, pts))
         self.elements.append(
-            f'<polyline class="{cls}" points="{coords}" {self._style(cls)}/>')
+            f'<polyline class="{cls}" points="{coords}" {self.style[cls]}/>')
 
     def polygon(self, pts, cls: str):
         coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(self.xy, pts))
         self.elements.append(
-            f'<polygon class="{cls}" points="{coords}" {self._style(cls)}/>')
+            f'<polygon class="{cls}" points="{coords}" {self.style[cls]}/>')
 
     def dot(self, p, cls: str, r: float | None = None):
         x, y = self.xy(p)
         r = self.w2 * 1.5 if r is None else r
         self.elements.append(
             f'<circle class="{cls}" cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" '
-            f'{self._style(cls)}/>')
+            f'{self.style[cls]}/>')
 
     def circle_outline(self, center, radius: float, cls: str):
         x, y = self.xy(center)
         self.elements.append(
             f'<circle class="{cls}" cx="{x:.3f}" cy="{y:.3f}" '
-            f'r="{radius * self.scale:.3f}" {self._style(cls)}/>')
+            f'r="{radius * self.scale:.3f}" {self.style[cls]}/>')
 
     def to_svg(self) -> str:
         body = "\n".join(self.elements)
@@ -105,7 +103,10 @@ def render_net_svg(cap: ConvexCap, net: Net,
                    width: float = 800.0) -> str:
     """Draw the planar net: faces filled, fold edges light, cut and rim
     edges heavy, strip boundaries dashed (when strips are given), quadrant
-    axes through the origin image dotted (when a forest is given)."""
+    axes through the origin image dotted (when a forest is given).  The
+    strips are partitioned here, so ``strips`` needs ``forest``."""
+    if strips is not None and forest is None:
+        raise ValueError("drawing strips needs the forest")
     cv = _Canvas(net.images.reshape(-1, 2), width)
 
     for img in net.images:
@@ -116,7 +117,7 @@ def render_net_svg(cap: ConvexCap, net: Net,
     # sides whose two faces lie in different strips (read where g >= 0)
     crosses = np.zeros(nbr.shape, dtype=bool)
     if strips is not None:
-        lab = strips.strip_of
+        lab = strip_partition(cap, forest, strips)
         crosses = (lab[nbr] != lab[:, None]).any(axis=2)
     for f, (tri, img) in enumerate(zip(cap.triangles, net.images)):
         for k in range(3):

@@ -72,6 +72,16 @@ class TestEndToEnd:
         assert res.clean
         assert res.diagnostics["forest"]["origin_mode"] == "closest_to_boundary"
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_translated_cap_keeps_its_status(self, seed):
+        # strip area and apex checks taken about the coordinate origin once
+        # failed these caps when moved far from it
+        cap = generate_budget_cap(200, seed=seed)
+        far = ConvexCap(cap.vertices + [1e6, -1e6, 0.0], cap.triangles)
+        want = cut_and_unfold(cap).diagnostics["status"]
+        d = cut_and_unfold(far).diagnostics
+        assert (d["status"], d["errors"]) == (want, [])
+
 
 class TestDiagnostics:
     def test_diagnostics_json_serializable(self):
@@ -212,7 +222,8 @@ class TestTracerTargets:
         tracer = load_tracer().Tracer(memory=False)
         tracer.install()
         try:
-            tracer.operation(0, cut_and_unfold, generate_budget_cap(200, seed=0))
+            res = tracer.operation(0, cut_and_unfold,
+                                   generate_budget_cap(200, seed=0))
         finally:
             tracer.uninstall()
         m = tracer.per_op_metrics()
@@ -220,6 +231,9 @@ class TestTracerTargets:
         assert m["monotone.left_of.calls"] == 2
         assert m["develop.banks.calls"] == 1
         assert m["monotone.left_of_s"] > 0
+        # one strip more than paths in each quadrant
+        paths = sum(len(p) for p in res.strips.paths.values())
+        assert m["strips.count"] == paths + 4
 
 
 def break_leaf_paths(monkeypatch, crossed=None, moved=None):

@@ -3,17 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from capunfold.develop import layout_net
 from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.monotone import left_of
 from capunfold import strips as strips_mod
 from capunfold.strips import (
-    Strip,
     StripError,
     WaterfallPath,
     _assign_faces,
     _cartesian,
+    _label_components,
     _oblique,
     _ordered,
     _path_graph,
@@ -23,6 +22,7 @@ from capunfold.strips import (
     _to_global,
     _to_local,
     strip_certificates,
+    strip_partition,
     waterfall_strips,
 )
 
@@ -36,15 +36,13 @@ DEG = math.pi / 180
 def unfolded(seed=3, n=60, phi=25 * DEG, mode="central"):
     cap = generate_cap(n, phi=phi, seed=seed)
     forest = build_forest(cap, choose_origin(cap, mode))
-    net = layout_net(cap, forest)
-    system = waterfall_strips(cap, forest)
-    return cap, forest, net, system
+    return cap, forest, waterfall_strips(cap, forest)
 
 
 class TestWaterfallPaths:
     def test_paths_are_theta_monotone_and_noncrossing(self):
         for seed in range(5):
-            cap, forest, net, system = unfolded(seed=seed)
+            cap, forest, system = unfolded(seed=seed)
             theta = forest.system.theta
             for i in range(4):
                 ps = system.paths[i]
@@ -55,7 +53,7 @@ class TestWaterfallPaths:
                         assert not polylines_cross(ps[j].points, ps[k].points)
 
     def test_paths_run_from_origin_to_their_leaves(self):
-        cap, forest, net, system = unfolded(seed=1)
+        cap, forest, system = unfolded(seed=1)
         qs = forest.system
         P = cap.vertices[:, :2]
         for i in range(4):
@@ -69,13 +67,13 @@ class TestWaterfallPaths:
                     _quadrant_frame(qs, i)))
 
     def test_every_nonorigin_leaf_gets_a_path(self):
-        cap, forest, net, system = unfolded(seed=2)
+        cap, forest, system = unfolded(seed=2)
         q = forest.system.origin
         got = {wp.leaf for i in range(4) for wp in system.paths[i]}
         assert got == set(forest.leaves.tolist()) - {q}
 
     def test_positive_clearance_and_radius(self):
-        cap, forest, net, system = unfolded(seed=4)
+        cap, forest, system = unfolded(seed=4)
         for i in range(4):
             if system.paths[i]:
                 assert system.eps[i] > 0
@@ -84,56 +82,53 @@ class TestWaterfallPaths:
 
 class TestStripAssignment:
     def test_faces_partitioned(self):
+        # every face gets exactly one strip label, and each label's faces
+        # form one edge-connected component
         for seed in range(4):
-            cap, forest, net, system = unfolded(seed=seed)
-            assert system.strip_of.shape == (cap.n_triangles, 2)
-            by_strip = {}
-            for s in system.strips:
-                for f in s.faces:
-                    assert f not in by_strip
-                    by_strip[f] = [s.quadrant, s.index]
-            assert sorted(by_strip) == list(range(cap.n_triangles))
-            assert [by_strip[f] for f in sorted(by_strip)] == \
-                system.strip_of.tolist()
+            cap, forest, system = unfolded(seed=seed)
+            strip_of = strip_partition(cap, forest, system)
+            assert strip_of.shape == (cap.n_triangles, 2)
+            assert set(map(tuple, strip_of.tolist())) <= set(system.strips)
+            labels, code = np.unique(strip_of, axis=0, return_inverse=True)
+            comp = _label_components(cap, code)
+            for k in range(len(labels)):
+                assert len(np.unique(comp[code == k])) == 1, (seed, labels[k])
 
     def test_strip_count_per_quadrant(self):
-        cap, forest, net, system = unfolded(seed=3)
+        cap, forest, system = unfolded(seed=3)
         for i in range(4):
-            idxs = [s.index for s in system.strips if s.quadrant == i]
+            idxs = [s for q, s in system.strips if q == i]
             assert idxs == list(range(len(system.paths[i]) + 1))
 
     def test_pyramid_has_one_strip_per_quadrant(self):
         cap = pentagonal_pyramid()
         forest = build_forest(cap, choose_origin(cap, "central"))
-        net = layout_net(cap, forest)
         system = waterfall_strips(cap, forest)
         assert all(not system.paths[i] for i in range(4))
-        assert sum(len(s.faces) for s in system.strips) == 5
-        cert = strip_certificates(cap, forest, system, net)
+        assert system.strips == [(0, 0), (1, 0), (2, 0), (3, 0)]
+        assert len(strip_partition(cap, forest, system)) == 5
+        cert = strip_certificates(system)
         assert cert["clean"], cert["errors"]
 
 
 class TestCertificates:
     def test_random_caps_certify_clean(self):
         for seed in range(5):
-            cap, forest, net, system = unfolded(seed=seed)
-            cert = strip_certificates(cap, forest, system, net)
+            cap, forest, system = unfolded(seed=seed)
+            cert = strip_certificates(system)
             assert cert["clean"], (seed, cert["errors"])
-            assert cert["area_relative_error"] <= 1e-6
-            assert cert["apex_angle_error"] <= 1e-9
 
     def test_budget_caps_certify_clean(self):
         for seed in range(3):
             cap = generate_budget_cap(80, seed=seed)
             forest = build_forest(cap, choose_origin(cap, "central"))
-            net = layout_net(cap, forest)
             system = waterfall_strips(cap, forest)
-            cert = strip_certificates(cap, forest, system, net)
+            cert = strip_certificates(system)
             assert cert["clean"], (seed, cert["errors"])
 
     def test_boundary_mode_origin_also_works(self):
-        cap, forest, net, system = unfolded(seed=7, mode="closest_to_boundary")
-        cert = strip_certificates(cap, forest, system, net)
+        cap, forest, system = unfolded(seed=7, mode="closest_to_boundary")
+        cert = strip_certificates(system)
         assert cert["clean"], cert["errors"]
 
 
@@ -377,7 +372,7 @@ class TestArrayPassesAgainstReference:
                 map(tuple, assigned.tolist()))))
             assert (_repair_connectivity(cap, assigned).tolist()
                     == [list(ref[f]) for f in range(cap.n_triangles)]
-                    == system.strip_of.tolist())
+                    == strip_partition(cap, forest, system).tolist())
             for i in range(4):
                 ps = system.paths[i]
                 got = [_ordered(lo.ab, up.ab) for lo, up in zip(ps, ps[1:])]
@@ -414,16 +409,15 @@ class TestArrayPassesAgainstReference:
             assert cone == rounded.get(name, []), name
 
     def test_crossing_polylines_are_reported(self):
-        cap, forest, net, system = unfolded(seed=3)
+        cap, forest, system = unfolded(seed=3)
         i = max(range(4), key=lambda k: len(system.paths[k]))
         ps = system.paths[i]
         assert len(ps) >= 3
         # consecutive paths swapped: the pair is out of order
         swapped = [wp.ab for wp in ps]
         swapped[1], swapped[2] = swapped[2], swapped[1]
-        cert = strip_certificates(
-            cap, forest, staircase_system(cap, forest, i, swapped), net)
-        assert not cert["paths_ordered"] and not cert["paths_noncrossing"]
+        cert = strip_certificates(staircase_system(cap, forest, i, swapped))
+        assert not cert["paths_ordered"]
         assert cert["paths_monotone"]
         assert f"quadrant {i}: path 2 not left of path 1" in cert["errors"]
         # two staircases that properly cross, and one touching the lower
@@ -432,9 +426,8 @@ class TestArrayPassesAgainstReference:
         low = r * np.array([[0, 0], [1, 0], [1, 1], [3, 1], [3, 2.0]])
         cross = r * np.array([[0, 0], [2, 0.5], [2, 3.0]])
         touch = r * np.array([[0, 0], [0, 1], [1, 1], [4, 4.0]])
-        cert = strip_certificates(
-            cap, forest, staircase_system(cap, forest, i, [low, cross]), net)
-        assert not cert["paths_noncrossing"] and not cert["clean"]
+        cert = strip_certificates(staircase_system(cap, forest, i, [low, cross]))
+        assert not cert["paths_ordered"] and not cert["clean"]
         assert cert["errors"] == [f"quadrant {i}: path 1 not left of path 0"]
         sys_cross = staircase_system(cap, forest, i, [low, cross, touch])
         assert crossing_reference(
@@ -446,8 +439,7 @@ class TestArrayPassesAgainstReference:
         # nor ordered
         assert not _staircase(np.vstack([low[:2], low[1:]]))
         back = r * np.array([[0, 0], [0, 2], [2, 3], [1.5, 4.0]])
-        cert = strip_certificates(
-            cap, forest, staircase_system(cap, forest, i, [low, back]), net)
+        cert = strip_certificates(staircase_system(cap, forest, i, [low, back]))
         assert cert["errors"] == [
             "waterfall path to leaf 1 not angle-monotone",
             f"quadrant {i}: path 1 not left of path 0"]
@@ -476,16 +468,3 @@ class TestArrayPassesAgainstReference:
         assert _repair_connectivity(cap, np.array(list(split.values()))
                                     ).tolist() == list(map(list, want.values()))
         assert repair_reference(cap, split) == want
-
-    def test_certificate_flags_a_split_strip(self):
-        cap = flat_hex_disk(lift=0.1)
-        forest = build_forest(cap, choose_origin(cap, "central"))
-        net = layout_net(cap, forest)
-        system = waterfall_strips(cap, forest)
-        system.strips = [Strip(quadrant=0, index=0, faces=(0, 1, 3)),
-                         Strip(quadrant=0, index=1, faces=(2, 4, 5))]
-        cert = strip_certificates(cap, forest, system, net)
-        assert not cert["strips_connected"]
-        assert [e for e in cert["errors"] if "edge-connected" in e] == [
-            "strip (0,0) content is not edge-connected: 2 of 3 reachable",
-            "strip (0,1) content is not edge-connected: 1 of 3 reachable"]

@@ -1,9 +1,11 @@
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from capunfold.generate import generate_budget_cap
 from capunfold.pipeline import cut_and_unfold
+from capunfold.strips import strip_partition
 from capunfold.svgout import render_forest_svg, render_net_svg
 
 from fixtures import adjacency_reference, pentagonal_pyramid
@@ -44,7 +46,8 @@ class TestNetSvg:
 
     def test_strip_boundaries_where_strip_rows_differ(self):
         res = _result(200, 0)
-        cap, lab, nbr = res.cap, res.strips.strip_of, res.cap.face_neighbors()
+        cap, nbr = res.cap, res.cap.face_neighbors()
+        lab = strip_partition(cap, res.forest, res.strips)
         T = cap.triangles
         # each uncut interior side once, from face f < g, in face order
         folds = [(f, k) for f, k in zip(*np.nonzero(
@@ -65,6 +68,11 @@ class TestNetSvg:
             ln for ln, d in zip(plain, differ) if d]
         assert lines(svg, "fold") == [
             ln for ln, d in zip(plain, differ) if not d]
+
+    def test_strips_need_the_forest(self):
+        res = _result()
+        with pytest.raises(ValueError):
+            render_net_svg(res.cap, res.net, strips=res.strips)
 
     def test_quadrant_axes_drawn(self):
         res = _result()
