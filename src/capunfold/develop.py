@@ -331,7 +331,7 @@ class OverlapReport:
         return not self.pairs
 
 
-_NARROW_CHUNK = 8192   # candidate pairs per narrow-phase batch
+_NARROW_CHUNK = 4096   # candidate pairs per narrow-phase batch
 
 
 def check_overlap(net: Net, eps: float | None = None) -> OverlapReport:
@@ -347,10 +347,13 @@ def check_overlap(net: Net, eps: float | None = None) -> OverlapReport:
     tris = net.images
     e = _contact_tolerance(tris) if eps is None else eps
     cand = _box_pairs(tris.min(axis=1), tris.max(axis=1), e)
+    # (vertex, coordinate, face): a chunk's gather is pair-contiguous
+    corners = np.ascontiguousarray(tris.transpose(1, 2, 0))
     pairs = []
     for k in range(0, len(cand), _NARROW_CHUNK):
         c = cand[k:k + _NARROW_CHUNK]
-        depths = _pairwise_penetration(tris[c[:, 0]], tris[c[:, 1]])
+        depths = _pairwise_penetration(corners[..., c[:, 0]],
+                                       corners[..., c[:, 1]])
         for (i, j), depth in zip(c[depths > e], depths[depths > e]):
             pairs.append((int(i), int(j), float(depth)))
     return OverlapReport(pairs=tuple(sorted(pairs)))
@@ -367,33 +370,50 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, e: float) -> np.ndarray:
     cand = cKDTree((lo + hi) / 2).query_pairs(r, p=np.inf,
                                               output_type="ndarray")
     i, j = cand[:, 0], cand[:, 1]
-    meet = ((lo[i] <= hi[j] + e) & (lo[j] <= hi[i] + e)).all(axis=1)
-    cand = cand[meet]
-    return cand[np.lexsort((cand[:, 1], cand[:, 0]))]
+    meet = np.ones(len(cand), dtype=bool)
+    for a in range(2):
+        la, ha = lo[:, a], hi[:, a]
+        meet &= (la[i] <= ha[j] + e) & (la[j] <= ha[i] + e)
+    # i < j < m, so the key i*m + j sorts the pairs by i, then j
+    m = len(lo)
+    key = np.sort(i[meet] * m + j[meet])
+    return np.column_stack(np.divmod(key, m))
 
 
 def _pairwise_penetration(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Vectorized separating-axis penetration depth for (k, 3, 2) triangle
-    batches; 0 where the pair is separated."""
-    k = len(A)
-    edges = np.concatenate([A[:, [1, 2, 0]] - A, B[:, [1, 2, 0]] - B], axis=1)
-    normals = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)  # (k, 6, 2)
-    nn = np.linalg.norm(normals, axis=-1, keepdims=True)
-    degenerate = nn[..., 0] == 0
-    nn[nn == 0] = 1.0
-    normals = normals / nn
-    pa = np.einsum("kac,kvc->kav", normals, A)   # (k, 6, 3)
-    pb = np.einsum("kac,kvc->kav", normals, B)
-    sep = np.maximum(pb.min(axis=2) - pa.max(axis=2),
-                     pa.min(axis=2) - pb.max(axis=2))   # (k, 6)
+    """Separating-axis penetration depth of k triangle pairs, given as
+    (3, 2, k) (vertex, coordinate, pair) batches; 0 where the pair is
+    separated.  The axes are the normals of A's edges, then B's."""
+    E = np.concatenate([A[[1, 2, 0]] - A, B[[1, 2, 0]] - B])   # (6, 2, k)
+    nx, ny = -E[:, 1], E[:, 0]
+    nn = np.sqrt(nx * nx + ny * ny)
+    degenerate = nn == 0
+    nn[degenerate] = 1.0
+    nx /= nn
+    ny /= nn
+    lo_a, hi_a = _extent(nx, ny, A)
+    lo_b, hi_b = _extent(nx, ny, B)
+    sep = np.maximum(lo_b - hi_a, lo_a - hi_b)   # (6, k)
     sep[degenerate] = -np.inf   # a zero-length edge contributes no axis
-    best = sep.max(axis=1)
+    best = sep.max(axis=0)
     return np.where(best >= 0, 0.0, -best)
 
 
+def _extent(nx: np.ndarray, ny: np.ndarray, T: np.ndarray):
+    """Least and greatest projection of the triangles ``T`` (3, 2, k) on
+    each axis ``(nx, ny)`` (axes, k): one multiply-add over the k pairs per
+    vertex, then an elementwise min and max of the three."""
+    p0, p1, p2 = (nx * x + ny * y for x, y in T)
+    return (np.minimum(np.minimum(p0, p1), p2),
+            np.maximum(np.maximum(p0, p1), p2))
+
+
 def _contact_tolerance(tris: np.ndarray) -> float:
-    scale = float(np.abs(tris).max()) or 1.0
-    return 1e-7 * scale
+    """1e-7 of the diagonal of the net's bounding box: the net's size, not
+    its distance from the coordinate origin."""
+    pts = tris.reshape(-1, 2)
+    diagonal = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+    return 1e-7 * (diagonal or 1.0)
 
 
 def rasterize_overlap_oracle(net: Net, resolution: int = 256) -> bool:

@@ -9,9 +9,13 @@ definition and direction cones are lemma checkers in ``tests/lemmas.py``.
 
 One kernel evaluates every chain and pair of a call together: chains are
 sorted by length and padded, by repeating their last point, into blocks of
-about :data:`_BLOCK_CELLS` cells per array.  A pad segment has zero length,
-so its orientation products are 0 and its cosines NaN, and it can flag no
-crossing or violation; the radius sweep masks pad segments out.
+about :data:`_BLOCK_CELLS` cells per array.  A chain of K points costs K*K
+cells in the simplicity and angle tests and K in the oracle's fast path; a
+pair costs 32*K in the radius sweep, whose arrays are linear in K because
+each radius finds its first segment by binary search.  A pad segment has
+zero length, so its orientation products are 0 and its cosines NaN, and it
+can flag no crossing or violation; the radius sweep drops a first hit that
+falls on a pad segment.
 """
 
 from __future__ import annotations
@@ -381,7 +385,9 @@ def _left_of_all(pairs, check: str) -> list:
     pending = np.array([p for p, out in enumerate(outs) if out is None],
                        dtype=np.intp)
     size = np.maximum(lens[2 * pending], lens[2 * pending + 1])
-    for blk in _blocks(size, lambda k: (4 * k - 1) * (k - 1)):
+    # a pair's sweep arrays are linear in K: (4K - 1) radii, and two hit
+    # coordinates per radius on each chain
+    for blk in _blocks(size, lambda k: 32 * k):
         p, K = pending[blk], int(size[blk].max())
         radius = _sweep(_padded(flat, offsets, lens, 2 * p, K),
                         _padded(flat, offsets, lens, 2 * p + 1, K),
@@ -421,18 +427,26 @@ def _sweep(A, B, la, lb) -> np.ndarray:
 
 
 def _first_hits(P, D, lens, src, R) -> np.ndarray:
-    """First point along each radially monotone padded chain ``P[c]`` at
-    each distance ``R[c, r]`` from ``src[c]``: (C, len(R[0]), 2), NaN on
-    miss.  ``D`` holds the chains' vertex distances from their sources."""
-    d0, d1 = D[:, None, :-1], D[:, None, 1:]
-    r = R[:, :, None]
-    near = d0 - r
-    np.abs(near, out=near)
-    hit = ((d0 <= r) & (r <= d1)) | (near < 1e-12)
-    del near
-    hit &= (np.arange(P.shape[1] - 1) < (lens - 1)[:, None])[:, None, :]
-    c, i = np.nonzero(hit.any(axis=2))
-    k = hit.argmax(axis=2)[c, i]
+    """First point along each padded chain ``P[c]`` at each distance
+    ``R[c, r]`` from ``src[c]``: (C, len(R[0]), 2), NaN on miss.  ``D``
+    holds the chains' vertex distances from their sources, ``D[:, 0] == 0``.
+
+    Segment k is hit when ``D[k] <= r <= D[k+1]`` or ``|D[k] - r| <
+    1e-12``; pad segments are never hit.  On the running maximum ``top`` of
+    ``D`` the first segment of the first kind is the first k with
+    ``top[k+1] >= r``, and the first of the second kind the first k with
+    ``top[k] >= near``, where ``near`` is the least distance within 1e-12
+    below r: ``r - 1e-12`` rounded, or the next float up when that rounding
+    does not fall within 1e-12 of r.  Both are binary searches, on
+    monotone chains or not."""
+    top = np.maximum.accumulate(D, axis=1)
+    near = R - 1e-12
+    near = np.where(np.abs(near - R) < 1e-12, near,
+                    np.nextafter(near, math.inf))
+    k = np.minimum(_row_searchsorted(top[:, 1:], R),
+                   _row_searchsorted(top, near))
+    c, i = np.nonzero(k < (lens - 1)[:, None])
+    k = k[c, i]
     out = np.full(R.shape + (2,), np.nan)
     if not len(c):
         return out
@@ -459,3 +473,16 @@ def _first_hits(P, D, lens, src, R) -> np.ndarray:
     res[deg] = a[deg]
     out[c, i] = res
     return out
+
+
+def _row_searchsorted(a, v) -> np.ndarray:
+    """``np.searchsorted(a[c], v[c])`` for every row c of the nondecreasing
+    rows ``a``, in one call: complex numbers order lexicographically, so the
+    keys ``c + 1j * a[c]`` of all rows form one sorted array."""
+    rows = np.arange(len(a))[:, None]
+    keys = np.empty(a.shape, dtype=complex)
+    keys.real, keys.imag = rows, a
+    query = np.empty(v.shape, dtype=complex)
+    query.real, query.imag = rows, v
+    return (np.searchsorted(keys.ravel(), query.ravel()).reshape(v.shape)
+            - rows * a.shape[1])

@@ -56,35 +56,49 @@ class _Canvas:
         self.style = {cls: st.format(**sizes) for cls, st in STYLE.items()}
         self.elements: list[str] = []
 
-    def xy(self, p) -> tuple[float, float]:
-        return (float((p[0] - self.lo[0]) * self.scale),
-                float((self.hi[1] - p[1]) * self.scale))
+    def xy(self, p) -> np.ndarray:
+        """Canvas coordinates of the drawing points ``p``, (..., 2)."""
+        p = np.asarray(p, dtype=float)
+        out = np.empty(p.shape)
+        out[..., 0] = (p[..., 0] - self.lo[0]) * self.scale
+        out[..., 1] = (self.hi[1] - p[..., 1]) * self.scale
+        return out
+
+    def lines(self, P, Q, classes):
+        """One line from each row of ``P`` to the same row of ``Q``, of the
+        class in the same place of ``classes``."""
+        for (x1, y1), (x2, y2), cls in zip(self.xy(P).tolist(),
+                                           self.xy(Q).tolist(), classes):
+            self.elements.append(
+                f'<line class="{cls}" x1="{x1:.3f}" y1="{y1:.3f}" '
+                f'x2="{x2:.3f}" y2="{y2:.3f}" {self.style[cls]}/>')
 
     def line(self, p, q, cls: str):
-        (x1, y1), (x2, y2) = self.xy(p), self.xy(q)
-        self.elements.append(
-            f'<line class="{cls}" x1="{x1:.3f}" y1="{y1:.3f}" '
-            f'x2="{x2:.3f}" y2="{y2:.3f}" {self.style[cls]}/>')
+        self.lines([p], [q], [cls])
 
     def polyline(self, pts, cls: str):
-        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(self.xy, pts))
+        coords = " ".join(f"{x:.3f},{y:.3f}"
+                          for x, y in self.xy(pts).tolist())
         self.elements.append(
             f'<polyline class="{cls}" points="{coords}" {self.style[cls]}/>')
 
-    def polygon(self, pts, cls: str):
-        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(self.xy, pts))
-        self.elements.append(
-            f'<polygon class="{cls}" points="{coords}" {self.style[cls]}/>')
+    def polygons(self, shapes, cls: str):
+        """One polygon per (k, 2) point array in ``shapes``."""
+        style = self.style[cls]
+        for pts in self.xy(shapes).tolist():
+            coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in pts)
+            self.elements.append(
+                f'<polygon class="{cls}" points="{coords}" {style}/>')
 
     def dot(self, p, cls: str, r: float | None = None):
-        x, y = self.xy(p)
+        x, y = self.xy(p).tolist()
         r = self.w2 * 1.5 if r is None else r
         self.elements.append(
             f'<circle class="{cls}" cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" '
             f'{self.style[cls]}/>')
 
     def circle_outline(self, center, radius: float, cls: str):
-        x, y = self.xy(center)
+        x, y = self.xy(center).tolist()
         self.elements.append(
             f'<circle class="{cls}" cx="{x:.3f}" cy="{y:.3f}" '
             f'r="{radius * self.scale:.3f}" {self.style[cls]}/>')
@@ -109,32 +123,29 @@ def render_net_svg(cap: ConvexCap, net: Net,
         raise ValueError("drawing strips needs the forest")
     cv = _Canvas(net.images.reshape(-1, 2), width)
 
-    for img in net.images:
-        cv.polygon(img, "face")
+    cv.polygons(net.images, "face")
 
-    strip_segments = []
-    nbr = cap.face_neighbors()
-    # sides whose two faces lie in different strips (read where g >= 0)
+    # each side of each face, in face order: rim sides, cut sides and fold
+    # sides (drawn once, from the face f < g across it), then the fold
+    # sides whose two faces lie in different strips
+    T, nbr = cap.triangles, cap.face_neighbors()
+    n = cap.n_vertices
+    T1 = T[:, [1, 2, 0]]
+    cut_keys = np.array(list(net.cut_edges), dtype=np.intp).reshape(-1, 2)
+    rim = nbr < 0
+    cut = ~rim & np.isin(np.minimum(T, T1) * n + np.maximum(T, T1),
+                         cut_keys[:, 0] * n + cut_keys[:, 1])
+    fold = ~rim & ~cut & (nbr > np.arange(len(T))[:, None])
     crosses = np.zeros(nbr.shape, dtype=bool)
     if strips is not None:
         lab = strip_partition(cap, forest, strips)
-        crosses = (lab[nbr] != lab[:, None]).any(axis=2)
-    for f, (tri, img) in enumerate(zip(cap.triangles, net.images)):
-        for k in range(3):
-            a, b = int(tri[k]), int(tri[(k + 1) % 3])
-            pa, pb = img[k], img[(k + 1) % 3]
-            g = int(nbr[f, k])
-            if g < 0:
-                cv.line(pa, pb, "rim")
-            elif (min(a, b), max(a, b)) in net.cut_edges:
-                cv.line(pa, pb, "cut")
-            elif f < g:
-                if crosses[f, k]:
-                    strip_segments.append((pa, pb))
-                else:
-                    cv.line(pa, pb, "fold")
-    for pa, pb in strip_segments:
-        cv.line(pa, pb, "strip-boundary")
+        crosses = (lab[nbr] != lab[:, None]).any(axis=2) & fold
+    drawn = rim | cut | (fold & ~crosses)
+    start, end = net.images, net.images[:, [1, 2, 0]]
+    kind = np.where(rim, "rim", np.where(cut, "cut", "fold"))
+    cv.lines(start[drawn], end[drawn], kind[drawn].tolist())
+    cv.lines(start[crosses], end[crosses],
+             ["strip-boundary"] * int(crosses.sum()))
 
     if forest is not None:
         qs = forest.system
@@ -160,19 +171,21 @@ def render_forest_svg(cap: ConvexCap, forest: SpanningForest,
     P = cap.vertices[:, :2]
     cv = _Canvas(P, width)
 
-    links = forest.edges.tolist()
-    forest_set = {(min(v, p), max(v, p)) for v, p in links}
-    # every edge once: each rim side, and each interior side from face f < g
-    T, nbr = cap.triangles, cap.face_neighbors()
+    # every edge once (each rim side, and each interior side from face
+    # f < g) that is not a forest edge, by its key lo*n + hi; then the
+    # forest edges, child to parent
+    T, nbr, n = cap.triangles, cap.face_neighbors(), cap.n_vertices
+    E = forest.edges
     once = (nbr < 0) | (nbr > np.arange(len(T))[:, None])
     a, b = T[once], T[:, [1, 2, 0]][once]
-    for lo, hi, rim in sorted(zip(np.minimum(a, b).tolist(),
-                                  np.maximum(a, b).tolist(),
-                                  (nbr[once] < 0).tolist())):
-        if (lo, hi) not in forest_set:
-            cv.line(P[lo], P[hi], "rim" if rim else "mesh-edge")
-    for v, p in links:
-        cv.line(P[v], P[p], "forest-edge")
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(key)
+    order = order[~np.isin(key[order], np.minimum(E[:, 0], E[:, 1]) * n
+                           + np.maximum(E[:, 0], E[:, 1]))]
+    lo, hi = np.divmod(key[order], n)
+    cv.lines(P[lo], P[hi],
+             np.where(nbr[once][order] < 0, "rim", "mesh-edge").tolist())
+    cv.lines(P[E[:, 0]], P[E[:, 1]], ["forest-edge"] * len(E))
 
     qs = forest.system
     q = int(qs.origin)

@@ -10,7 +10,10 @@ seed=SEED)``.  Each line holds the cap's name and the digests of the forest
 ``strip_partition`` rows, which the net SVG draws), the waterfall
 ``points`` and ``json.dumps(diagnostics, sort_keys=True)``; then the
 digest of the diagnostics without ``paths.max_turn_distortion``, and that
-value's ``repr``, so a move of that one float can be read off.
+value's ``repr``, so a move of that one float can be read off; last the
+digest of ``check_overlap(net, eps=-1e-3).pairs``, every candidate pair
+whose boxes overlap by more than 1e-3 with its separating-axis depth, so
+that the narrow phase shows on caps whose nets are clean.
 Not a test module: pytest does not collect it.
 """
 
@@ -26,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from capunfold.develop import check_overlap  # noqa: E402
 from capunfold.generate import generate_budget_cap  # noqa: E402
 from capunfold.pipeline import cut_and_unfold  # noqa: E402
 from capunfold.strips import strip_partition  # noqa: E402
@@ -54,6 +58,7 @@ def digest(cap) -> list[str]:
         _sha(json.dumps(diag, sort_keys=True)),
         _sha(json.dumps(rest, sort_keys=True)),
         repr(mtd),
+        _sha(json.dumps(check_overlap(res.net, eps=-1e-3).pairs)),
     ]
 
 

@@ -278,6 +278,21 @@ class TestOverlap:
             assert rep.clean, (seed, rep.pairs[:3])
             assert not rasterize_overlap_oracle(net)
 
+    def test_tolerance_does_not_grow_with_translation(self):
+        # a face copied onto its neighbour overlaps it by a whole face; the
+        # contact tolerance, from the net's size, must stay below that
+        # wherever the cap lies
+        cap = generate_budget_cap(2000, seed=0)
+        g = int(cap.face_neighbors()[10].max())
+        for shift in ((0.0, 0.0), (1e6, -1e6)):
+            far = ConvexCap(cap.vertices + [*shift, 0.0], cap.triangles)
+            forest = build_forest(far, choose_origin(far, "central"))
+            net = layout_net(far, forest)
+            assert check_overlap(net).clean, shift
+            net.images[g] = net.images[10]
+            assert [p[:2] for p in check_overlap(net).pairs] == \
+                [(min(10, g), max(10, g))], shift
+
     def test_oracle_agrees_with_exact_check_on_steep_cap(self):
         cap = generate_cap(60, phi=33 * DEG, seed=11)
         forest = build_forest(cap, choose_origin(cap, "central"))
@@ -293,14 +308,40 @@ def dense_box_pairs(lo, hi, e):
     return np.argwhere(np.triu(ok_x & ok_y, k=1))
 
 
+def reference_penetration(A, B):
+    """Reference narrow phase, the separating-axis depth as the overlap test
+    first computed it: (k, 3, 2) triangle batches, einsum projections and
+    min/max over each triangle's vertex axis; 0 where separated."""
+    edges = np.concatenate([A[:, [1, 2, 0]] - A, B[:, [1, 2, 0]] - B], axis=1)
+    normals = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)  # (k, 6, 2)
+    nn = np.linalg.norm(normals, axis=-1, keepdims=True)
+    degenerate = nn[..., 0] == 0
+    nn[nn == 0] = 1.0
+    normals = normals / nn
+    pa = np.einsum("kac,kvc->kav", normals, A)   # (k, 6, 3)
+    pb = np.einsum("kac,kvc->kav", normals, B)
+    sep = np.maximum(pb.min(axis=2) - pa.max(axis=2),
+                     pa.min(axis=2) - pb.max(axis=2))   # (k, 6)
+    sep[degenerate] = -np.inf   # a zero-length edge contributes no axis
+    best = sep.max(axis=1)
+    return np.where(best >= 0, 0.0, -best)
+
+
+def kernel_penetration(A, B):
+    """:func:`_pairwise_penetration` on (k, 3, 2) batches."""
+    return _pairwise_penetration(np.ascontiguousarray(A.transpose(1, 2, 0)),
+                                 np.ascontiguousarray(B.transpose(1, 2, 0)))
+
+
 def dense_check_overlap(net, eps=None):
-    """Reference overlap test: dense broad phase, one unchunked narrow phase."""
+    """Reference overlap test: dense broad phase, one unchunked reference
+    narrow phase."""
     tris = net.images
     e = _contact_tolerance(tris) if eps is None else eps
     cand = dense_box_pairs(tris.min(axis=1), tris.max(axis=1), e)
     pairs = []
     if len(cand):
-        depths = _pairwise_penetration(tris[cand[:, 0]], tris[cand[:, 1]])
+        depths = reference_penetration(tris[cand[:, 0]], tris[cand[:, 1]])
         for (i, j), depth in zip(cand[depths > e], depths[depths > e]):
             pairs.append((int(i), int(j), float(depth)))
     return OverlapReport(pairs=tuple(sorted(pairs)))
@@ -366,6 +407,35 @@ class TestSparseBroadPhase:
         # linear growth gives 4x, a dense m x m broad phase 16x
         assert peaks[1] / peaks[0] < 6, peaks
         assert peaks[1] < 100e6, peaks
+
+
+class TestNarrowPhase:
+    """The pair-contiguous separating-axis kernel against the reference."""
+
+    def test_random_pairs_bit_identical(self):
+        rng = np.random.default_rng(7)
+        k = 20000
+        A = rng.normal(size=(k, 3, 2)) * rng.uniform(1e-3, 1e3, (k, 1, 1))
+        B = A + rng.normal(size=(k, 3, 2)) * rng.uniform(0.0, 2.0, (k, 1, 1))
+        A[::7, 1] = A[::7, 0]          # zero-length edge in A
+        B[::11, 2] = B[::11, 1]        # zero-length edge in B
+        A[::97] = A[::97, :1]          # all three corners of A coincide
+        B[::13] = A[::13]              # identical triangles
+        B[::17, 0] = A[::17, 2]        # one shared vertex
+        B[::19, :2] = A[::19, 1:]      # one shared edge
+        want = reference_penetration(A, B)
+        assert (want > 0).any() and (want == 0).any()
+        assert kernel_penetration(A, B).tobytes() == want.tobytes()
+
+    def test_steep_net_candidates_bit_identical(self):
+        cap = generate_cap(200, phi=70 * DEG, seed=0)
+        forest = build_forest(cap, choose_origin(cap, "central"))
+        tris = layout_net(cap, forest).images
+        cand = _box_pairs(tris.min(axis=1), tris.max(axis=1), 1e-3)
+        A, B = tris[cand[:, 0]], tris[cand[:, 1]]
+        want = reference_penetration(A, B)
+        assert len(cand) > 500 and (want > 0).sum() > 100
+        assert kernel_penetration(A, B).tobytes() == want.tobytes()
 
 
 def layout_reference(cap, forest):

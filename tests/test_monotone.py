@@ -326,3 +326,76 @@ class TestBatchedKernel:
         with pytest.raises(NotRadiallyMonotoneError):
             left_of(*cases[-1][1])
         assert left_of([]) == []
+
+
+def probe_radii(d, reach):
+    """Radii about one chain's vertex distances ``d``: 0, each distance, 5e-13
+    and 1e-12 off it either way, the floats around ``d - 1e-12``, midpoints
+    and past the chain's reach."""
+    below = d - 1e-12
+    radii = np.concatenate([
+        [0.0, 1.5 * reach, reach + 1e-12], d, d + 1e-12, below, d + 5e-13,
+        d - 5e-13, np.nextafter(below, math.inf),
+        np.nextafter(below, -math.inf),
+        0.5 * (d[:-1] + d[1:])])
+    return radii[radii >= 0]
+
+
+def arc_at_rounded_distance(r):
+    """A chain whose second and third vertices both lie at ``r - 1e-12``
+    rounded, where that rounding lands within 1e-12 of ``r``: the first hit
+    at radius ``r`` is the segment between them, not the one after it."""
+    f = r - 1e-12
+    assert abs(f - r) < 1e-12
+    pts = np.array([[0.0, 0.0], [f, 0.0], [0.0, f], [0.0, 2 * r]])
+    d = np.linalg.norm(pts, axis=1)
+    assert d[1] == d[2] == f
+    return pts
+
+
+class TestFirstHits:
+    """The batched first-hit search of the radius sweep against the
+    per-chain reference, element by element."""
+
+    @staticmethod
+    def hits_match(chains):
+        # the chains padded into one block, as _sweep gets them
+        flat, offsets, lens = monotone_mod._concat(chains)
+        P = monotone_mod._padded(flat, offsets, lens, np.arange(len(chains)),
+                                 int(lens.max()))
+        src = P[:, 0]
+        D = np.linalg.norm(P - src[:, None], axis=2)
+        radii = [probe_radii(D[c, :n], D[c, :n].max())
+                 for c, n in enumerate(lens.tolist())]
+        width = max(map(len, radii))
+        R = np.array([np.pad(r, (0, width - len(r)), mode="edge")
+                      for r in radii])
+        got = monotone_mod._first_hits(P, D, lens, src, R)
+        for c, n in enumerate(lens.tolist()):
+            want = reference._first_hits(P[c, :n], D[c, :n], src[c], R[c])
+            assert np.array_equal(got[c], want, equal_nan=True), c
+        return got
+
+    def test_bank_chains_padded_into_one_block(self):
+        banks = [c for pair in certificate_pairs()["banks"][::15]
+                 for c in pair]
+        assert len({len(c) for c in banks}) > 5
+        got = self.hits_match(banks)
+        assert np.isnan(got).any() and not np.isnan(got).all()
+
+    def test_dips_and_edge_case_chains(self):
+        # double points read out of a net: the distance dips by up to 1e-10
+        # and the circle-crossing oracle still accepts the chain, so the
+        # searches run on the running maximum of the distances
+        dips = [np.array(c, dtype=float) for c in (
+            [[0, 0], [1, 0], [2, 0], [2 - 1e-11, 1e-7], [3, 0.1]],
+            [[0, 0], [1, 0.2], [1 - 1e-10, 0.2 + 1e-12], [2, 0.5]])]
+        for c in dips:
+            assert np.diff(np.linalg.norm(c, axis=1)).min() < 0
+            assert circle_crossing_oracle(c, c[0])
+        back = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.5], [3.0, 1.0]])
+        chains = dips + [
+            spiral_out(2), spiral_out(7), spiral_out(4, turn=-0.4), back,
+            arc_at_rounded_distance(0.9479267547218811),
+            arc_at_rounded_distance(0.4004254758584649)]
+        self.hits_match(chains)
