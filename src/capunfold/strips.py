@@ -3,8 +3,9 @@
 Each quadrant holds noncrossing, angle-monotone "waterfall"
 polylines running from the forest leaves down to the origin q: a leaf drops
 (in oblique coordinates aligned with the quadrant) onto an epsilon-offset of
-the envelope of the earlier paths, rides it to its own height level, heads to
-a target point on a small circle around q, and finishes radially.
+the path before it, rides it to its own height level, heads to a target
+point on a small circle around q, and finishes radially.  Leaves are taken
+in order of height, so the path before lies above all earlier paths.
 
 The paths are geometric polylines, not mesh polylines; the cuts remain
 exactly the forest edges, and the non-overlap argument needs only the
@@ -25,8 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .forest import QuadrantSystem, SpanningForest
-from .geom import points_close
+from .forest import SpanningForest
 from .mesh import ConvexCap
 
 
@@ -63,28 +63,8 @@ class StripSystem:
 
 
 # --------------------------------------------------------------------------
-# piecewise-linear envelope helpers (oblique coordinates)
+# piecewise-linear path graphs (oblique coordinates)
 # --------------------------------------------------------------------------
-
-
-def _pl_max(f, g):
-    """Pointwise maximum of two nondecreasing piecewise-linear functions,
-    each extended by constants beyond its breakpoints."""
-    xs = np.unique(np.concatenate([f[0], g[0]]))
-    yf = np.interp(xs, *f)
-    yg = np.interp(xs, *g)
-    pts_x = [xs[0]]
-    pts_y = [max(yf[0], yg[0])]
-    for i in range(len(xs) - 1):
-        d0 = yf[i] - yg[i]
-        d1 = yf[i + 1] - yg[i + 1]
-        if d0 * d1 < 0:
-            t = d0 / (d0 - d1)
-            pts_x.append(xs[i] + t * (xs[i + 1] - xs[i]))
-            pts_y.append(yf[i] + t * (yf[i + 1] - yf[i]))
-        pts_x.append(xs[i + 1])
-        pts_y.append(max(yf[i + 1], yg[i + 1]))
-    return np.array(pts_x), np.array(pts_y)
 
 
 def _path_graph(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,10 +93,6 @@ def waterfall_strips(cap: ConvexCap, forest: SpanningForest) -> StripSystem:
         paths[i], eps_q[i], rad_q[i] = _quadrant_paths(
             cap, forest, i, leaves[quad == i].tolist())
     return StripSystem(paths=paths, eps=eps_q, radius=rad_q)
-
-
-def _quadrant_frame(qs: QuadrantSystem, quadrant: int) -> float:
-    return qs.quadrant(quadrant).base
 
 
 def _to_local(P, origin, rot):
@@ -148,7 +124,7 @@ def _quadrant_paths(cap: ConvexCap, forest: SpanningForest, quadrant: int,
     q = int(qs.origin)
     P = cap.vertices[:, :2]
     origin = P[q]
-    rot = _quadrant_frame(qs, quadrant)
+    rot = qs.quadrant(quadrant).base
     if not leaves:
         return [], 0.0, 0.0
 
@@ -168,7 +144,10 @@ def _quadrant_paths(cap: ConvexCap, forest: SpanningForest, quadrant: int,
     r = 0.9 * float(a_leaf.min())
     eps = _epsilon(cap, forest, quadrant, leaves, ob, r)
 
-    env = (np.array([0.0]), np.array([0.0]))   # baseline: the lower axis
+    # points closer than this to the one before them merge; half the
+    # larger side of the projected box, so the dedupe scales with the cap
+    atol = 1e-8 * 0.5 * float(np.ptp(P, axis=0).max())
+    prev = (np.array([0.0]), np.array([0.0]))   # baseline: the lower axis
     out: list[WaterfallPath] = []
     for i in range(1, n + 1):
         ai, bi = float(a_leaf[i - 1]), float(b_leaf[i - 1])
@@ -181,32 +160,27 @@ def _quadrant_paths(cap: ConvexCap, forest: SpanningForest, quadrant: int,
             raise StripError(
                 f"quadrant {quadrant}: target circle reaches past leaf "
                 f"{leaves[i - 1]}")
-        # ride b = max(env(a) + eps, level) from the circle target out to
-        # the leaf abscissa, then drop (climb, read leaf-to-q) to the leaf
-        bks = [a_c, ai]
-        bks += [float(x) for x in env[0] if a_c < x < ai]
-        bks = sorted(set(bks))
-        ride_a, ride_b = [], []
-        for k in range(len(bks)):
-            x = bks[k]
-            y = max(float(np.interp(x, *env)) + eps, level)
-            if k and ride_b[-1] == level == y:
-                continue   # merge the flat run
-            ride_a.append(x)
-            ride_b.append(y)
-        foot = ride_b[-1]
+        # ride b = max(prev(a) + eps, level) over the previous path's
+        # breakpoints from the circle target out to the leaf abscissa, then
+        # drop (climb, read leaf-to-q) to the leaf
+        inside = prev[0][(a_c < prev[0]) & (prev[0] < ai)]
+        ride_a = np.unique(np.r_[a_c, ai, inside])
+        ride_b = np.maximum(np.interp(ride_a, *prev) + eps, level)
+        flat = ride_b == level
+        ride = np.column_stack([ride_a, ride_b])[
+            np.r_[True, ~(flat[1:] & flat[:-1])]]   # merge the flat run
+        foot = ride[-1, 1]
         if foot >= bi:
             raise StripError(
                 f"quadrant {quadrant}: drop foot {foot:.6g} above leaf "
                 f"{leaves[i - 1]} at b={bi:.6g}")
-        ab_pts = [(0.0, 0.0), (a_c, level)]
-        ab_pts += list(zip(ride_a, ride_b))
-        ab_pts.append((ai, bi))
-        ab = np.array([p for j, p in enumerate(ab_pts)
-                       if j == 0 or not points_close(p, ab_pts[j - 1])])
+        ab = np.vstack([[0.0, 0.0], [a_c, level], ride, [ai, bi]])
+        close = (np.abs(np.diff(ab, axis=0))
+                 <= atol + 1e-5 * np.abs(ab[:-1])).all(axis=1)
+        ab = ab[np.r_[True, ~close]]
         pts = _to_global(_cartesian(ab, theta), origin, rot)
         out.append(WaterfallPath(leaf=leaves[i - 1], points=pts, ab=ab))
-        env = _pl_max(env, _path_graph(ab))
+        prev = _path_graph(ab)
     return out, eps, r
 
 
@@ -233,7 +207,7 @@ def _epsilon(cap: ConvexCap, forest: SpanningForest, quadrant: int,
     # whose abscissa span holds it (leaf x edge, edges at the leaf skipped)
     qs = forest.system
     P = cap.vertices[:, :2]
-    rot = _quadrant_frame(qs, quadrant)
+    rot = qs.quadrant(quadrant).base
     E = forest.edges
     A = _oblique(_to_local(P[E[:, 0]], P[qs.origin], rot), qs.theta)
     B = _oblique(_to_local(P[E[:, 1]], P[qs.origin], rot), qs.theta)
@@ -282,7 +256,7 @@ def _assign_faces(cap: ConvexCap, forest: SpanningForest,
         faces = np.flatnonzero(quad == i)
         if not paths[i]:
             continue
-        rot = _quadrant_frame(qs, i)
+        rot = qs.quadrant(i).base
         a, b = _oblique(_to_local(cent[faces], origin, rot), theta).T
         above = np.array([
             b > np.interp(a, *_path_graph(

@@ -316,8 +316,9 @@ def large_net_cap() -> ConvexCap:
 
 def turned_defect_cap() -> ConvexCap:
     """``generate_budget_cap(500, seed=9)`` turned about z by
-    5.612820548402247 rad: within the tilt budget, yet the rounded global
-    points of one of its waterfall paths are not simple."""
+    5.612820548402247 rad: within the tilt budget.  While each waterfall
+    path rode the envelope of all earlier paths, the rounded global points
+    of one of its paths were not simple."""
     from capunfold.generate import generate_budget_cap
 
     cap = generate_budget_cap(500, seed=9)
@@ -456,7 +457,9 @@ def certificate_pairs():
     net banks of each leaf path, oracle check); and, as more test data for
     the kernel, ``"waterfall"`` (the global points of consecutive waterfall
     paths of each quadrant, angle check, which the certificates decide on
-    the paths' oblique points instead)."""
+    the paths' oblique points instead; then two fixed pairs whose upper
+    chain breaks a precondition, one not simple and one not radially
+    monotone, since the waterfall paths of these caps break none)."""
     from capunfold.strips import waterfall_strips
 
     out = {"chains": [], "banks": [], "waterfall": []}
@@ -474,4 +477,8 @@ def certificate_pairs():
                 up = upper.points.copy()
                 up[0] = lower.points[0]
                 out["waterfall"].append((up, lower.points))
+    lower = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    for upper in ([[0, 0], [2, 0], [1, 1], [1, -1]],
+                  [[0, 0], [2, 0], [2, 1], [0.2, 1]]):
+        out["waterfall"].append((np.array(upper, dtype=float), lower))
     return out

@@ -226,9 +226,9 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("family,check", FAMILIES)
     def test_pairs_match_reference(self, family, check):
         # every pair the certificates check on the 140 oracle caps, the
-        # 4921-vertex cap at four quarter turns and the turned cap whose
-        # waterfall path is not simple; and a quarter of them swapped,
-        # which violates the order
+        # 4921-vertex cap at four quarter turns and the turned cap, with
+        # the fixed pairs that break a precondition; and a quarter of them
+        # swapped, which violates the order
         pairs = certificate_pairs()[family]
         pairs = pairs + [(b, a) for a, b in pairs[::4]]
         assert len(pairs) > 4000

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold import develop, pipeline
 from capunfold.mesh import ConvexCap
+from capunfold.monotone import left_of
 from capunfold.pipeline import (
     SCHEMA_VERSION,
     PipelineError,
@@ -20,6 +22,14 @@ from capunfold.pipeline import (
 from fixtures import flat_hex_disk, pentagonal_pyramid, turned_defect_cap
 
 DEG = math.pi / 180
+
+
+@functools.lru_cache(maxsize=None)
+def unscaled_verdict(seed):
+    """``generate_budget_cap(200, seed)`` with its status and errors."""
+    cap = generate_budget_cap(200, seed=seed)
+    d = cut_and_unfold(cap).diagnostics
+    return cap, (d["status"], d["errors"])
 
 
 class TestEndToEnd:
@@ -81,6 +91,16 @@ class TestEndToEnd:
         want = cut_and_unfold(cap).diagnostics["status"]
         d = cut_and_unfold(far).diagnostics
         assert (d["status"], d["errors"]) == (want, [])
+
+    @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-9, 10)])
+    def test_scaled_cap_keeps_its_status(self, scale):
+        # an absolute waterfall point dedupe once merged the points of
+        # these caps scaled by 1e-8 or 1e-7, so paths read out of order
+        for seed in range(10):
+            cap, want = unscaled_verdict(seed)
+            d = cut_and_unfold(ConvexCap(cap.vertices * scale,
+                                         cap.triangles)).diagnostics
+            assert (d["status"], d["errors"]) == want, seed
 
 
 class TestDiagnostics:
@@ -302,9 +322,20 @@ class TestLeafPathVerdicts:
 
 
 def test_turned_cap_certifies():
-    # its rounded waterfall points once made a path read as not simple
-    d = cut_and_unfold(turned_defect_cap()).diagnostics
+    # its rounded waterfall points once made a path read as not simple; a
+    # path that rides only its predecessor has no such micro-segment, and
+    # left_of decides every consecutive pair of global points
+    res = cut_and_unfold(turned_defect_cap())
+    d = res.diagnostics
     assert (d["status"], d["errors"]) == ("proven_clean", [])
+    pairs = []
+    for i in range(4):
+        ps = res.strips.paths[i]
+        for lower, upper in zip(ps, ps[1:]):
+            up = upper.points.copy()
+            up[0] = lower.points[0]
+            pairs.append((up, lower.points))
+    assert pairs and None not in left_of(pairs)
 
 
 def inject_strip_error(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from capunfold.strips import (
     _oblique,
     _ordered,
     _path_graph,
-    _quadrant_frame,
     _repair_connectivity,
     _staircase,
     _to_global,
@@ -64,7 +64,7 @@ class TestWaterfallPaths:
                 assert wp.ab[0].tolist() == [0.0, 0.0]
                 assert np.array_equal(wp.points, _to_global(
                     _cartesian(wp.ab, qs.theta), P[qs.origin],
-                    _quadrant_frame(qs, i)))
+                    qs.quadrant(i).base))
 
     def test_every_nonorigin_leaf_gets_a_path(self):
         cap, forest, system = unfolded(seed=2)
@@ -142,13 +142,13 @@ def assign_faces_reference(cap, forest, paths):
     d = cent - origin
     angles = np.arctan2(d[:, 1], d[:, 0])
     graphs = {i: [_path_graph(_oblique(_to_local(wp.points, origin,
-                                                 _quadrant_frame(qs, i)), qs.theta))
+                                                 qs.quadrant(i).base), qs.theta))
                   for wp in paths[i]] for i in range(4)}
     out = {}
     for f in range(cap.n_triangles):
         qi = int((float(angles[f]) - qs.base) % (2 * math.pi) // qs.theta)
         qi = qi if qi < 4 else 0   # the gap sits below quadrant 0
-        ab = _oblique(_to_local(cent[f], origin, _quadrant_frame(qs, qi)), qs.theta)[0]
+        ab = _oblique(_to_local(cent[f], origin, qs.quadrant(qi).base), qs.theta)[0]
         s = 0
         for g in graphs[qi]:
             if ab[1] > float(np.interp(ab[0], *g)):
@@ -174,7 +174,7 @@ def epsilon_reference(cap, forest, quadrant, leaves, ob, r):
         cands.append(float(da.min()))
     qs = forest.system
     P = cap.vertices[:, :2]
-    rot = _quadrant_frame(qs, quadrant)
+    rot = qs.quadrant(quadrant).base
     edges = forest.edges.tolist()
     E = np.array(edges)
     A = _oblique(_to_local(P[E[:, 0]], P[qs.origin], rot), qs.theta)
@@ -355,7 +355,7 @@ def staircase_system(cap, forest, quadrant, abs_):
     system = waterfall_strips(cap, forest)
     system.paths[quadrant] = [
         WaterfallPath(leaf=k, ab=ab, points=_to_global(
-            _cartesian(ab, qs.theta), origin, _quadrant_frame(qs, quadrant)))
+            _cartesian(ab, qs.theta), origin, qs.quadrant(quadrant).base))
         for k, ab in enumerate(abs_)]
     return system
 
@@ -394,8 +394,7 @@ class TestArrayPassesAgainstReference:
                 (23,): generate_budget_cap(300, seed=23)}
         caps.update({(5000, k): quarter_turn(large_net_cap(), k)
                      for k in (0, 1, 2)})
-        rounded = {(17,): [205], (23,): [213], (5000, 0): [809],
-                   (5000, 1): [809], (5000, 2): [2175]}
+        rounded = {(17,): [205]}
         sets = [(None, cap, forest) for cap, forest in oracle_set()] + [
             (name, cap, build_forest(cap, choose_origin(cap, "central")))
             for name, cap in caps.items()]
@@ -468,3 +467,64 @@ class TestArrayPassesAgainstReference:
         assert _repair_connectivity(cap, np.array(list(split.values()))
                                     ).tolist() == list(map(list, want.values()))
         assert repair_reference(cap, split) == want
+
+
+def pl_max_reference(f, g):
+    """Pointwise maximum of two nondecreasing piecewise-linear functions,
+    each extended by constants beyond its breakpoints: the upper envelope
+    the waterfall construction once carried over all earlier paths."""
+    xs = np.unique(np.concatenate([f[0], g[0]]))
+    yf = np.interp(xs, *f)
+    yg = np.interp(xs, *g)
+    pts_x = [xs[0]]
+    pts_y = [max(yf[0], yg[0])]
+    for i in range(len(xs) - 1):
+        d0 = yf[i] - yg[i]
+        d1 = yf[i + 1] - yg[i + 1]
+        if d0 * d1 < 0:
+            t = d0 / (d0 - d1)
+            pts_x.append(xs[i] + t * (xs[i + 1] - xs[i]))
+            pts_y.append(yf[i] + t * (yf[i + 1] - yf[i]))
+        pts_x.append(xs[i + 1])
+        pts_y.append(max(yf[i + 1], yg[i + 1]))
+    return np.array(pts_x), np.array(pts_y)
+
+
+@functools.lru_cache(maxsize=None)
+def ride_paths():
+    """Waterfall paths, per quadrant, of the :func:`oracle_set` caps and of
+    the large-net cap at four quarter turns."""
+    sets = list(oracle_set()) + [
+        (cap, build_forest(cap, choose_origin(cap, "central")))
+        for cap in (quarter_turn(large_net_cap(), k) for k in range(4))]
+    return tuple(waterfall_strips(cap, forest).paths[i]
+                 for cap, forest in sets for i in range(4))
+
+
+class TestPredecessorRide:
+    def test_paths_ride_their_predecessor(self):
+        # apart from 0, its target and its leaf, every abscissa of a path
+        # is one of the path before it (of the lower axis, for the first)
+        pairs = 0
+        for ps in ride_paths():
+            prev = np.zeros((1, 2))
+            for wp in ps:
+                own = set(wp.ab[:, 0].tolist()) - {0.0, wp.ab[1, 0],
+                                                   wp.ab[-1, 0]}
+                assert own <= set(prev[:, 0].tolist()), wp.leaf
+                prev = wp.ab
+                pairs += 1
+        assert pairs > 2000
+
+    def test_previous_path_is_the_envelope_of_all_earlier(self):
+        # leaves come in height order, so the upper envelope of paths
+        # 0..i-1 is path i-1's graph at every breakpoint of the envelope
+        updates = 0
+        for ps in ride_paths():
+            env = (np.array([0.0]), np.array([0.0]))
+            for wp in ps:
+                graph = _path_graph(wp.ab)
+                env = pl_max_reference(env, graph)
+                assert np.array_equal(np.interp(env[0], *graph), env[1])
+                updates += 1
+        assert updates > 2000
