@@ -155,7 +155,7 @@ def cmd_unfold(args) -> int:
     save_mesh(out / "cap.obj", cap,
               cut_edges=set(result.net.cut_edges))
     (out / "net.svg").write_text(
-        render_net_svg(cap, result.net, result.forest, result.strips))
+        render_net_svg(cap, result.net, result.forest))
     (out / "diagnostics.json").write_text(
         json.dumps(result.diagnostics, indent=2, sort_keys=True) + "\n")
     print(json.dumps({"status": result.diagnostics["status"],
@@ -186,7 +186,7 @@ def cmd_render(args) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "net.svg").write_text(
-        render_net_svg(cap, result.net, result.forest, result.strips))
+        render_net_svg(cap, result.net, result.forest))
     (out / "forest.svg").write_text(
         render_forest_svg(cap, result.forest, result.strips))
     save_mesh(out / "cap.obj", cap, cut_edges=set(result.net.cut_edges))

@@ -242,13 +242,16 @@ def _place_level(pos, local, G, F, kg, kf) -> None:
     pos[G, :, 1] = s * x + c * y + dst[:, 1, None]
 
 
-def net_congruent(cap: ConvexCap, net: Net, tol: float = 1e-9) -> bool:
-    """Every placed triangle keeps its three 3D edge lengths."""
+def net_congruent(cap: ConvexCap, net: Net) -> bool:
+    """Every placed triangle keeps its three 3D edge lengths, to 1e-9 of
+    each length plus eight ulps of the largest coordinate of the cap or the
+    net, so the bound follows the cap's units and position."""
     T, V, imgs = cap.triangles, cap.vertices, net.images
     roll = [1, 2, 0]
     l3 = np.linalg.norm(V[T[:, roll]] - V[T], axis=2)
     l2 = np.linalg.norm(imgs[:, roll] - imgs, axis=2)
-    return bool(np.all(np.abs(l3 - l2) <= tol * np.maximum(1.0, l3)))
+    ulp = 8 * np.finfo(float).eps * max(np.abs(V).max(), np.abs(imgs).max())
+    return bool(np.all(np.abs(l3 - l2) <= 1e-9 * l3 + ulp))
 
 
 # --------------------------------------------------------------------------

@@ -85,10 +85,10 @@ class SpanningForest:
     by child, and ``quadrant`` the quadrant whose wedge each row's edge was
     grown in.  The rest of the table is built once from the edges: their
     planar ``directions``, the sorted ``leaves``, each leaf's path to the
-    rim (``leaf_paths``, views of ``path_vertices`` split at
-    ``path_offsets``), the tree ``root`` of every vertex and the edges tree
-    by tree (``tree_order``, roots then children ascending; tree ``t``
-    starts at ``tree_starts[t]``).  A cycle raises :class:`ForestError`.
+    rim (``path_vertices`` split at ``path_offsets``), the tree ``root`` of
+    every vertex and the edges tree by tree (``tree_order``, roots then
+    children ascending; tree ``t`` starts at ``tree_starts[t]``).  A cycle
+    raises :class:`ForestError`.
     """
 
     edges: np.ndarray
@@ -99,7 +99,6 @@ class SpanningForest:
     leaves: np.ndarray = field(init=False, repr=False)
     path_vertices: np.ndarray = field(init=False, repr=False)
     path_offsets: np.ndarray = field(init=False, repr=False)
-    leaf_paths: tuple = field(init=False, repr=False)
     root: np.ndarray = field(init=False, repr=False)
     tree_order: np.ndarray = field(init=False, repr=False)
     tree_starts: np.ndarray = field(init=False, repr=False)
@@ -136,7 +135,6 @@ class SpanningForest:
         self.leaves, self.root = leaves, root
         self.directions = np.arctan2(d[:, 1], d[:, 0])
         self.path_vertices, self.path_offsets = flat, offsets
-        self.leaf_paths = tuple(flat[i:j] for i, j in zip(offsets, offsets[1:]))
         self.tree_order = order
         self.tree_starts = np.flatnonzero(np.diff(root[child][order], prepend=-1))
 

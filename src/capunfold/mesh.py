@@ -180,16 +180,6 @@ class ConvexCap:
         the rim angle psi on the rim."""
         return self._star_theta[self._star_start[1:] - 1]
 
-    def fan_total(self, v: int) -> float:
-        """Total intrinsic angle around ``v`` (cone angle / rim angle psi)."""
-        return float(self._star_theta[self._star_start[v + 1] - 1])
-
-    def vertex_curvature(self, v: int) -> float:
-        """Angle defect ``2*pi`` minus the cone angle (interior vertices)."""
-        if v in self.rim_vertex_set:
-            raise ValueError(f"vertex {v} is on the rim; curvature undefined")
-        return 2 * math.pi - self.fan_total(v)
-
     def curvatures(self) -> np.ndarray:
         """Angle defects of all interior vertices (order of
         ``interior_vertices``)."""

@@ -184,39 +184,17 @@ def _fast_path(P) -> np.ndarray:
     return np.all(B >= 0, axis=1) & np.all(d[:, 1:] >= d[:, :-1], axis=1)
 
 
-def is_simple(points) -> bool:
-    """True when no two non-adjacent segments properly intersect."""
-    pts = _as_chain(points)
-    return bool(_chain_checks(*_concat([pts]), "simple")[0][0])
-
-
 # --------------------------------------------------------------------------
 # radial monotonicity
 # --------------------------------------------------------------------------
-
-
-def is_radially_monotone(points) -> tuple[bool, tuple[int, int] | None]:
-    """Angle form of radial monotonicity, quantified over every source vertex.
-
-    For each source ``v_j`` and each later vertex ``v_i``, the angle
-    ``(v_j, v_i, v_{i+1})`` must be at least ``pi/2`` (up to eps): distance
-    from ``v_j`` is then nondecreasing along every later edge.  Returns
-    ``(True, None)`` or ``(False, (j, i))`` with the first violating pair.
-    """
-    pts = _as_chain(points)
-    simple, ok, witness = _chain_checks(*_concat([pts]), "angle")
-    if not simple[0]:
-        raise ValueError("chain is not simple")
-    if ok[0]:
-        return True, None
-    return False, (int(witness[0, 0]), int(witness[0, 1]))
 
 
 def circle_crossing_oracle(points, source, radii=None) -> bool:
     """Definition-by-circles: the chain meets every circle centered on
     ``source`` in at most one connected component.
 
-    Used as an independent oracle against :func:`is_radially_monotone`.
+    Used as an independent oracle against the angle test of
+    :func:`_chain_checks`.
     Default radii: every vertex distance plus midpoints between consecutive
     distinct distances.
     """

@@ -12,9 +12,7 @@ exactly the forest edges, and the non-overlap argument needs only the
 paths' order.  Each path keeps the exact oblique points it was built from,
 a staircase nondecreasing in both coordinates; the path certificates are
 decided on those points (one merge per consecutive pair), and the global
-points serve output only.  :func:`strip_partition` assigns whole triangles
-to the strips between the paths, by which side of the paths their projected
-centroid lies, and repairs the stray pockets; only the net SVG draws it.
+points serve output only: the forest SVG draws them.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .forest import SpanningForest
 from .mesh import ConvexCap
@@ -224,92 +220,6 @@ def _epsilon(cap: ConvexCap, forest: SpanningForest, quadrant: int,
     if len(drop):
         cands.append(float(drop.min()))
     return min(cands) / (n + 1)
-
-
-# --------------------------------------------------------------------------
-# whole-triangle strip partition (drawn by the net SVG only)
-# --------------------------------------------------------------------------
-
-
-def strip_partition(cap: ConvexCap, forest: SpanningForest,
-                    system: StripSystem) -> np.ndarray:
-    """(quadrant, strip) row of every face, (m, 2): assigned by projected
-    centroid, then repaired so that every strip is edge-connected."""
-    return _repair_connectivity(cap, _assign_faces(cap, forest, system.paths))
-
-
-def _assign_faces(cap: ConvexCap, forest: SpanningForest,
-                  paths: dict[int, list[WaterfallPath]]) -> np.ndarray:
-    """(quadrant, strip) row of every face by its projected centroid: the strip
-    index is the first path of the quadrant the centroid is not above, or
-    the path count if it is above all of them."""
-    qs = forest.system
-    theta = qs.theta
-    P = cap.vertices[:, :2]
-    origin = P[qs.origin]
-    cent = P[cap.triangles].mean(axis=1)
-    d = cent - origin
-    quad = qs.quadrant_of(np.arctan2(d[:, 1], d[:, 0]))
-    quad[quad < 0] = 0   # the gap sits below every quadrant-0 path
-    strip = np.zeros(cap.n_triangles, dtype=int)
-    for i in range(4):
-        faces = np.flatnonzero(quad == i)
-        if not paths[i]:
-            continue
-        rot = qs.quadrant(i).base
-        a, b = _oblique(_to_local(cent[faces], origin, rot), theta).T
-        above = np.array([
-            b > np.interp(a, *_path_graph(
-                _oblique(_to_local(wp.points, origin, rot), theta)))
-            for wp in paths[i]])
-        strip[faces] = np.where(above.all(axis=0), len(paths[i]),
-                                above.argmin(axis=0))
-    return np.column_stack([quad, strip])
-
-
-def _repair_connectivity(cap: ConvexCap, strip_of: np.ndarray) -> np.ndarray:
-    """Strips are thinner than triangles near the target circle, so
-    centroid-side assignment leaves stray pockets.  Merge every minority
-    component of a strip into the most common strip among its outside
-    neighbors (one vote per shared side, labels as already updated, ties
-    to the smallest) until every strip is edge-connected.  A pass takes
-    strips by first face, and a strip's components by size, then first
-    face; one array pass finds all components."""
-    labels, code = np.unique(strip_of, axis=0, return_inverse=True)
-    nbr = cap.face_neighbors()
-    for _ in range(100):
-        comp = _label_components(cap, code)
-        _, first = np.unique(comp, return_index=True)   # smallest face
-        size = np.bincount(comp)
-        lab = code[first]
-        split = np.flatnonzero(np.bincount(lab)[lab] > 1)
-        lab_first = np.full(len(labels), len(code))
-        np.minimum.at(lab_first, lab, first)
-        split = split[np.lexsort((first[split], -size[split],
-                                  lab_first[lab[split]]))]
-        moved = False
-        for prev, c in zip(np.r_[-1, split[:-1]], split):
-            if prev >= 0 and lab[prev] == lab[c]:   # not the majority
-                faces = np.flatnonzero(comp == c)
-                other = code[nbr[faces][nbr[faces] >= 0]]
-                other = other[other != lab[c]]
-                if not len(other):
-                    continue
-                vals, votes = np.unique(other, return_counts=True)
-                code[faces] = vals[votes.argmax()]
-                moved = True
-        if not moved:
-            return labels[code]
-    raise StripError("strip connectivity repair did not converge")
-
-
-def _label_components(cap: ConvexCap, code: np.ndarray) -> np.ndarray:
-    """Component id of every face, joining equal-``code`` faces by sides."""
-    m = cap.n_triangles
-    f, g = np.repeat(np.arange(m), 3), cap.face_neighbors().ravel()
-    same = (g >= 0) & (code[f] == code[g])
-    graph = csr_matrix((np.ones(same.sum()), (f[same], g[same])), (m, m))
-    return connected_components(graph, directed=False)[1]
 
 
 # --------------------------------------------------------------------------

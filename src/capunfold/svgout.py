@@ -1,7 +1,7 @@
 """Deterministic SVG rendering of nets and forest overlays.
 
-Stroke conventions: cut edges heavy, fold edges light, strip boundaries
-dashed, quadrant axes dotted.  The canvas is the drawing's bounding box plus
+Stroke conventions: cut and rim edges heavy, fold edges light, waterfall
+paths dashed, quadrant axes dotted.  The canvas is the drawing's bounding box plus
 a 5% margin, scaled to a fixed width.
 """
 
@@ -14,14 +14,12 @@ import numpy as np
 from .develop import Net
 from .forest import SpanningForest
 from .mesh import ConvexCap
-from .strips import StripSystem, strip_partition
+from .strips import StripSystem
 
 STYLE = {
     "cut": 'stroke="#c0392b" stroke-width="{w2}" fill="none"',
     "fold": 'stroke="#b0b0b0" stroke-width="{w1}" fill="none"',
     "rim": 'stroke="#34495e" stroke-width="{w2}" fill="none"',
-    "strip-boundary": ('stroke="#2980b9" stroke-width="{w1}" fill="none" '
-                       'stroke-dasharray="{d2} {d1}"'),
     "quadrant-axis": ('stroke="#7f8c8d" stroke-width="{w1}" fill="none" '
                       'stroke-dasharray="{d1} {d1}"'),
     "mesh-edge": 'stroke="#d5d8dc" stroke-width="{w1}" fill="none"',
@@ -113,21 +111,16 @@ class _Canvas:
 
 def render_net_svg(cap: ConvexCap, net: Net,
                    forest: SpanningForest | None = None,
-                   strips: StripSystem | None = None,
                    width: float = 800.0) -> str:
     """Draw the planar net: faces filled, fold edges light, cut and rim
-    edges heavy, strip boundaries dashed (when strips are given), quadrant
-    axes through the origin image dotted (when a forest is given).  The
-    strips are partitioned here, so ``strips`` needs ``forest``."""
-    if strips is not None and forest is None:
-        raise ValueError("drawing strips needs the forest")
+    edges heavy, quadrant axes through the origin image dotted (when a
+    forest is given)."""
     cv = _Canvas(net.images.reshape(-1, 2), width)
 
     cv.polygons(net.images, "face")
 
     # each side of each face, in face order: rim sides, cut sides and fold
-    # sides (drawn once, from the face f < g across it), then the fold
-    # sides whose two faces lie in different strips
+    # sides (drawn once, from the face f < g across it)
     T, nbr = cap.triangles, cap.face_neighbors()
     n = cap.n_vertices
     T1 = T[:, [1, 2, 0]]
@@ -135,17 +128,10 @@ def render_net_svg(cap: ConvexCap, net: Net,
     rim = nbr < 0
     cut = ~rim & np.isin(np.minimum(T, T1) * n + np.maximum(T, T1),
                          cut_keys[:, 0] * n + cut_keys[:, 1])
-    fold = ~rim & ~cut & (nbr > np.arange(len(T))[:, None])
-    crosses = np.zeros(nbr.shape, dtype=bool)
-    if strips is not None:
-        lab = strip_partition(cap, forest, strips)
-        crosses = (lab[nbr] != lab[:, None]).any(axis=2) & fold
-    drawn = rim | cut | (fold & ~crosses)
+    drawn = rim | cut | (nbr > np.arange(len(T))[:, None])
     start, end = net.images, net.images[:, [1, 2, 0]]
     kind = np.where(rim, "rim", np.where(cut, "cut", "fold"))
     cv.lines(start[drawn], end[drawn], kind[drawn].tolist())
-    cv.lines(start[crosses], end[crosses],
-             ["strip-boundary"] * int(crosses.sum()))
 
     if forest is not None:
         qs = forest.system

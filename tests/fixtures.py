@@ -1,5 +1,6 @@
-"""Hand-built caps with exactly known geometry, and the generated caps the
-oracle tests share, used across test modules."""
+"""Hand-built caps with exactly known geometry, the generated caps the
+oracle tests share, and one-path and one-chain views of the array kernels,
+used across test modules."""
 
 import functools
 import math
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from capunfold.mesh import ConvexCap
+from capunfold.monotone import _as_chain, _chain_checks, _concat
 
 DEG = math.pi / 180
 
@@ -137,6 +139,31 @@ def fan_reference(cap, v):
     if len(neighbors) != len(succ) + (1 if v in cap.rim_vertex_set else 0):
         raise ValueError(f"fan at vertex {v} is not a single chain")
     return neighbors, np.array(theta)
+
+
+def leaf_paths(forest) -> list[np.ndarray]:
+    """Each leaf's path to the rim: ``path_vertices`` split at
+    ``path_offsets``."""
+    off = forest.path_offsets
+    return [forest.path_vertices[i:j] for i, j in zip(off[:-1], off[1:])]
+
+
+def chain_simple(points) -> bool:
+    """The simplicity kernel of :mod:`capunfold.monotone` on one chain."""
+    return bool(_chain_checks(*_concat([_as_chain(points)]), "simple")[0][0])
+
+
+def chain_radially_monotone(points) -> tuple[bool, tuple[int, int] | None]:
+    """The angle kernel of :mod:`capunfold.monotone` on one chain:
+    ``(True, None)``, or ``(False, (j, i))`` with the first violating pair.
+    A chain that is not simple raises ``ValueError``."""
+    simple, ok, witness = _chain_checks(*_concat([_as_chain(points)]),
+                                        "angle")
+    if not simple[0]:
+        raise ValueError("chain is not simple")
+    if ok[0]:
+        return True, None
+    return False, (int(witness[0, 0]), int(witness[0, 1]))
 
 
 def forest_reference(cap, parent):
@@ -351,7 +378,7 @@ def path_angles(cap, vertices) -> SimpleNamespace:
         v = vs[i]
         if v in cap.rim_vertex_set:
             raise ValueError(f"path interior vertex {v} lies on the rim")
-        cone = cap.fan_total(v)
+        cone = cap.fan_totals()[v]
         omega[i] = 2 * math.pi - cone
         neighbors, theta = cap.vertex_fan(v)
         t_prev = theta[neighbors.index(vs[i - 1])]
@@ -377,7 +404,7 @@ def develop_chain(cap, vertices, side: str) -> np.ndarray:
     k = len(vs) - 1
     if side == "left":
         if int(vs[0]) not in cap.rim_vertex_set:
-            heading += cap.vertex_curvature(int(vs[0]))
+            heading += 2 * math.pi - cap.fan_totals()[int(vs[0])]
         turns = math.pi - cp.lam[1:k]
     else:
         turns = cp.rho[1:k] - math.pi
@@ -464,7 +491,7 @@ def certificate_pairs():
 
     out = {"chains": [], "banks": [], "waterfall": []}
     for cap, forest, net in certificate_caps():
-        for path in forest.leaf_paths:
+        for path in leaf_paths(forest):
             out["chains"].append((develop_chain(cap, path, "left"),
                                   develop_chain(cap, path, "right")))
             L, R = bank_chains(cap, net, path)

@@ -19,9 +19,9 @@ import numpy as np
 
 from capunfold.geom import EPS_GEOM, turn_angle, unwrap_directions
 from capunfold.mesh import ConvexCap
-from capunfold.monotone import _as_chain, is_radially_monotone
+from capunfold.monotone import _as_chain
 
-from fixtures import adjacency_reference
+from fixtures import adjacency_reference, chain_radially_monotone
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def _turn_at_vertex(cap: ConvexCap, v: int, p_prev, p_next, f_in, f_out) -> floa
     theta_w = fan_coordinate(cap, v, w_dir, f_out)
     left = theta_u - theta_w
     if v not in cap.rim_vertex_set:
-        total = cap.fan_total(v)
+        total = cap.fan_totals()[v]
         left = left % total
     return math.pi - left
 
@@ -197,7 +197,7 @@ def enclosed_curvature(cap: ConvexCap, circuit: list[CircuitPoint]) -> float:
         if v in on_circuit:
             continue
         if _point_in_polygon(cap.vertices[v, :2], poly):
-            total += cap.vertex_curvature(v)
+            total += 2 * math.pi - cap.fan_totals()[v]
     return total
 
 
@@ -260,7 +260,7 @@ def angle_monotone_implies_rm(points, theta: float) -> bool:
     beta = verify_angle_monotone(points, theta)
     if beta is None:
         raise ValueError("chain is not theta-monotone; implication vacuous")
-    ok, witness = is_radially_monotone(points)
+    ok, witness = chain_radially_monotone(points)
     if not ok:
         raise AssertionError(
             f"theta-monotone chain failed radial monotonicity at {witness}"

@@ -6,8 +6,7 @@ checkouts can be compared line by line.
 Caps: every ``oracle_set()`` cap, the ``large-net`` cap at four quarter
 turns and, for each ``N:SEED`` argument, ``generate_budget_cap(N,
 seed=SEED)``.  Each line holds the cap's name and the digests of the forest
-``edges``, the ``Net.images`` bytes, the cut edges, ``strip_of`` (the
-``strip_partition`` rows, which the net SVG draws), the waterfall
+``edges``, the ``Net.images`` bytes, the cut edges, the waterfall
 ``points`` and ``json.dumps(diagnostics, sort_keys=True)``; then the
 digest of the diagnostics without ``paths.max_turn_distortion``, and that
 value's ``repr``, so a move of that one float can be read off; last the
@@ -32,7 +31,6 @@ import numpy as np  # noqa: E402
 from capunfold.develop import check_overlap  # noqa: E402
 from capunfold.generate import generate_budget_cap  # noqa: E402
 from capunfold.pipeline import cut_and_unfold  # noqa: E402
-from capunfold.strips import strip_partition  # noqa: E402
 from fixtures import large_net_cap, oracle_set, quarter_turn  # noqa: E402
 
 
@@ -45,7 +43,6 @@ def _sha(data) -> str:
 def digest(cap) -> list[str]:
     res = cut_and_unfold(cap)
     points = [p.points for i in range(4) for p in res.strips.paths[i]]
-    strip_of = strip_partition(cap, res.forest, res.strips)
     diag = res.diagnostics
     rest = copy.deepcopy(diag)
     mtd = rest["paths"].pop("max_turn_distortion")
@@ -53,7 +50,6 @@ def digest(cap) -> list[str]:
         _sha(json.dumps(res.forest.edges.tolist())),
         _sha(res.net.images.tobytes()),
         _sha(json.dumps(sorted(res.net.cut_edges))),
-        _sha(json.dumps(list(enumerate(strip_of.tolist())))),
         _sha(b"".join(np.ascontiguousarray(p).tobytes() for p in points)),
         _sha(json.dumps(diag, sort_keys=True)),
         _sha(json.dumps(rest, sort_keys=True)),

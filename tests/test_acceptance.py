@@ -19,15 +19,12 @@ from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.geom import delta_perp, omega_bound, phi_budget
 from capunfold.mesh import ConvexCap, compute_metrics
-from capunfold.monotone import (
-    circle_crossing_oracle,
-    is_radially_monotone,
-    is_simple,
-)
+from capunfold.monotone import circle_crossing_oracle
 from capunfold.pipeline import cut_and_unfold
 
-from fixtures import (adjacency_reference, large_net_cap, pentagonal_pyramid,
-                      quarter_turn)
+from fixtures import (adjacency_reference, chain_radially_monotone,
+                      chain_simple, large_net_cap, leaf_paths,
+                      pentagonal_pyramid, quarter_turn)
 from lemmas import (
     angle_monotone_implies_rm,
     enclosed_curvature,
@@ -204,17 +201,17 @@ class TestDefinitionEquivalence:
             k = int(rng.integers(2, 9))
             spread = rng.uniform(0.2, 2.6)
             pts = random_chain(rng, k, spread)
-            if not is_simple(pts):
+            if not chain_simple(pts):
                 continue
             total += 1
-            verdict, _ = is_radially_monotone(pts)
+            verdict, _ = chain_radially_monotone(pts)
             assert verdict == self._oracle(pts), pts
         assert time.perf_counter() - t0 < 30.0
 
     def test_adversarial_fixtures(self):
         for pts in ADVERSARIAL_CHAINS:
             pts = np.asarray(pts, dtype=float)
-            verdict, _ = is_radially_monotone(pts)
+            verdict, _ = chain_radially_monotone(pts)
             assert verdict == self._oracle(pts), pts
 
 
@@ -273,7 +270,7 @@ class TestLemmaSuite:
             forest = build_forest(cap, choose_origin(cap, "central"))
             theta = forest.system.theta
             P = cap.vertices[:, :2]
-            for path in forest.leaf_paths:
+            for path in leaf_paths(forest):
                 pts = P[path[::-1]]  # root-to-leaf: outward orientation
                 assert verify_angle_monotone(pts, theta) is not None
                 assert angle_monotone_implies_rm(pts, theta)
@@ -376,7 +373,7 @@ class TestWorkCounts:
         monkeypatch.setattr(forest_mod, "_levels", counted)
         forest = build_forest(cap, qs)
         assert fans == []
-        longest = max(len(p) for p in forest.leaf_paths)
+        longest = max(len(p) for p in leaf_paths(forest))
         assert longest > 20
         assert len(levels) <= 4 * (longest + 1), (len(levels), longest)
         assert sum(levels) == len(cap.interior_vertices)  # each walked once
@@ -454,7 +451,7 @@ class TestWorkCounts:
         assert len(calls) == 4   # chains and pairs of two families
         assert len(sweeps) <= 12, sweeps
         pairs = sum(len(sizes) for sizes, _, _ in calls[1::2])
-        assert pairs == 2 * len(forest.leaf_paths) > 200
+        assert pairs == 2 * len(leaf_paths(forest)) > 200
         assert sum(len(out) for _, _, out in calls) < pairs / 4
         for sizes, cells, out in calls:
             assert sorted(np.concatenate(out)) == list(range(len(sizes)))

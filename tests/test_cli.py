@@ -82,6 +82,7 @@ class TestUnfold:
         assert run(["unfold", "--n", 50, "--seed", 3,
                     "--out-dir", tmp_path]) == 0
         assert (tmp_path / "net.svg").exists()
+        assert "strip-boundary" not in (tmp_path / "net.svg").read_text()
         assert (tmp_path / "cap.obj").exists()
         d = json.loads((tmp_path / "diagnostics.json").read_text())
         assert d["status"] == "proven_clean"

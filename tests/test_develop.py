@@ -30,15 +30,11 @@ from capunfold.monotone import left_of
 
 from fixtures import (adjacency_reference, bank_chains, certificate_caps,
                       certificate_pairs, develop_chain, flat_hex_disk,
-                      oracle_set, path_angles, pentagonal_pyramid,
-                      turn_distortion)
+                      leaf_paths, oracle_set, path_angles,
+                      pentagonal_pyramid, turn_distortion)
 from lemmas import within_bound
 
 DEG = math.pi / 180
-
-
-def forest_paths(cap, forest):
-    return list(forest.leaf_paths)
 
 
 def sample_cap(seed=3, n=60, phi=25 * DEG):
@@ -51,7 +47,7 @@ class TestPathAngles:
     def test_angle_identity_on_random_caps(self):
         for seed in range(4):
             cap, forest = sample_cap(seed=seed)
-            for path in forest_paths(cap, forest):
+            for path in leaf_paths(forest):
                 cp = path_angles(cap, path)
                 for i in range(1, len(path) - 1):
                     total = cp.lam[i] + cp.omega[i] + cp.rho[i]
@@ -72,7 +68,7 @@ class TestPathAngles:
 class TestDevelopChain:
     def test_preserves_edge_lengths(self):
         cap, forest = sample_cap(seed=1)
-        for path in forest_paths(cap, forest):
+        for path in leaf_paths(forest):
             for side in ("left", "right"):
                 chain = develop_chain(cap, path, side)
                 for i in range(len(path) - 1):
@@ -83,10 +79,10 @@ class TestDevelopChain:
 
     def test_left_and_right_first_edges_differ_by_leaf_curvature(self):
         cap, forest = sample_cap(seed=2)
-        for path in forest_paths(cap, forest):
+        for path in leaf_paths(forest):
             L = develop_chain(cap, path, "left")
             R = develop_chain(cap, path, "right")
-            omega0 = cap.vertex_curvature(path[0])
+            omega0 = 2 * math.pi - cap.fan_totals()[path[0]]
             dl = L[1] - L[0]
             dr = R[1] - R[0]
             got = math.atan2(dl[1], dl[0]) - math.atan2(dr[1], dr[0])
@@ -111,7 +107,7 @@ class TestTurnDistortion:
         cap = generate_cap(70, phi=2 * DEG, seed=5)
         metrics = compute_metrics(cap)
         forest = build_forest(cap, choose_origin(cap, "central"))
-        for path in forest_paths(cap, forest):
+        for path in leaf_paths(forest):
             td = turn_distortion(cap, path)
             assert td.max_abs < 0.05
             assert within_bound(td, metrics)
@@ -120,7 +116,7 @@ class TestTurnDistortion:
         for seed in range(6):
             cap, forest = sample_cap(seed=seed, phi=30 * DEG)
             metrics = compute_metrics(cap)
-            for path in forest_paths(cap, forest):
+            for path in leaf_paths(forest):
                 td = turn_distortion(cap, path)
                 assert within_bound(td, metrics), (seed, path, td.max_abs)
 
@@ -136,7 +132,7 @@ class TestTurnDistortion:
         for cap, forest in oracle_set()[::7]:
             P = cap.vertices[:, :2]
             worst = 0.0
-            for path in forest.leaf_paths:
+            for path in leaf_paths(forest):
                 td = turn_distortion(cap, path)
                 cp = path_angles(cap, path)
                 k = len(path) - 1
@@ -174,7 +170,7 @@ class TestLayoutNet:
             a = img[(i + 1) % 3] - img[i]
             b = img[(i + 2) % 3] - img[i]
             total += math.acos(np.dot(a, b) / np.linalg.norm(a) / np.linalg.norm(b))
-        assert total == pytest.approx(2 * math.pi - cap.vertex_curvature(5), abs=1e-9)
+        assert total == pytest.approx(cap.fan_totals()[5], abs=1e-9)
 
     def test_random_caps_place_all_faces_congruently(self):
         for seed in range(4):
@@ -202,7 +198,7 @@ class TestLayoutNet:
             b = img[(i + 2) % 3] - img[i]
             total += math.acos(
                 np.clip(np.dot(a, b) / np.linalg.norm(a) / np.linalg.norm(b), -1, 1))
-        assert total == pytest.approx(2 * math.pi - cap.vertex_curvature(q), abs=1e-9)
+        assert total == pytest.approx(cap.fan_totals()[q], abs=1e-9)
 
 
 class TestBanks:
@@ -211,7 +207,7 @@ class TestBanks:
             cap, forest = sample_cap(seed=seed)
             net = layout_net(cap, forest)
             verdicts = banks_ordered(cap, net, forest)
-            assert len(verdicts) == len(forest.leaf_paths) > 1
+            assert len(verdicts) == len(leaf_paths(forest)) > 1
             assert verdicts == [(True, None)] * len(verdicts), (seed, verdicts)
 
     def test_chain_development_matches_bank_without_junctions(self):
@@ -220,7 +216,7 @@ class TestBanks:
         cap = pentagonal_pyramid()
         forest = build_forest(cap, choose_origin(cap, "central"))
         net = layout_net(cap, forest)
-        path = forest.leaf_paths[
+        path = leaf_paths(forest)[
             forest.leaves.tolist().index(forest.system.origin)]
         L, R = bank_chains(cap, net, path)
         for chain, bank in ((develop_chain(cap, path, "left"), L),
@@ -233,7 +229,7 @@ class TestBanks:
 
         for seed in range(5):
             cap, forest = sample_cap(seed=seed)
-            for path in forest_paths(cap, forest):
+            for path in leaf_paths(forest):
                 L = develop_chain(cap, path, "left")
                 R = develop_chain(cap, path, "right")
                 ok, radius = left_of(L, R)
@@ -528,7 +524,7 @@ def develop_chain_reference(cap, cp, side):
     d0 = V[vs[1], :2] - V[vs[0], :2]
     heading = math.atan2(d0[1], d0[0])
     if side == "left" and vs[0] not in cap.rim_vertex_set:
-        heading += cap.vertex_curvature(vs[0])
+        heading += 2 * math.pi - cap.fan_totals()[vs[0]]
     pts = [np.array(V[vs[0], :2], dtype=float)]
     for i, L in enumerate(lengths):
         pts.append(pts[-1] + L * np.array([math.cos(heading), math.sin(heading)]))
@@ -591,7 +587,7 @@ class TestChainsAgainstReference:
             diam = float(np.linalg.norm(P.max(axis=0) - P.min(axis=0)))
             net = layout_net(cap, forest)
             left, right, bank_l, bank_r = table_chains(cap, forest, net)
-            for k, path in enumerate(forest_paths(cap, forest)):
+            for k, path in enumerate(leaf_paths(forest)):
                 cp = path_angles(cap, path)
                 for side, chain in (("left", left[k]), ("right", right[k])):
                     ref = develop_chain_reference(cap, cp, side)
@@ -605,7 +601,7 @@ class TestChainsAgainstReference:
         cap, forest = oracle_set()[0]
         net = layout_net(cap, forest)
         want = []
-        for path in forest_paths(cap, forest):
+        for path in leaf_paths(forest):
             L, R = bank_chains(cap, net, path)
             R = R.copy()
             R[0] = L[0]
@@ -620,7 +616,7 @@ class TestChainsAgainstReference:
         pairs = certificate_pairs()
         k = 0
         for cap, forest, net in certificate_caps():
-            n = len(forest.leaf_paths)
+            n = len(leaf_paths(forest))
             chains, banks = pairs["chains"][k:k + n], pairs["banks"][k:k + n]
             k += n
             left, right, bank_l, bank_r = table_chains(cap, forest, net)
@@ -636,7 +632,7 @@ class TestChainsAgainstReference:
                 assert np.array_equal(got[1][1:], want[1][1:])
             assert develop_mod.turn_distortion(
                 forest, path_turns(cap, forest)) == max(
-                turn_distortion(cap, p).max_abs for p in forest.leaf_paths)
+                turn_distortion(cap, p).max_abs for p in leaf_paths(forest))
             assert left_of(list(zip(left, right))) == left_of(chains)
             assert banks_ordered(cap, net, forest) == \
                 left_of(banks, check="oracle")

@@ -20,8 +20,8 @@ from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.geom import Wedge
 from capunfold.mesh import compute_metrics
 from fixtures import (DEG, forest_growth_reference, forest_reference,
-                      grow_path, large_net_cap, oracle_set, pentagonal_pyramid,
-                      quarter_turn)
+                      grow_path, large_net_cap, leaf_paths, oracle_set,
+                      pentagonal_pyramid, quarter_turn)
 from lemmas import verify_angle_monotone
 
 
@@ -223,7 +223,7 @@ class TestGrowPath:
         qs = choose_origin(cap)
         forest = build_forest(cap, qs)
         P = cap.vertices[:, :2]
-        for path in forest.leaf_paths:
+        for path in leaf_paths(forest):
             assert verify_angle_monotone(P[path], qs.theta) is not None
 
     def test_impossible_wedge_errors(self):
@@ -364,7 +364,7 @@ class TestForestTable:
             ref = forest_reference(cap, forest.parent)
             assert forest.edges.tolist() == [list(e) for e in ref.edges]
             assert forest.leaves.tolist() == ref.leaves
-            assert [p.tolist() for p in forest.leaf_paths] == ref.paths
+            assert [p.tolist() for p in leaf_paths(forest)] == ref.paths
             child = forest.edges[:, 0]
             assert forest.root[child].tolist() == [ref.root[v] for v in child.tolist()]
             trees = np.split(child[forest.tree_order], forest.tree_starts[1:])
@@ -390,7 +390,7 @@ class TestForestTable:
     def test_cycle_on_a_leaf_path_is_rejected(self):
         cap = generate_budget_cap(200, seed=0)
         forest = build_forest(cap, choose_origin(cap, "central"))
-        path = max(forest.leaf_paths, key=len).tolist()
+        path = max(leaf_paths(forest), key=len).tolist()
         assert len(path) >= 5
         bad = dict(forest.parent)
         bad[path[3]] = path[2]

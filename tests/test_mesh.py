@@ -103,7 +103,7 @@ class TestStarTable:
                 ref_neighbors, ref_theta = fan_reference(cap, v)
                 assert neighbors == ref_neighbors
                 assert np.array_equal(theta, ref_theta)
-                assert cap.fan_total(v) == ref_theta[-1]
+                assert cap.fan_totals()[v] == ref_theta[-1]
         neighbors, theta = isolated.vertex_fan(6)
         assert neighbors == [] and theta.tolist() == [0.0]
         assert len(rim_fan(400).vertex_fan(400)[0]) == 400
@@ -197,11 +197,13 @@ class TestValidation:
 class TestCurvature:
     def test_apex_defect_is_60deg(self):
         cap = pentagonal_pyramid()
-        assert cap.vertex_curvature(5) / DEG == pytest.approx(60.0, abs=1e-9)
+        defect = 2 * math.pi - cap.fan_totals()[5]
+        assert defect / DEG == pytest.approx(60.0, abs=1e-9)
 
     def test_flat_disk_has_zero_defect(self):
         cap = flat_hex_disk(0.0)
-        assert cap.vertex_curvature(6) == pytest.approx(0.0, abs=1e-12)
+        defect = 2 * math.pi - cap.fan_totals()[6]
+        assert defect == pytest.approx(0.0, abs=1e-12)
 
     def test_rim_angles(self):
         cap = pentagonal_pyramid()
@@ -214,7 +216,7 @@ class TestCurvature:
         from capunfold.generate import generate_budget_cap
 
         cap = generate_budget_cap(200, seed=0)
-        fans = [cap.fan_total(int(v)) for v in cap.interior_vertices]
+        fans = [cap.fan_totals()[int(v)] for v in cap.interior_vertices]
         assert np.array_equal(fans, 2 * math.pi - cap.curvatures())
 
     def test_face_neighbors_match_edge_faces(self):

@@ -14,12 +14,11 @@ from capunfold.generate import generate_budget_cap
 from capunfold.monotone import (
     NotRadiallyMonotoneError,
     circle_crossing_oracle,
-    is_radially_monotone,
-    is_simple,
     left_of,
 )
 import monotone_reference as reference
-from fixtures import certificate_pairs
+from fixtures import (certificate_pairs, chain_radially_monotone, chain_simple,
+                      leaf_paths)
 from lemmas import angle_monotone_implies_rm, cone_of, distances_nondecreasing
 
 DEG = math.pi / 180
@@ -38,15 +37,15 @@ def random_chain(rng, k, step_spread):
 class TestIsRadiallyMonotone:
     def test_straight_chain(self):
         pts = [[0, 0], [1, 0], [2, 0], [3.5, 0]]
-        assert is_radially_monotone(pts) == (True, None)
+        assert chain_radially_monotone(pts) == (True, None)
 
     def test_staircase(self):
         pts = [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2]]
-        assert is_radially_monotone(pts) == (True, None)
+        assert chain_radially_monotone(pts) == (True, None)
 
     def test_double_back(self):
         pts = [[0, 0], [2, 0], [2, 1], [0.2, 1]]
-        ok, witness = is_radially_monotone(pts)
+        ok, witness = chain_radially_monotone(pts)
         assert not ok
         j, i = witness
         assert j < i
@@ -54,11 +53,11 @@ class TestIsRadiallyMonotone:
     def test_nonsimple_rejected(self):
         pts = [[0, 0], [2, 0], [1, 1], [1, -1]]
         with pytest.raises(ValueError):
-            is_radially_monotone(pts)
+            chain_radially_monotone(pts)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
-            is_radially_monotone([[0, 0], [0, 0], [1, 0]])
+            chain_radially_monotone([[0, 0], [0, 0], [1, 0]])
 
 
 class TestCircleOracle:
@@ -80,10 +79,10 @@ class TestCircleOracle:
             k = int(rng.integers(2, 8))
             spread = rng.uniform(0.2, 2.4)
             pts = random_chain(rng, k, spread)
-            if not is_simple(pts):
+            if not chain_simple(pts):
                 continue
             total += 1
-            verdict3, _ = is_radially_monotone(pts)
+            verdict3, _ = chain_radially_monotone(pts)
             oracle = all(
                 circle_crossing_oracle(pts[j:], source=pts[j])
                 for j in range(len(pts) - 1)
@@ -101,9 +100,9 @@ class TestDistancesDefinition:
         checked = 0
         for _ in range(300):
             pts = random_chain(rng, int(rng.integers(2, 7)), rng.uniform(0.2, 2.2))
-            if not is_simple(pts):
+            if not chain_simple(pts):
                 continue
-            ok, _ = is_radially_monotone(pts)
+            ok, _ = chain_radially_monotone(pts)
             if not ok:
                 continue
             checked += 1
@@ -138,7 +137,7 @@ class TestImplication:
         qs = choose_origin(cap)
         forest = build_forest(cap, qs)
         P = cap.vertices[:, :2]
-        for path in forest.leaf_paths:
+        for path in leaf_paths(forest):
             assert angle_monotone_implies_rm(P[path], theta=qs.theta)
 
     def test_large_theta_rejected(self):
@@ -161,7 +160,7 @@ class TestConeOf:
         qs = choose_origin(cap)
         forest = build_forest(cap, qs)
         P = cap.vertices[:, :2]
-        for path in forest.leaf_paths:
+        for path in leaf_paths(forest):
             assert cone_of(P[path]).measure <= qs.theta + 1e-9 < math.pi / 2
 
 
@@ -254,8 +253,8 @@ class TestBatchedKernel:
                     == want
         # the one-chain calls are the same kernel
         for c in chains[::50]:
-            assert outcome(is_simple, c) == outcome(reference.is_simple, c)
-            assert outcome(is_radially_monotone, c) == \
+            assert outcome(chain_simple, c) == outcome(reference.is_simple, c)
+            assert outcome(chain_radially_monotone, c) == \
                 outcome(reference.is_radially_monotone, c)
 
     def test_short_chains_batched_with_chains_longer_than_a_block(self):
@@ -274,23 +273,23 @@ class TestBatchedKernel:
             assert kernel_outcomes(pairs, check) == ref
             assert {True, False} <= {o[0] for o in ref}
         chains = [c for pair in pairs for c in pair]
-        assert [is_simple(c) for c in chains] == \
+        assert [chain_simple(c) for c in chains] == \
             [reference.is_simple(c) for c in chains]
         # a batch of two-point chains only
         twos = [([[0, 0], [1, 0]], [[0, 0], [0.5, 0.8]]),
                 ([[0, 0], [0.5, 0.8]], [[0, 0], [1, 0]])]
         assert kernel_outcomes(twos, "angle") == \
             [reference.left_of(a, b) for a, b in twos]
-        assert is_radially_monotone(twos[0][0]) == (True, None)
+        assert chain_radially_monotone(twos[0][0]) == (True, None)
 
     def test_closed_chain(self):
         square = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
         bow = [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]]
         for pts in (square, bow):
-            assert is_simple(pts) == reference.is_simple(pts)
-            assert outcome(is_radially_monotone, pts) == \
+            assert chain_simple(pts) == reference.is_simple(pts)
+            assert outcome(chain_radially_monotone, pts) == \
                 outcome(reference.is_radially_monotone, pts)
-        assert is_simple(square) and not is_simple(bow)
+        assert chain_simple(square) and not chain_simple(bow)
 
     def test_violated_pair(self):
         ray = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.1]])

@@ -23,6 +23,9 @@ from fixtures import flat_hex_disk, pentagonal_pyramid, turned_defect_cap
 
 DEG = math.pi / 180
 
+#: Offsets (x, -x, 0) at which a cap must keep its verdict.
+TRANSLATIONS = (1e6, 1e7, 2e7)
+
 
 @functools.lru_cache(maxsize=None)
 def unscaled_verdict(seed):
@@ -85,14 +88,17 @@ class TestEndToEnd:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_translated_cap_keeps_its_status(self, seed):
         # strip area and apex checks taken about the coordinate origin once
-        # failed these caps when moved far from it
+        # failed these caps when moved 1e6 from it, and a congruence bound
+        # below the rounding of the net's coordinates did at 1e7
         cap = generate_budget_cap(200, seed=seed)
-        far = ConvexCap(cap.vertices + [1e6, -1e6, 0.0], cap.triangles)
         want = cut_and_unfold(cap).diagnostics["status"]
-        d = cut_and_unfold(far).diagnostics
-        assert (d["status"], d["errors"]) == (want, [])
+        for shift in TRANSLATIONS:
+            far = ConvexCap(cap.vertices + [shift, -shift, 0.0],
+                            cap.triangles)
+            d = cut_and_unfold(far).diagnostics
+            assert (d["status"], d["errors"]) == (want, []), shift
 
-    @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-9, 10)])
+    @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-12, 10)])
     def test_scaled_cap_keeps_its_status(self, scale):
         # an absolute waterfall point dedupe once merged the points of
         # these caps scaled by 1e-8 or 1e-7, so paths read out of order
@@ -101,6 +107,25 @@ class TestEndToEnd:
             d = cut_and_unfold(ConvexCap(cap.vertices * scale,
                                          cap.triangles)).diagnostics
             assert (d["status"], d["errors"]) == want, seed
+
+    @pytest.mark.parametrize("scale, shift", [
+        (1e-12, 0.0), (1e-9, 0.0), (1.0, 0.0), (1e9, 0.0),
+        *((1.0, shift) for shift in TRANSLATIONS)])
+    def test_congruence_catches_a_corner_moved_half_a_side(self, scale,
+                                                           shift):
+        # an absolute congruence bound passed this move on caps scaled
+        # below unit size
+        for seed in range(10):
+            cap, _ = unscaled_verdict(seed)
+            cap = ConvexCap(cap.vertices * scale + [shift, -shift, 0.0],
+                            cap.triangles)
+            net = cut_and_unfold(cap).net
+            assert develop.net_congruent(cap, net), seed
+            images = net.images.copy()
+            side = images[10, 1] - images[10, 0]
+            images[10, 0] += 0.5 * side[::-1] * [-1.0, 1.0]
+            moved = develop.Net(images, net.cut_edges)
+            assert not develop.net_congruent(cap, moved), seed
 
 
 class TestDiagnostics:

@@ -9,25 +9,20 @@ from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.monotone import left_of
 from capunfold import strips as strips_mod
 from capunfold.strips import (
-    StripError,
     WaterfallPath,
-    _assign_faces,
     _cartesian,
-    _label_components,
     _oblique,
     _ordered,
     _path_graph,
-    _repair_connectivity,
     _staircase,
     _to_global,
     _to_local,
     strip_certificates,
-    strip_partition,
     waterfall_strips,
 )
 
-from fixtures import (adjacency_reference, flat_hex_disk, large_net_cap,
-                      oracle_set, pentagonal_pyramid, quarter_turn)
+from fixtures import (large_net_cap, oracle_set, pentagonal_pyramid,
+                      quarter_turn)
 from lemmas import verify_angle_monotone
 
 DEG = math.pi / 180
@@ -81,19 +76,6 @@ class TestWaterfallPaths:
 
 
 class TestStripAssignment:
-    def test_faces_partitioned(self):
-        # every face gets exactly one strip label, and each label's faces
-        # form one edge-connected component
-        for seed in range(4):
-            cap, forest, system = unfolded(seed=seed)
-            strip_of = strip_partition(cap, forest, system)
-            assert strip_of.shape == (cap.n_triangles, 2)
-            assert set(map(tuple, strip_of.tolist())) <= set(system.strips)
-            labels, code = np.unique(strip_of, axis=0, return_inverse=True)
-            comp = _label_components(cap, code)
-            for k in range(len(labels)):
-                assert len(np.unique(comp[code == k])) == 1, (seed, labels[k])
-
     def test_strip_count_per_quadrant(self):
         cap, forest, system = unfolded(seed=3)
         for i in range(4):
@@ -106,7 +88,6 @@ class TestStripAssignment:
         system = waterfall_strips(cap, forest)
         assert all(not system.paths[i] for i in range(4))
         assert system.strips == [(0, 0), (1, 0), (2, 0), (3, 0)]
-        assert len(strip_partition(cap, forest, system)) == 5
         cert = strip_certificates(system)
         assert cert["clean"], cert["errors"]
 
@@ -130,33 +111,6 @@ class TestCertificates:
         cap, forest, system = unfolded(seed=7, mode="closest_to_boundary")
         cert = strip_certificates(system)
         assert cert["clean"], cert["errors"]
-
-
-def assign_faces_reference(cap, forest, paths):
-    """Face-by-face strip assignment: one scalar interpolation per face and
-    path, stopping at the first path the centroid is not above."""
-    qs = forest.system
-    P = cap.vertices[:, :2]
-    origin = P[qs.origin]
-    cent = P[cap.triangles].mean(axis=1)
-    d = cent - origin
-    angles = np.arctan2(d[:, 1], d[:, 0])
-    graphs = {i: [_path_graph(_oblique(_to_local(wp.points, origin,
-                                                 qs.quadrant(i).base), qs.theta))
-                  for wp in paths[i]] for i in range(4)}
-    out = {}
-    for f in range(cap.n_triangles):
-        qi = int((float(angles[f]) - qs.base) % (2 * math.pi) // qs.theta)
-        qi = qi if qi < 4 else 0   # the gap sits below quadrant 0
-        ab = _oblique(_to_local(cent[f], origin, qs.quadrant(qi).base), qs.theta)[0]
-        s = 0
-        for g in graphs[qi]:
-            if ab[1] > float(np.interp(ab[0], *g)):
-                s += 1
-            else:
-                break
-        out[f] = (qi, s)
-    return out
 
 
 def epsilon_reference(cap, forest, quadrant, leaves, ob, r):
@@ -202,14 +156,6 @@ def reference_caps():
 
 
 class TestVectorizedAgainstReference:
-    def test_assign_faces_matches_scalar_reference(self):
-        for cap in reference_caps():
-            forest = build_forest(cap, choose_origin(cap, "central"))
-            system = waterfall_strips(cap, forest)
-            ref = assign_faces_reference(cap, forest, system.paths)
-            assert _assign_faces(cap, forest, system.paths).tolist() == [
-                list(ref[f]) for f in range(cap.n_triangles)]
-
     def test_epsilon_matches_loop_reference(self, monkeypatch):
         fast = strips_mod._epsilon
         seen = []
@@ -224,66 +170,6 @@ class TestVectorizedAgainstReference:
         for cap in reference_caps():
             waterfall_strips(cap, build_forest(cap, choose_origin(cap, "central")))
         assert len(seen) >= 10
-
-
-def face_neighbors_reference(cap, edge_faces, f):
-    tri = cap.triangles[f]
-    for k in range(3):
-        a, b = int(tri[k]), int(tri[(k + 1) % 3])
-        for g in edge_faces[(min(a, b), max(a, b))]:
-            if g != f:
-                yield g
-
-
-def components_reference(cap, edge_faces, faces):
-    """Edge-connected components of a face set, each sorted, seeded from the
-    smallest face left."""
-    comps = []
-    left = set(faces)
-    while left:
-        seed = min(left)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            f = frontier.pop()
-            for g in face_neighbors_reference(cap, edge_faces, f):
-                if g in left and g not in comp:
-                    comp.add(g)
-                    frontier.append(g)
-        comps.append(sorted(comp))
-        left -= comp
-    return comps
-
-
-def repair_reference(cap, strip_of):
-    """Set-based connectivity repair: every pass recomputes the components of
-    every strip and moves each minority component to the strip most of its
-    outside neighbours hold (ties to the smallest label)."""
-    strip_of = dict(strip_of)
-    edge_faces = adjacency_reference(cap.triangles).edge_faces
-    for _ in range(100):
-        members = {}
-        for f, lab in strip_of.items():
-            members.setdefault(lab, []).append(f)
-        moved = False
-        for lab, faces in members.items():
-            comps = components_reference(cap, edge_faces, faces)
-            comps.sort(key=lambda c: (-len(c), min(c)))
-            for comp in comps[1:]:
-                votes = {}
-                for f in comp:
-                    for g in face_neighbors_reference(cap, edge_faces, f):
-                        if strip_of[g] != lab:
-                            votes[strip_of[g]] = votes.get(strip_of[g], 0) + 1
-                if not votes:
-                    continue
-                target = max(sorted(votes), key=lambda k: votes[k])
-                for f in comp:
-                    strip_of[f] = target
-                moved = True
-        if not moved:
-            return strip_of
-    raise StripError("strip connectivity repair did not converge")
 
 
 def segments_cross(p1, d1, p3, d2):
@@ -367,12 +253,6 @@ class TestArrayPassesAgainstReference:
         # cross by the all-pairs test
         for cap, forest in oracle_set():
             system = waterfall_strips(cap, forest)
-            assigned = _assign_faces(cap, forest, system.paths)
-            ref = repair_reference(cap, dict(enumerate(
-                map(tuple, assigned.tolist()))))
-            assert (_repair_connectivity(cap, assigned).tolist()
-                    == [list(ref[f]) for f in range(cap.n_triangles)]
-                    == strip_partition(cap, forest, system).tolist())
             for i in range(4):
                 ps = system.paths[i]
                 got = [_ordered(lo.ab, up.ab) for lo, up in zip(ps, ps[1:])]
@@ -454,20 +334,6 @@ class TestArrayPassesAgainstReference:
             assert got == ordered_reference(lower, upper), (lower, upper)
             verdicts.add(got)
         assert verdicts == {True, False}
-
-    def test_strip_split_into_two_pockets_is_repaired(self):
-        # a ring of six faces, face k next to k-1 and k+1: strips A and B
-        # each come in two pockets
-        cap = flat_hex_disk(lift=0.1)
-        A, B = (0, 0), (0, 1)
-        split = dict(zip(range(6), [A, A, B, A, B, B]))
-        # A's pocket {3} joins B; B's pocket {2} then sees A on one side and
-        # the updated face 3 (now B) on the other, so it joins A
-        want = dict(zip(range(6), [A, A, A, B, B, B]))
-        assert _repair_connectivity(cap, np.array(list(split.values()))
-                                    ).tolist() == list(map(list, want.values()))
-        assert repair_reference(cap, split) == want
-
 
 def pl_max_reference(f, g):
     """Pointwise maximum of two nondecreasing piecewise-linear functions,

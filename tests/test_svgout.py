@@ -1,11 +1,7 @@
 import xml.etree.ElementTree as ET
 
-import numpy as np
-import pytest
-
 from capunfold.generate import generate_budget_cap
 from capunfold.pipeline import cut_and_unfold
-from capunfold.strips import strip_partition
 from capunfold.svgout import render_forest_svg, render_net_svg
 
 from fixtures import adjacency_reference, pentagonal_pyramid
@@ -30,49 +26,18 @@ class TestNetSvg:
             assert f'class="{cls}"' in svg
 
     def test_cut_edge_images_counted(self):
-        # every cut edge is drawn twice (once per bank), every interior
-        # fold or strip boundary once, every rim edge once
+        # every cut edge is drawn twice (once per bank), every uncut
+        # interior side once, every rim edge once
         res = _result()
-        svg = render_net_svg(res.cap, res.net, res.forest, res.strips)
+        svg = render_net_svg(res.cap, res.net, res.forest)
         n_cut = svg.count('class="cut"')
         n_fold = svg.count('class="fold"')
-        n_strip = svg.count('class="strip-boundary"')
         n_rim = svg.count('class="rim"')
         boundary = adjacency_reference(res.cap.triangles).boundary_edges
         assert n_cut == 2 * len(res.net.cut_edges)
         assert n_rim == len(boundary)
         interior = res.cap.n_edges - len(boundary)
-        assert n_fold + n_strip == interior - len(res.net.cut_edges)
-
-    def test_strip_boundaries_where_strip_rows_differ(self):
-        res = _result(200, 0)
-        cap, nbr = res.cap, res.cap.face_neighbors()
-        lab = strip_partition(cap, res.forest, res.strips)
-        T = cap.triangles
-        # each uncut interior side once, from face f < g, in face order
-        folds = [(f, k) for f, k in zip(*np.nonzero(
-                     nbr > np.arange(len(nbr))[:, None]))
-                 if (int(min(T[f, k], T[f, (k + 1) % 3])),
-                     int(max(T[f, k], T[f, (k + 1) % 3]))) not in res.net.cut_edges]
-        differ = [lab[f].tolist() != lab[nbr[f, k]].tolist() for f, k in folds]
-        assert any(differ) and not all(differ)
-
-        def lines(svg, cls):
-            return [tuple(el.get(c) for c in ("x1", "y1", "x2", "y2"))
-                    for el in ET.fromstring(svg) if el.get("class") == cls]
-
-        plain = lines(render_net_svg(cap, res.net, res.forest), "fold")
-        svg = render_net_svg(cap, res.net, res.forest, res.strips)
-        assert len(plain) == len(folds)
-        assert lines(svg, "strip-boundary") == [
-            ln for ln, d in zip(plain, differ) if d]
-        assert lines(svg, "fold") == [
-            ln for ln, d in zip(plain, differ) if not d]
-
-    def test_strips_need_the_forest(self):
-        res = _result()
-        with pytest.raises(ValueError):
-            render_net_svg(res.cap, res.net, strips=res.strips)
+        assert n_fold == interior - len(res.net.cut_edges)
 
     def test_quadrant_axes_drawn(self):
         res = _result()
