@@ -6,8 +6,8 @@ everything into a planar net, build the ordered waterfall paths in each
 quadrant, and certify that the net does not overlap.
 """
 
-from .geom import delta_perp, omega_bound, phi_budget, turn_angle
+from .geom import delta_perp, omega_bound, phi_budget
 
 __version__ = "0.1.0"
 
-__all__ = ["delta_perp", "omega_bound", "phi_budget", "turn_angle", "__version__"]
+__all__ = ["delta_perp", "omega_bound", "phi_budget", "__version__"]

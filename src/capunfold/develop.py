@@ -294,7 +294,7 @@ def _banks(cap: ConvexCap, net: Net,
         src = np.repeat(nxt[first], lens, axis=0)
         # at an interior path vertex the next face's image of it is a
         # second point unless it is within 1e-12 of this face's (as
-        # points_close); the one farther from the leaf is kept
+        # np.allclose); the one farther from the leaf is kept
         apart = np.any(np.abs(nxt - prev) > 1e-12 + 1e-5 * np.abs(prev),
                        axis=1)
         farther = (np.linalg.norm(nxt - src, axis=1)
@@ -308,15 +308,17 @@ def _banks(cap: ConvexCap, net: Net,
 def banks_ordered(cap: ConvexCap, net: Net, forest: SpanningForest) -> list:
     """left_of certificate for the two net banks of every leaf path, from one
     :func:`left_of` call: one verdict per path, ``None`` where the banks do
-    not share the leaf image or break a precondition of left_of."""
+    not share the leaf image or a bank's distance from the leaf image
+    decreases (left_of's ``"source"`` test).  :func:`_banks` has already
+    dropped the nearer image of every double point."""
     L, R = _banks(cap, net, forest)
     first, split = forest.path_offsets[:-1], forest.path_offsets[1:-1]
-    # the leaf images agree as points_close(L, R, atol=1e-9) has it
+    # the leaf images agree as np.allclose(L, R, atol=1e-9) has it
     shared = np.all(np.abs(L[first] - R[first])
                     <= 1e-9 + 1e-5 * np.abs(R[first]), axis=1)
     R[first] = L[first]
     verdicts = left_of(list(zip(np.split(L, split), np.split(R, split))),
-                       check="oracle")
+                       check="source")
     return [v if ok else None for v, ok in zip(verdicts, shared.tolist())]
 
 

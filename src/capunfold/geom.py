@@ -1,4 +1,4 @@
-"""Geometry used everywhere else: angles, turns, wedges, and the
+"""Geometry used everywhere else: angles, direction cones, wedges, and the
 flatness/acuteness budget arithmetic for nearly flat convex caps.
 
 All angles are radians internally.  Degrees only appear at I/O boundaries.
@@ -20,8 +20,6 @@ __all__ = [
     "normalize_angle",
     "omega_bound",
     "phi_budget",
-    "points_close",
-    "turn_angle",
     "unwrap_directions",
 ]
 
@@ -59,13 +57,6 @@ def direction_spreads(ang, starts) -> np.ndarray:
     return np.maximum.reduceat(rel, starts) - np.minimum.reduceat(rel, starts)
 
 
-def points_close(p, q, atol: float = 1e-8) -> bool:
-    """``np.allclose(p, q, atol=atol)`` for two planar points, written out
-    per coordinate (numpy's default rtol 1e-5 is relative to ``q``)."""
-    return (abs(p[0] - q[0]) <= atol + 1e-5 * abs(q[0])
-            and abs(p[1] - q[1]) <= atol + 1e-5 * abs(q[1]))
-
-
 def corner_angles(tris) -> np.ndarray:
     """Interior angles of a batch of triangles: (m, 3, d) corners, 2D or 3D,
     to (m, 3) angles, entry ``[f, i]`` at corner ``i`` of triangle ``f``."""
@@ -75,20 +66,6 @@ def corner_angles(tris) -> np.ndarray:
     cosang = np.einsum("mij,mij->mi", u, w) / (
         np.linalg.norm(u, axis=2) * np.linalg.norm(w, axis=2))
     return np.arccos(np.clip(cosang, -1.0, 1.0))
-
-
-def turn_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Signed CCW exterior (turn) angle at b for the planar polyline a->b->c,
-    in (-pi, pi].
-
-    Zero for collinear continuation, +pi/2 for a left right-angle turn.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d_in, d_out = b - a, c - b
-    return normalize_angle(math.atan2(d_out[1], d_out[0])
-                           - math.atan2(d_in[1], d_in[0]))
 
 
 def delta_perp(phi: float) -> float:

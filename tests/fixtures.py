@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from capunfold.mesh import ConvexCap
-from capunfold.monotone import _as_chain, _chain_checks, _concat
+from capunfold.monotone import _chain_checks, _concat
+from monotone_reference import _as_chain
 
 DEG = math.pi / 180
 
@@ -148,19 +149,11 @@ def leaf_paths(forest) -> list[np.ndarray]:
     return [forest.path_vertices[i:j] for i, j in zip(off[:-1], off[1:])]
 
 
-def chain_simple(points) -> bool:
-    """The simplicity kernel of :mod:`capunfold.monotone` on one chain."""
-    return bool(_chain_checks(*_concat([_as_chain(points)]), "simple")[0][0])
-
-
 def chain_radially_monotone(points) -> tuple[bool, tuple[int, int] | None]:
     """The angle kernel of :mod:`capunfold.monotone` on one chain:
     ``(True, None)``, or ``(False, (j, i))`` with the first violating pair.
-    A chain that is not simple raises ``ValueError``."""
-    simple, ok, witness = _chain_checks(*_concat([_as_chain(points)]),
-                                        "angle")
-    if not simple[0]:
-        raise ValueError("chain is not simple")
+    A malformed chain raises ``ValueError``."""
+    ok, witness = _chain_checks(*_concat([_as_chain(points)]), "angle")
     if ok[0]:
         return True, None
     return False, (int(witness[0, 0]), int(witness[0, 1]))
@@ -481,7 +474,7 @@ def certificate_pairs():
     built path by path by the references above over the
     :func:`certificate_caps`, in their order: ``"chains"`` (left and right
     developments of each leaf path, angle check) and ``"banks"`` (the two
-    net banks of each leaf path, oracle check); and, as more test data for
+    net banks of each leaf path, source check); and, as more test data for
     the kernel, ``"waterfall"`` (the global points of consecutive waterfall
     paths of each quadrant, angle check, which the certificates decide on
     the paths' oblique points instead; then two fixed pairs whose upper

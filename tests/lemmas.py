@@ -1,7 +1,8 @@
 """Checkers of the paper's lemmas, used by the tests as oracles.
 
 - Gauss-Bonnet on surface circuits: ``total_turn + enclosed_curvature ==
-  2*pi`` for a closed counterclockwise circuit.
+  2*pi`` for a closed counterclockwise circuit, from the signed planar
+  :func:`turn_angle` at each point.
 - Angle-monotone chains with theta <= 90deg are radially monotone, and
   radial monotonicity by sampled distances.
 - The direction cone of a chain, and the turn-distortion bound.
@@ -17,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from capunfold.geom import EPS_GEOM, turn_angle, unwrap_directions
+from capunfold.geom import EPS_GEOM, normalize_angle, unwrap_directions
 from capunfold.mesh import ConvexCap
-from capunfold.monotone import _as_chain
 
 from fixtures import adjacency_reference, chain_radially_monotone
+from monotone_reference import _as_chain
 
 
 # --------------------------------------------------------------------------
@@ -90,6 +91,20 @@ def _face_frame(cap: ConvexCap, f: int):
         return np.array([np.dot(d, ex), np.dot(d, ey)])
 
     return to2d
+
+
+def turn_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """Signed CCW exterior (turn) angle at b for the planar polyline a->b->c,
+    in (-pi, pi].
+
+    Zero for collinear continuation, +pi/2 for a left right-angle turn.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    d_in, d_out = b - a, c - b
+    return normalize_angle(math.atan2(d_out[1], d_out[0])
+                           - math.atan2(d_in[1], d_in[0]))
 
 
 def _turn_across_edge(cap: ConvexCap, p_prev, p, p_next, f_in, f_out) -> float:

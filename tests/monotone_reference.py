@@ -1,6 +1,11 @@
 """The per-pair radial monotonicity and left-of code that the batched
 kernel in :mod:`capunfold.monotone` replaced, kept as its reference: one
-chain or one pair per call, in the order the kernel must reproduce.
+chain or one pair per call, in the order the kernel must reproduce.  A pair
+the kernel gives ``None`` raises here.
+
+:func:`circle_crossing_oracle` is the definition by circles, the
+independent reference for the kernel's ``"source"`` test and, from every
+vertex, for its ``"angle"`` test.
 """
 
 from __future__ import annotations
@@ -10,8 +15,23 @@ import math
 import numpy as np
 
 from capunfold.geom import EPS_GEOM
-from capunfold.monotone import (NotRadiallyMonotoneError, _as_chain,
-                                circle_crossing_oracle)
+
+
+class NotRadiallyMonotoneError(ValueError):
+    """A chain given to :func:`left_of` breaks its radial monotonicity
+    precondition."""
+
+
+def _as_chain(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if (pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2
+            or not np.isfinite(pts).all()):
+        raise ValueError("chain must be a sequence of >= 2 finite planar "
+                         "points")
+    d = pts[1:] - pts[:-1]
+    if np.any((d[:, 0] == 0.0) & (d[:, 1] == 0.0)):
+        raise ValueError("chain has coincident consecutive points")
+    return pts
 
 
 def is_simple(points) -> bool:
@@ -85,15 +105,15 @@ def left_of(A, B, check: str = "angle") -> tuple[bool, float | None]:
     ``(False, violating_radius)``.
 
     ``check`` selects the monotonicity precondition test: ``"angle"`` (the
-    strict vertex-angle form) or ``"oracle"`` (circle components; tolerant
-    of near-coincident double points on chains read out of a net).
+    strict vertex-angle form, on a simple chain) or ``"source"`` (circle
+    components about the chain's first point).
     """
     a = _as_chain(A)
     b = _as_chain(B)
     if not np.allclose(a[0], b[0]):
         raise ValueError("chains must share their source point")
-    if check not in ("angle", "oracle"):
-        raise ValueError("check must be 'angle' or 'oracle'")
+    if check not in ("angle", "source"):
+        raise ValueError("check must be 'angle' or 'source'")
     for chain in (a, b):
         if check == "angle":
             ok, _ = is_radially_monotone(chain)
@@ -105,11 +125,11 @@ def left_of(A, B, check: str = "angle") -> tuple[bool, float | None]:
     src = a[0]
     da = np.linalg.norm(a - src, axis=1)
     db = np.linalg.norm(b - src, axis=1)
+    e = EPS_GEOM * float(max(da.max(), db.max()))
     vals = np.unique(np.concatenate([da, db]))
-    vals = vals[vals > EPS_GEOM]
+    vals = vals[vals > e]
     radii = np.sort(np.concatenate([vals, 0.5 * (vals[:-1] + vals[1:])]))
     r_max = min(da.max(), db.max())
-    e = EPS_GEOM * max(1.0, float(max(da.max(), db.max())))
     radii = radii[radii <= r_max + e]
     pa = _first_hits(a, da, src, np.minimum(radii, da.max()))
     pb = _first_hits(b, db, src, np.minimum(radii, db.max()))
@@ -159,3 +179,108 @@ def _first_hits(pts, dists, src, radii):
     out[has] = res
     return out
 
+
+# --------------------------------------------------------------------------
+# the circle-crossing oracle
+# --------------------------------------------------------------------------
+
+
+def circle_crossing_oracle(points, source, radii=None) -> bool:
+    """Definition-by-circles: the chain meets every circle centered on
+    ``source`` in at most one connected component.
+
+    Used as an independent oracle against the tests of
+    :func:`capunfold.monotone._chain_checks`.
+    Default radii: every vertex distance plus midpoints between consecutive
+    distinct distances.
+    """
+    pts = _as_chain(points)
+    src = np.asarray(source, dtype=float)
+    dists = np.linalg.norm(pts - src, axis=1)
+    if radii is None:
+        vals = np.unique(dists)
+        mids = 0.5 * (vals[:-1] + vals[1:])
+        radii = np.concatenate([vals, mids])
+    e = EPS_GEOM * max(1.0, float(dists.max()))
+    d0, d1 = dists[:-1], dists[1:]
+    seg = pts[1:] - pts[:-1]
+    f = pts[:-1] - src
+    A = np.einsum("ij,ij->i", seg, seg)
+    B = 2 * np.einsum("ij,ij->i", f, seg)
+    C0 = np.einsum("ij,ij->i", f, f)
+
+    # fast path: distance from the source nondecreasing along every segment
+    # means every circle is hit in exactly one point
+    if np.all(B >= 0) and np.all(d1 >= d0):
+        return True
+
+    R = np.asarray(radii, dtype=float)
+    R = R[R > 0]
+    if len(R) == 0:
+        return True
+    ride = (np.abs(d0[None, :] - R[:, None]) <= e) \
+        & (np.abs(d1[None, :] - R[:, None]) <= e)
+    slow_rows = ride.any(axis=1)
+    disc = B[None, :] ** 2 - 4 * A[None, :] * (C0[None, :] - R[:, None] ** 2)
+    s = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (-B[None, :] - s) / (2 * A[None, :])
+        t2 = (-B[None, :] + s) / (2 * A[None, :])
+    idx = np.arange(len(seg), dtype=float)[None, :]
+    params = []
+    for t in (t1, t2):
+        ok = ~ride & (disc >= 0) & (t >= -1e-12) & (t <= 1 + 1e-12)
+        params.append(np.where(ok, idx + np.clip(t, 0.0, 1.0), np.inf))
+    P = np.sort(np.concatenate(params, axis=1), axis=1)
+    finite = np.isfinite(P)
+    with np.errstate(invalid="ignore"):
+        breaks = (P[:, 1:] - P[:, :-1] > 1e-9) & finite[:, 1:]
+    if bool(np.any(breaks[~slow_rows])):
+        return False
+    for r in np.asarray(R)[slow_rows]:
+        if _circle_components(pts, dists, src, float(r)) > 1:
+            return False
+    return True
+
+
+def _circle_components(pts, dists, src, r) -> int:
+    """Connected components of chain-circle intersection, by chain parameter."""
+    e = EPS_GEOM * max(1.0, float(dists.max()))
+    hits: list[tuple[float, float]] = []  # parameter intervals touching circle
+    for i in range(len(pts) - 1):
+        d0, d1 = dists[i] - r, dists[i + 1] - r
+        if abs(d0) <= e and abs(d1) <= e:
+            hits.append((i, i + 1.0))  # segment rides the circle
+            continue
+        ts = _segment_circle_ts(pts[i], pts[i + 1], src, r, e)
+        for t in ts:
+            hits.append((i + t, i + t))
+    if not hits:
+        return 0
+    hits.sort()
+    components = 1
+    cur_end = hits[0][1]
+    for start, end in hits[1:]:
+        if start > cur_end + 1e-9:
+            components += 1
+        cur_end = max(cur_end, end)
+    return components
+
+
+def _segment_circle_ts(a, b, c, r, e) -> list[float]:
+    d = b - a
+    f = a - c
+    A = float(np.dot(d, d))
+    B = 2 * float(np.dot(f, d))
+    C = float(np.dot(f, f)) - r * r
+    disc = B * B - 4 * A * C
+    if disc < 0:
+        return []
+    s = math.sqrt(disc)
+    out = []
+    for t in ((-B - s) / (2 * A), (-B + s) / (2 * A)):
+        if -1e-12 <= t <= 1 + 1e-12:
+            out.append(min(max(t, 0.0), 1.0))
+    if len(out) == 2 and abs(out[0] - out[1]) < 1e-12:
+        out = out[:1]
+    return out

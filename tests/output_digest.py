@@ -12,7 +12,10 @@ digest of the diagnostics without ``paths.max_turn_distortion``, and that
 value's ``repr``, so a move of that one float can be read off; last the
 digest of ``check_overlap(net, eps=-1e-3).pairs``, every candidate pair
 whose boxes overlap by more than 1e-3 with its separating-axis depth, so
-that the narrow phase shows on caps whose nets are clean.
+that the narrow phase shows on caps whose nets are clean; last the digest
+of the per-path verdicts of the two left_of certificates, the developed
+chains' ``left_of`` list and ``banks_ordered``, so that one path's verdict
+or violating radius shows where the diagnostics only hold their ``all()``.
 Not a test module: pytest does not collect it.
 """
 
@@ -28,8 +31,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from capunfold.develop import check_overlap  # noqa: E402
+from capunfold.develop import (banks_ordered, check_overlap,  # noqa: E402
+                               develop_chain, path_turns)
 from capunfold.generate import generate_budget_cap  # noqa: E402
+from capunfold.monotone import left_of  # noqa: E402
 from capunfold.pipeline import cut_and_unfold  # noqa: E402
 from fixtures import large_net_cap, oracle_set, quarter_turn  # noqa: E402
 
@@ -38,6 +43,18 @@ def _sha(data) -> str:
     if isinstance(data, str):
         data = data.encode()
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def verdicts(cap, res) -> list:
+    """The developed chains' and the net banks' left_of verdicts, per leaf
+    path, as the pipeline's certificates compute them."""
+    forest = res.forest
+    turns = path_turns(cap, forest)
+    split = forest.path_offsets[1:-1]
+    chains = left_of(list(zip(
+        *(np.split(develop_chain(cap, forest, turns, side), split)
+          for side in ("left", "right")))))
+    return [chains, banks_ordered(cap, res.net, forest)]
 
 
 def digest(cap) -> list[str]:
@@ -55,6 +72,7 @@ def digest(cap) -> list[str]:
         _sha(json.dumps(rest, sort_keys=True)),
         repr(mtd),
         _sha(json.dumps(check_overlap(res.net, eps=-1e-3).pairs)),
+        _sha(json.dumps(verdicts(cap, res))),
     ]
 
 

@@ -19,12 +19,11 @@ from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold.geom import delta_perp, omega_bound, phi_budget
 from capunfold.mesh import ConvexCap, compute_metrics
-from capunfold.monotone import circle_crossing_oracle
 from capunfold.pipeline import cut_and_unfold
 
 from fixtures import (adjacency_reference, chain_radially_monotone,
-                      chain_simple, large_net_cap, leaf_paths,
-                      pentagonal_pyramid, quarter_turn)
+                      large_net_cap, leaf_paths, pentagonal_pyramid,
+                      quarter_turn)
 from lemmas import (
     angle_monotone_implies_rm,
     enclosed_curvature,
@@ -32,6 +31,8 @@ from lemmas import (
     verify_angle_monotone,
     vertex_point,
 )
+import monotone_reference as reference
+from monotone_reference import circle_crossing_oracle
 from test_develop import layout_reference, record_levels
 from test_geom import sweep_projection_distortion
 from test_mesh import pyramid_circuit
@@ -201,7 +202,7 @@ class TestDefinitionEquivalence:
             k = int(rng.integers(2, 9))
             spread = rng.uniform(0.2, 2.6)
             pts = random_chain(rng, k, spread)
-            if not chain_simple(pts):
+            if not reference.is_simple(pts):
                 continue
             total += 1
             verdict, _ = chain_radially_monotone(pts)

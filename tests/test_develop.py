@@ -24,7 +24,6 @@ from capunfold.develop import (
 )
 from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
-from capunfold.geom import turn_angle
 from capunfold.mesh import ConvexCap, compute_metrics
 from capunfold.monotone import left_of
 
@@ -32,7 +31,7 @@ from fixtures import (adjacency_reference, bank_chains, certificate_caps,
                       certificate_pairs, develop_chain, flat_hex_disk,
                       leaf_paths, oracle_set, path_angles,
                       pentagonal_pyramid, turn_distortion)
-from lemmas import within_bound
+from lemmas import turn_angle, within_bound
 
 DEG = math.pi / 180
 
@@ -232,7 +231,7 @@ class TestBanks:
             for path in leaf_paths(forest):
                 L = develop_chain(cap, path, "left")
                 R = develop_chain(cap, path, "right")
-                ok, radius = left_of(L, R)
+                [(ok, radius)] = left_of([(L, R)])
                 assert ok, (seed, path, radius)
 
 
@@ -605,7 +604,7 @@ class TestChainsAgainstReference:
             L, R = bank_chains(cap, net, path)
             R = R.copy()
             R[0] = L[0]
-            want.append(left_of(L, R, check="oracle"))
+            want += left_of([(L, R)], check="source")
         assert banks_ordered(cap, net, forest) == want
 
     def test_table_matches_per_path_references(self):
@@ -635,5 +634,5 @@ class TestChainsAgainstReference:
                 turn_distortion(cap, p).max_abs for p in leaf_paths(forest))
             assert left_of(list(zip(left, right))) == left_of(chains)
             assert banks_ordered(cap, net, forest) == \
-                left_of(banks, check="oracle")
+                left_of(banks, check="source")
         assert k == len(pairs["chains"]) > 4000

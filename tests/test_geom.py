@@ -18,13 +18,12 @@ from capunfold.geom import (
     normalize_angle,
     omega_bound,
     phi_budget,
-    points_close,
-    turn_angle,
     unwrap_directions,
 )
 from capunfold.forest import _in_wedge
 
 from fixtures import wedge_contains
+from lemmas import turn_angle
 
 DEG = math.pi / 180.0
 
@@ -299,16 +298,3 @@ class TestCornerAngles:
         ang = corner_angles(tri)
         assert ang.shape == (1, 3)
         assert np.allclose(ang, math.pi / 3, atol=1e-15)
-
-
-class TestPointsClose:
-    @pytest.mark.parametrize("atol", [1e-12, 1e-8])
-    def test_matches_numpy_allclose(self, atol):
-        rng = np.random.default_rng(2)
-        q = rng.uniform(-3, 3, (4000, 2)) * 10.0 ** rng.integers(-9, 4, (4000, 1))
-        tol = atol + 1e-5 * np.abs(q)
-        p = q + tol * rng.choice([0.0, 0.5, 0.999999, 1.0, 1.000001, 3.0], (4000, 2)) \
-            * rng.choice([-1.0, 1.0], (4000, 2))
-        for a, b in zip(p, q):
-            assert points_close(a, b, atol=atol) == np.allclose(a, b, atol=atol)
-            assert points_close(tuple(a), tuple(b), atol=atol) == np.allclose(a, b, atol=atol)

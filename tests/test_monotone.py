@@ -11,14 +11,10 @@ from hypothesis import strategies as st
 from capunfold.forest import build_forest, choose_origin
 from capunfold import monotone as monotone_mod
 from capunfold.generate import generate_budget_cap
-from capunfold.monotone import (
-    NotRadiallyMonotoneError,
-    circle_crossing_oracle,
-    left_of,
-)
+from capunfold.monotone import left_of
 import monotone_reference as reference
-from fixtures import (certificate_pairs, chain_radially_monotone, chain_simple,
-                      leaf_paths)
+from fixtures import certificate_pairs, chain_radially_monotone, leaf_paths
+from monotone_reference import circle_crossing_oracle
 from lemmas import angle_monotone_implies_rm, cone_of, distances_nondecreasing
 
 DEG = math.pi / 180
@@ -51,9 +47,10 @@ class TestIsRadiallyMonotone:
         assert j < i
 
     def test_nonsimple_rejected(self):
+        # the angle test implies simplicity, so it needs no simplicity test
         pts = [[0, 0], [2, 0], [1, 1], [1, -1]]
-        with pytest.raises(ValueError):
-            chain_radially_monotone(pts)
+        assert not reference.is_simple(pts)
+        assert chain_radially_monotone(pts) == (False, (0, 1))
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
@@ -79,7 +76,7 @@ class TestCircleOracle:
             k = int(rng.integers(2, 8))
             spread = rng.uniform(0.2, 2.4)
             pts = random_chain(rng, k, spread)
-            if not chain_simple(pts):
+            if not reference.is_simple(pts):
                 continue
             total += 1
             verdict3, _ = chain_radially_monotone(pts)
@@ -92,6 +89,36 @@ class TestCircleOracle:
         assert agree == total
 
 
+class TestOnePreconditionKernelPerFamily:
+    """The lemmas that leave each left_of family one precondition kernel:
+    a chain the angle test passes is simple, and the source test is the
+    circle-crossing oracle about the chain's first point."""
+
+    @staticmethod
+    def chains():
+        rng = np.random.default_rng(23)
+        wide = [random_chain(rng, int(rng.integers(3, 13)), rng.uniform(0, 6.2))
+                for _ in range(3000)]
+        simple = [reference.is_simple(c) for c in wide]
+        assert 300 < sum(simple) < len(wide) - 300
+        return wide + [c for family, _ in FAMILIES
+                       for pair in certificate_pairs()[family] for c in pair]
+
+    def test_angle_test_implies_simple(self):
+        chains = self.chains()
+        ok, _ = monotone_mod._chain_checks(*monotone_mod._concat(chains),
+                                           "angle")
+        assert ok.any() and not ok.all()
+        assert all(reference.is_simple(chains[k]) for k in np.flatnonzero(ok))
+
+    def test_source_test_is_the_circle_oracle(self):
+        chains = self.chains()
+        ok, _ = monotone_mod._chain_checks(*monotone_mod._concat(chains),
+                                           "source")
+        assert ok.any() and not ok.all()
+        assert ok.tolist() == [circle_crossing_oracle(c, c[0]) for c in chains]
+
+
 class TestDistancesDefinition:
     def test_monotone_implies_sampled_distances_nondecreasing(self):
         # one-sided: sampling at vertices and midpoints can miss a tiny
@@ -100,7 +127,7 @@ class TestDistancesDefinition:
         checked = 0
         for _ in range(300):
             pts = random_chain(rng, int(rng.integers(2, 7)), rng.uniform(0.2, 2.2))
-            if not chain_simple(pts):
+            if not reference.is_simple(pts):
                 continue
             ok, _ = chain_radially_monotone(pts)
             if not ok:
@@ -167,27 +194,39 @@ class TestConeOf:
 class TestLeftOf:
     def test_reflexive(self):
         pts = [[0, 0], [1, 0], [1, 1], [2, 1]]
-        assert left_of(pts, pts) == (True, None)
+        assert left_of([(pts, pts)]) == [(True, None)]
 
     def test_rotated_ray(self):
         ray = np.array([[0, 0], [2, 0]])
         rot = 10 * DEG
         R = np.array([[math.cos(rot), -math.sin(rot)],
                       [math.sin(rot), math.cos(rot)]])
-        assert left_of(ray @ R.T, ray) == (True, None)
-        ok, r = left_of(ray, ray @ R.T)
+        assert left_of([(ray @ R.T, ray)]) == [(True, None)]
+        [(ok, r)] = left_of([(ray, ray @ R.T)])
         # arc from A-chain to B-chain is now clockwise: still < pi ccw? no:
         # ccw arc from (rotated) to (base) is 350deg -> violation
         assert not ok and r is not None
 
     def test_requires_common_source(self):
-        with pytest.raises(ValueError):
-            left_of([[0, 0], [1, 0]], [[0.5, 0], [1, 0.5]])
+        assert left_of([([[0, 0], [1, 0]], [[0.5, 0], [1, 0.5]])]) == [None]
 
     def test_requires_monotone(self):
         bad = [[0, 0], [2, 0], [2, 1], [0.2, 1]]
-        with pytest.raises(ValueError):
-            left_of(bad, [[0, 0], [1, 0]])
+        assert left_of([(bad, [[0, 0], [1, 0]])]) == [None]
+
+    def test_common_source_is_numpy_allclose(self):
+        # two chains share their source as np.allclose has it: atol 1e-8
+        # and rtol 1e-5 of the second chain's, per coordinate
+        rng = np.random.default_rng(2)
+        q = rng.uniform(-3, 3, (4000, 2)) * 10.0 ** rng.integers(-9, 4, (4000, 1))
+        tol = 1e-8 + 1e-5 * np.abs(q)
+        p = q + tol * rng.choice([0.0, 0.5, 0.999999, 1.0, 1.000001, 3.0], (4000, 2)) \
+            * rng.choice([-1.0, 1.0], (4000, 2))
+        got = left_of([([a, a + [1.0, 0.0]], [b, b + [1.0, 0.0]])
+                       for a, b in zip(p, q)])
+        want = [np.allclose(a, b) for a, b in zip(p, q)]
+        assert [v is not None for v in got] == want
+        assert {True, False} <= set(want)
 
 
 def outcome(fn, *args, **kwargs):
@@ -196,11 +235,6 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:   # noqa: BLE001 - compared, not handled
         return type(exc).__name__, str(exc)
-
-
-def kernel_outcomes(pairs, check):
-    return [(type(o).__name__, str(o)) if isinstance(o, Exception) else o
-            for o in monotone_mod._left_of_all(pairs, check)]
 
 
 def batch_expected(ref):
@@ -216,7 +250,7 @@ def spiral_out(k, turn=0.02):
     return np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
 
 
-FAMILIES = (("chains", "angle"), ("banks", "oracle"), ("waterfall", "angle"))
+FAMILIES = (("chains", "angle"), ("banks", "source"), ("waterfall", "angle"))
 
 
 class TestBatchedKernel:
@@ -235,27 +269,25 @@ class TestBatchedKernel:
         assert {True, False} <= {o[0] for o in ref}
         assert ("NotRadiallyMonotoneError" in {o[0] for o in ref}
                 or ("ValueError", "chain is not simple") in ref)
-        assert kernel_outcomes(pairs, check) == ref
         assert outcome(left_of, pairs, check=check) == batch_expected(ref)
 
     def test_chains_match_reference(self):
         chains = [c for family, _ in FAMILIES
                   for pair in certificate_pairs()[family] for c in pair]
         flat, offsets, lens = monotone_mod._concat(chains)
-        simple, ok, witness = monotone_mod._chain_checks(
-            flat, offsets, lens, "angle")
+        ok, witness = monotone_mod._chain_checks(flat, offsets, lens, "angle")
         for k in range(0, len(chains), 5):
             c = chains[k]
-            assert bool(simple[k]) == reference.is_simple(c)
-            if simple[k]:
+            if reference.is_simple(c):
                 want = reference.is_radially_monotone(c)
                 assert (bool(ok[k]), None if ok[k] else tuple(witness[k])) \
                     == want
+            else:
+                assert not ok[k]
         # the one-chain calls are the same kernel
         for c in chains[::50]:
-            assert outcome(chain_simple, c) == outcome(reference.is_simple, c)
-            assert outcome(chain_radially_monotone, c) == \
-                outcome(reference.is_radially_monotone, c)
+            assert chain_radially_monotone(c) == \
+                reference.is_radially_monotone(c)
 
     def test_short_chains_batched_with_chains_longer_than_a_block(self):
         long_k = int(math.isqrt(monotone_mod._BLOCK_CELLS)) + 40
@@ -267,37 +299,41 @@ class TestBatchedKernel:
         pairs += [(random_chain(rng, int(rng.integers(1, 4)), 1.0),
                    random_chain(rng, int(rng.integers(1, 4)), 1.0))
                   for _ in range(40)]
-        for check in ("angle", "oracle"):
+        for check in ("angle", "source"):
             ref = [outcome(reference.left_of, a, b, check=check)
                    for a, b in pairs]
-            assert kernel_outcomes(pairs, check) == ref
+            assert outcome(left_of, pairs, check=check) == batch_expected(ref)
             assert {True, False} <= {o[0] for o in ref}
-        chains = [c for pair in pairs for c in pair]
-        assert [chain_simple(c) for c in chains] == \
-            [reference.is_simple(c) for c in chains]
         # a batch of two-point chains only
         twos = [([[0, 0], [1, 0]], [[0, 0], [0.5, 0.8]]),
                 ([[0, 0], [0.5, 0.8]], [[0, 0], [1, 0]])]
-        assert kernel_outcomes(twos, "angle") == \
-            [reference.left_of(a, b) for a, b in twos]
+        assert left_of(twos) == [reference.left_of(a, b) for a, b in twos]
         assert chain_radially_monotone(twos[0][0]) == (True, None)
 
     def test_closed_chain(self):
+        # a closed chain comes back to its source, so the angle test fails
+        # it, simple or not
         square = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
         bow = [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]]
-        for pts in (square, bow):
-            assert chain_simple(pts) == reference.is_simple(pts)
-            assert outcome(chain_radially_monotone, pts) == \
-                outcome(reference.is_radially_monotone, pts)
-        assert chain_simple(square) and not chain_simple(bow)
+        assert reference.is_simple(square) and not reference.is_simple(bow)
+        assert chain_radially_monotone(square) == \
+            reference.is_radially_monotone(square)
+        assert not chain_radially_monotone(square)[0]
+        assert not chain_radially_monotone(bow)[0]
 
     def test_violated_pair(self):
+        # a chain strictly right of the other violates the order at a
+        # radius proportional to their size, at every size: the cuts of
+        # the radius sweep scale with the chains
         ray = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.1]])
         below = ray * [1.0, -1.0]
-        for a, b in ((ray, below), (below, ray)):
-            assert left_of(a, b) == reference.left_of(a, b)
-        ok, radius = left_of(below, ray)
-        assert not ok and radius > 0
+        [(ok, radius)] = left_of([(below, ray)])
+        assert not ok and radius == pytest.approx(1.5012, abs=1e-4)
+        for s in 10.0 ** np.arange(-12, 10):
+            for a, b in ((ray * s, below * s), (below * s, ray * s)):
+                assert left_of([(a, b)]) == [reference.left_of(a, b)], s
+            assert left_of([(below * s, ray * s)]) == \
+                [(False, pytest.approx(radius * s, rel=1e-12))], s
 
     def test_batch_gives_none_wherever_a_pair_raises(self):
         # malformed, no common source, not simple, not radially monotone:
@@ -318,12 +354,10 @@ class TestBatchedKernel:
         ]
         for pairs in cases:
             ref = [outcome(reference.left_of, a, b) for a, b in pairs]
-            assert kernel_outcomes(pairs, "angle") == ref
             assert outcome(left_of, pairs) == batch_expected(ref), pairs
             assert left_of(pairs)[1:] == [None] * (len(pairs) - 1)
         assert left_of(cases[-1]) == [(True, None), None]
-        with pytest.raises(NotRadiallyMonotoneError):
-            left_of(*cases[-1][1])
+        assert left_of([cases[-1][1]]) == [None]
         assert left_of([]) == []
 
 
