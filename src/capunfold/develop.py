@@ -307,18 +307,18 @@ def _banks(cap: ConvexCap, net: Net,
 
 def banks_ordered(cap: ConvexCap, net: Net, forest: SpanningForest) -> list:
     """left_of certificate for the two net banks of every leaf path, from one
-    :func:`left_of` call: one verdict per path, ``None`` where the banks do
-    not share the leaf image or a bank's distance from the leaf image
-    decreases (left_of's ``"source"`` test).  :func:`_banks` has already
-    dropped the nearer image of every double point."""
+    :func:`left_of` call on the banks as the forest's path table holds them
+    (split at ``path_offsets``): one verdict per path, ``None`` where the
+    banks do not share the leaf image or a bank's distance from the leaf
+    image decreases (left_of's ``"source"`` test).  :func:`_banks` has
+    already dropped the nearer image of every double point."""
     L, R = _banks(cap, net, forest)
-    first, split = forest.path_offsets[:-1], forest.path_offsets[1:-1]
+    first = forest.path_offsets[:-1]
     # the leaf images agree as np.allclose(L, R, atol=1e-9) has it
     shared = np.all(np.abs(L[first] - R[first])
                     <= 1e-9 + 1e-5 * np.abs(R[first]), axis=1)
     R[first] = L[first]
-    verdicts = left_of(list(zip(np.split(L, split), np.split(R, split))),
-                       check="source")
+    verdicts = left_of(L, R, forest.path_offsets, check="source")
     return [v if ok else None for v, ok in zip(verdicts, shared.tolist())]
 
 
@@ -337,6 +337,7 @@ class OverlapReport:
 
 
 _NARROW_CHUNK = 4096   # candidate pairs per narrow-phase batch
+_RASTER_CELLS = 256    # raster oracle cells along the net box's longer side
 
 
 def check_overlap(net: Net, eps: float | None = None) -> OverlapReport:
@@ -421,7 +422,7 @@ def _contact_tolerance(tris: np.ndarray) -> float:
     return 1e-7 * (diagonal or 1.0)
 
 
-def rasterize_overlap_oracle(net: Net, resolution: int = 256) -> bool:
+def rasterize_overlap_oracle(net: Net) -> bool:
     """Coarse grid occupancy check: True when some cell center lies strictly
     inside two different placed triangles.  Second opinion for
     :func:`check_overlap`."""
@@ -429,7 +430,7 @@ def rasterize_overlap_oracle(net: Net, resolution: int = 256) -> bool:
     lo = tris.reshape(-1, 2).min(axis=0)
     hi = tris.reshape(-1, 2).max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1])) or 1.0
-    h = span / resolution
+    h = span / _RASTER_CELLS
     nx = int((hi[0] - lo[0]) / h) + 1
     ny = int((hi[1] - lo[1]) / h) + 1
     counts = np.zeros((nx, ny), dtype=np.int16)

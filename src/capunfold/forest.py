@@ -32,6 +32,7 @@ from .geom import EPS_GEOM, Wedge, direction_spreads, unwrap_directions
 from .mesh import ConvexCap, compute_metrics
 
 _PERTURB = 1e-6  # axis rotation step when a vertex lands on an axis
+_SETTLE_STEPS = 100  # axis rotations _settle_axes tries
 
 
 class ForestError(RuntimeError):
@@ -288,13 +289,12 @@ def _any_on_axis(angles: np.ndarray, qs: QuadrantSystem) -> bool:
     return False
 
 
-def _settle_axes(cap: ConvexCap, qs: QuadrantSystem,
-                 max_steps: int = 100) -> QuadrantSystem | None:
+def _settle_axes(cap: ConvexCap, qs: QuadrantSystem) -> QuadrantSystem | None:
     """Nudge the frame so no vertex sits on an axis and the gap stays empty."""
     q = int(qs.origin)
     interior_angles = _angles_from(cap, q, cap.interior_vertices)
     all_angles = _angles_from(cap, q, np.arange(cap.n_vertices))
-    for k in range(max_steps):
+    for k in range(_SETTLE_STEPS):
         step = _PERTURB * ((k + 1) // 2) * (1 if k % 2 else -1)
         cand = QuadrantSystem(
             origin=qs.origin,

@@ -18,6 +18,8 @@ from scipy.spatial import Delaunay
 from .geom import corner_angles, phi_budget
 from .mesh import ConvexCap, validate_cap
 
+_MAX_TRIES = 20   # lattices a generator draws before it gives up
+
 
 def generate_cap(
     n: int,
@@ -26,26 +28,25 @@ def generate_cap(
     jitter: float = 0.25,
     lift: str = "paraboloid",
     angle_mode: str = "non_obtuse",
-    max_tries: int = 20,
 ) -> ConvexCap:
     """Build a random valid cap with roughly ``n`` vertices and maximum face
     tilt ``phi`` (radians, calibrated to 1e-4).
 
     Retries with fresh jitter until :func:`validate_cap` passes; raises
-    ``RuntimeError`` if ``max_tries`` seeds all fail.
+    ``RuntimeError`` if :data:`_MAX_TRIES` lattices all fail.
     """
     if not 0 < phi < math.pi / 2:
         raise ValueError("phi must be in (0, pi/2)")
     rng = np.random.default_rng(seed)
     last = None
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         pts = _jittered_lattice(n, jitter, rng)
         cap = _lift_points(pts, phi, lift)
         issues = validate_cap(cap, angle_mode=angle_mode)
         if not issues:
             return cap
         last = issues
-    raise RuntimeError(f"cap generation failed after {max_tries} tries: {last}")
+    raise RuntimeError(f"cap generation failed after {_MAX_TRIES} tries: {last}")
 
 
 def generate_budget_cap(
@@ -55,7 +56,6 @@ def generate_budget_cap(
     jitter: float = 0.25,
     lift: str = "paraboloid",
     angle_mode: str = "non_obtuse",
-    max_tries: int = 20,
 ) -> ConvexCap:
     """Build a cap whose actual tilt sits at ``safety`` times the tilt budget
     of its own planar acuteness margin.
@@ -65,7 +65,7 @@ def generate_budget_cap(
     final cap is lifted to ``safety * phi_budget(alpha')``.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         pts = _jittered_lattice(n, jitter, rng)
         alpha_planar = math.pi / 2 - corner_angles(pts[_triangulate(pts)]).max()
         if alpha_planar <= 0:

@@ -12,14 +12,17 @@ so farther than every other point of segment i, and no later segment
 crosses segment i.  The circle-crossing count, the simplicity test and the
 sampled-distance definition are oracles in ``tests/``.
 
-One kernel evaluates every chain and pair of a call together: chains are
-sorted by length and padded, by repeating their last point, into blocks of
-about :data:`_BLOCK_CELLS` cells per array.  A chain of K points costs K*K
-cells in the angle test and K in the source test; a pair costs 32*K in the
-radius sweep, whose arrays are linear in K because each radius finds its
-first segment by binary search.  A pad segment has zero length, so its
-cosines are NaN and its dot products 0, and it can flag no violation; the
-radius sweep drops a first hit that falls on a pad segment.
+One kernel evaluates every chain and pair of a call together.  The pairs
+come as a path table, two row-aligned point arrays split at one offsets
+array, the layout of the forest's leaf paths; one array pass drops the
+malformed chains, and the rest are sorted by length and padded, by
+repeating their last point, into blocks of about :data:`_BLOCK_CELLS` cells
+per array.  A chain of K points costs K*K cells in the angle test and K in
+the source test; a pair costs 32*K in the radius sweep, whose arrays are
+linear in K because each radius finds its first segment by binary search.
+A pad segment has zero length, so its cosines are NaN and its dot products
+0, and it can flag no violation; the radius sweep drops a first hit that
+falls on a pad segment.
 """
 
 from __future__ import annotations
@@ -44,28 +47,17 @@ _ANGLE_SLACK = math.sin(1e-9)
 # --------------------------------------------------------------------------
 
 
-def _as_chain(points) -> np.ndarray | None:
-    """``points`` as a (K, 2) float array, or None unless they are K >= 2
-    finite planar points with no two consecutive ones equal."""
-    try:
-        pts = np.asarray(points, dtype=float)
-    except ValueError:
-        return None
-    if (pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2
-            or not np.isfinite(pts).all()):
-        return None
-    d = pts[1:] - pts[:-1]
-    if np.any((d[:, 0] == 0.0) & (d[:, 1] == 0.0)):
-        return None
-    return pts
-
-
-def _concat(chains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All chains in one (total, 2) array, with each chain's offset and
-    length in it."""
-    lens = np.array([len(c) for c in chains], dtype=np.intp)
-    flat = np.concatenate(chains) if len(chains) else np.zeros((0, 2))
-    return flat, np.cumsum(lens) - lens, lens
+def _well_formed(flat, offsets) -> np.ndarray:
+    """Per chain ``flat[offsets[c]:offsets[c + 1]]``: does it have at least
+    two points, all finite, and no zero-length step?  A zero step gives NaN
+    cosines, which the angle test would pass."""
+    lo, hi = offsets[:-1], offsets[1:]
+    # running counts of the rows that are not finite and of the rows equal
+    # to the one before them, which a chain counts from its second row on
+    nonfinite = np.r_[0, np.cumsum(~np.isfinite(flat).all(axis=1))]
+    repeat = np.r_[0, 0, np.cumsum((flat[1:] == flat[:-1]).all(axis=1))]
+    return ((hi - lo >= 2) & (nonfinite[hi] == nonfinite[lo])
+            & (repeat[hi] == repeat[np.minimum(lo + 1, hi)]))
 
 
 def _blocks(sizes, cells) -> list[np.ndarray]:
@@ -84,11 +76,12 @@ def _blocks(sizes, cells) -> list[np.ndarray]:
     return blocks
 
 
-def _padded(flat, offsets, lens, idx, K) -> np.ndarray:
-    """Chains ``idx`` as one (len(idx), K, 2) array, each padded to K points
-    by repeating its last point."""
+def _padded(flat, starts, lens, idx, K) -> np.ndarray:
+    """Chains ``idx`` (chain c is ``lens[c]`` rows of ``flat`` from
+    ``starts[c]``) as one (len(idx), K, 2) array, each padded by its last
+    point."""
     t = np.minimum(np.arange(K), lens[idx, None] - 1)
-    return flat[offsets[idx, None] + t]
+    return flat[starts[idx, None] + t]
 
 
 # --------------------------------------------------------------------------
@@ -96,15 +89,15 @@ def _padded(flat, offsets, lens, idx, K) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _chain_checks(flat, offsets, lens, check: str):
-    """Per chain: precondition met?, and the first violating ``(j, i)`` of
-    the angle test.  ``check`` is ``"angle"`` (:func:`_angle_test`) or
-    ``"source"`` (:func:`_fast_path`, which gives no witness)."""
+def _chain_checks(flat, starts, lens, check: str):
+    """Per well-formed chain: precondition met?, and the first violating
+    ``(j, i)`` of the angle test.  ``check`` is ``"angle"``
+    (:func:`_angle_test`) or ``"source"`` (:func:`_fast_path`, no witness)."""
     ok = np.ones(len(lens), dtype=bool)
     witness = np.zeros((len(lens), 2), dtype=np.intp)
     cells = (lambda k: k) if check == "source" else (lambda k: k * k)
     for idx in _blocks(lens, cells):
-        P = _padded(flat, offsets, lens, idx, int(lens[idx].max()))
+        P = _padded(flat, starts, lens, idx, int(lens[idx].max()))
         if check == "source":
             ok[idx] = _fast_path(P)
         # in two-point chains no source comes before an edge
@@ -155,53 +148,57 @@ def _fast_path(P) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def left_of(pairs, check: str = "angle") -> list:
-    """Per chain pair ``(A, B)``: is chain ``A`` weakly left of chain ``B``
-    seen from their common source?
+def left_of(A, B, offsets, check: str = "angle") -> list:
+    """Per chain pair p, rows ``offsets[p]:offsets[p + 1]`` of the aligned
+    (N, 2) arrays ``A`` and ``B``: is chain A weakly left of chain B seen
+    from their common source?
 
     At every sampled radius where a circle about the source meets both
     chains, the counterclockwise arc from B's intersection to A's must be
     less than pi (equal points allowed).  Gives ``(True, None)`` or
     ``(False, violating_radius)`` per pair, and ``None`` where the pair
-    fails a precondition: a malformed chain, sources that differ (as
+    fails a precondition: a malformed chain (fewer than two points, a point
+    that is not finite or a zero-length step), sources that differ (as
     ``np.allclose`` has it) or a chain that fails ``check``, the radial
     monotonicity test of its family (see the module docstring).  The
     certificates call it on the leaf developments (``"angle"``) and on the
-    cut banks (``"source"``) of every leaf path.
+    cut banks (``"source"``) of the forest's path table.
     """
     if check not in ("angle", "source"):
         raise ValueError("check must be 'angle' or 'source'")
-    chains = [_as_chain(X) for pair in pairs for X in pair]
-    malformed = np.array([c is None for c in chains], dtype=bool)
-    # a stand-in the kernel can carry
-    flat, offsets, lens = _concat([np.eye(2) if c is None else c
-                                   for c in chains])
-    ok, _ = _chain_checks(flat, offsets, lens, check)
-    ok &= ~malformed
-    a, b = flat[offsets[0::2]], flat[offsets[1::2]]
-    shared = np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b), axis=1)
-    pending = np.flatnonzero(shared & ok[0::2] & ok[1::2])
-    outs: list = [None] * len(shared)
-    size = np.maximum(lens[2 * pending], lens[2 * pending + 1])
+    offsets = np.asarray(offsets, dtype=np.intp)
+    starts, lens = offsets[:-1], np.diff(offsets)
+    # the A chains, then the B chains, as one table of 2 * pairs chains
+    flat = np.concatenate([A, B])
+    table = np.r_[offsets, len(A) + offsets[1:]]
+    good = np.flatnonzero(_well_formed(flat, table))
+    ok = np.zeros(2 * len(lens), dtype=bool)
+    ok[good], _ = _chain_checks(flat, table[good], np.diff(table)[good],
+                                check)
+    pending = np.flatnonzero(ok[:len(lens)] & ok[len(lens):])
+    a, b = A[starts[pending]], B[starts[pending]]
+    pending = pending[np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b),
+                             axis=1)]
+    outs: list = [None] * len(lens)
     # a pair's sweep arrays are linear in K: (4K - 1) radii, and two hit
     # coordinates per radius on each chain
-    for blk in _blocks(size, lambda k: 32 * k):
-        p, K = pending[blk], int(size[blk].max())
-        radius = _sweep(_padded(flat, offsets, lens, 2 * p, K),
-                        _padded(flat, offsets, lens, 2 * p + 1, K),
-                        lens[2 * p], lens[2 * p + 1])
+    for blk in _blocks(lens[pending], lambda k: 32 * k):
+        p = pending[blk]
+        K = int(lens[p].max())
+        radius = _sweep(_padded(A, starts, lens, p, K),
+                        _padded(B, starts, lens, p, K), lens[p])
         for i, r in zip(p.tolist(), radius.tolist()):
             outs[i] = (True, None) if r == math.inf else (False, r)
     return outs
 
 
-def _sweep(A, B, la, lb) -> np.ndarray:
+def _sweep(A, B, lens) -> np.ndarray:
     """Smallest radius at which padded chain ``A[c]`` is not left of
-    ``B[c]`` (inf where it always is), over every vertex distance of both
-    chains and every midpoint of two consecutive ones, beyond ``EPS_GEOM``
-    times the longer chain's reach and within the shorter one's.  A
-    distance that repeats only repeats radii, so no deduplication is
-    needed."""
+    ``B[c]``, both ``lens[c]`` points long (inf where it always is), over
+    every vertex distance of both chains and every midpoint of two
+    consecutive ones, beyond ``EPS_GEOM`` times the larger reach of the
+    two and within the smaller.  A distance that repeats only repeats
+    radii, so no deduplication is needed."""
     src = A[:, 0]
     da = np.linalg.norm(A - src[:, None], axis=2)
     db = np.linalg.norm(B - src[:, None], axis=2)
@@ -211,8 +208,8 @@ def _sweep(A, B, la, lb) -> np.ndarray:
     e = EPS_GEOM * np.maximum(ma, mb)[:, None]
     live = ((np.concatenate([vals, vals[:, :-1]], axis=1) > e)
             & (radii <= np.minimum(ma, mb)[:, None] + e))
-    pa = _first_hits(A, da, la, src, np.minimum(radii, ma[:, None]))
-    pb = _first_hits(B, db, lb, src, np.minimum(radii, mb[:, None]))
+    pa = _first_hits(A, da, lens, src, np.minimum(radii, ma[:, None]))
+    pb = _first_hits(B, db, lens, src, np.minimum(radii, mb[:, None]))
     with np.errstate(invalid="ignore"):
         ang_a = np.arctan2(pa[..., 1] - src[:, None, 1],
                            pa[..., 0] - src[:, None, 0])
@@ -230,25 +227,16 @@ def _first_hits(P, D, lens, src, R) -> np.ndarray:
     ``R[c, r]`` from ``src[c]``: (C, len(R[0]), 2), NaN on miss.  ``D``
     holds the chains' vertex distances from their sources, ``D[:, 0] == 0``.
 
-    Segment k is hit when ``D[k] <= r <= D[k+1]`` or ``|D[k] - r| <
-    1e-12``; pad segments are never hit.  On the running maximum ``top`` of
-    ``D`` the first segment of the first kind is the first k with
-    ``top[k+1] >= r``, and the first of the second kind the first k with
-    ``top[k] >= near``, where ``near`` is the least distance within 1e-12
-    below r: ``r - 1e-12`` rounded, or the next float up when that rounding
-    does not fall within 1e-12 of r.  Both are binary searches, on
-    monotone chains or not."""
+    The hit segment is the first k with ``top[k+1] >= r`` on the running
+    maximum ``top`` of ``D``: one binary search, on monotone chains or not,
+    for the first segment with ``D[k] <= r <= D[k+1]``.  Pad segments are
+    never hit.  A segment whose ends lie less than 1e-15 of the chain's
+    reach apart in distance gives its first point."""
     top = np.maximum.accumulate(D, axis=1)
-    near = R - 1e-12
-    near = np.where(np.abs(near - R) < 1e-12, near,
-                    np.nextafter(near, math.inf))
-    k = np.minimum(_row_searchsorted(top[:, 1:], R),
-                   _row_searchsorted(top, near))
+    k = _row_searchsorted(top[:, 1:], R)
     c, i = np.nonzero(k < (lens - 1)[:, None])
     k = k[c, i]
     out = np.full(R.shape + (2,), np.nan)
-    if not len(c):
-        return out
     r = R[c, i]
     dk0, dk1 = D[c, k], D[c, k + 1]
     a, b = P[c, k], P[c, k + 1]
@@ -268,7 +256,7 @@ def _first_hits(P, D, lens, src, R) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
     nearest = np.where((np.abs(dk0 - r) <= np.abs(dk1 - r))[:, None], a, b)
     res = np.where(valid[:, None], a + t[:, None] * d, nearest)
-    deg = np.abs(dk1 - dk0) < 1e-15
+    deg = np.abs(dk1 - dk0) < 1e-15 * top[c, -1]
     res[deg] = a[deg]
     out[c, i] = res
     return out

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .develop import (
     Net,
     banks_ordered,
@@ -168,10 +166,9 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
     bound = 3 * m["delta_perp_max"] + 2 * m["omega_total"]
     turns = path_turns(cap, forest)
     max_dq = turn_distortion(forest, turns)
-    split = forest.path_offsets[1:-1]
-    chains = left_of(list(zip(
-        np.split(develop_chain(cap, forest, turns, "left"), split),
-        np.split(develop_chain(cap, forest, turns, "right"), split))))
+    chains = left_of(develop_chain(cap, forest, turns, "left"),
+                     develop_chain(cap, forest, turns, "right"),
+                     forest.path_offsets)
     banks = banks_ordered(cap, net, forest)
     paths_ordered = all(v is not None and v[0] for v in chains)
     banks_ok = all(v is not None and v[0] for v in banks)

@@ -189,15 +189,13 @@ def _epsilon(cap: ConvexCap, forest: SpanningForest, quadrant: int,
     a_leaf, b_leaf = ob[:, 0], ob[:, 1]
     cands = [0.9 * r, float(b_leaf.min())]
 
-    bs = np.sort(b_leaf)
-    gaps = np.diff(bs)
-    gaps = gaps[gaps > 0]
-    if len(gaps):
-        cands.append(float(gaps.min()))
-    da = np.abs(a_leaf[:, None] - a_leaf[None, :])
-    da = da[da > 0]
-    if len(da):
-        cands.append(float(da.min()))
+    # the smallest positive gaps between leaf heights and between leaf
+    # abscissae, each between sorted neighbours
+    for x in (b_leaf, a_leaf):
+        gaps = np.diff(np.sort(x))
+        gaps = gaps[gaps > 0]
+        if len(gaps):
+            cands.append(float(gaps.min()))
 
     # vertical distance from each leaf down to the projected forest edges
     # whose abscissa span holds it (leaf x edge, edges at the leaf skipped)

@@ -2,7 +2,7 @@
 
 Stroke conventions: cut and rim edges heavy, fold edges light, waterfall
 paths dashed, quadrant axes dotted.  The canvas is the drawing's bounding box plus
-a 5% margin, scaled to a fixed width.
+a 5% margin, scaled to :data:`WIDTH` units wide.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from .develop import Net
 from .forest import SpanningForest
 from .mesh import ConvexCap
 from .strips import StripSystem
+
+WIDTH = 800.0   # of every drawing, in SVG user units
 
 STYLE = {
     "cut": 'stroke="#c0392b" stroke-width="{w2}" fill="none"',
@@ -34,7 +36,7 @@ STYLE = {
 class _Canvas:
     """Maps drawing coordinates (y up) to an SVG viewport (y down)."""
 
-    def __init__(self, points: np.ndarray, width: float = 800.0):
+    def __init__(self, points: np.ndarray):
         lo = points.min(axis=0)
         hi = points.max(axis=0)
         span = np.maximum(hi - lo, 1e-12)
@@ -42,14 +44,13 @@ class _Canvas:
         self.lo = lo - margin
         self.hi = hi + margin
         ext = self.hi - self.lo
-        self.scale = width / float(ext[0])
-        self.width = width
+        self.scale = WIDTH / float(ext[0])
         self.height = float(ext[1]) * self.scale
         # stroke widths and dash lengths in canvas units
-        self.w1 = 0.0015 * width
-        self.w2 = 0.004 * width
-        self.d1 = 0.006 * width
-        self.d2 = 0.012 * width
+        self.w1 = 0.0015 * WIDTH
+        self.w2 = 0.004 * WIDTH
+        self.d1 = 0.006 * WIDTH
+        self.d2 = 0.012 * WIDTH
         sizes = {k: f"{getattr(self, k):.3f}" for k in ("w1", "w2", "d1", "d2")}
         self.style = {cls: st.format(**sizes) for cls, st in STYLE.items()}
         self.elements: list[str] = []
@@ -104,18 +105,17 @@ class _Canvas:
     def to_svg(self) -> str:
         body = "\n".join(self.elements)
         return (f'<svg xmlns="http://www.w3.org/2000/svg" '
-                f'width="{self.width:.0f}" height="{self.height:.0f}" '
-                f'viewBox="0 0 {self.width:.3f} {self.height:.3f}">\n'
+                f'width="{WIDTH:.0f}" height="{self.height:.0f}" '
+                f'viewBox="0 0 {WIDTH:.3f} {self.height:.3f}">\n'
                 f"{body}\n</svg>\n")
 
 
 def render_net_svg(cap: ConvexCap, net: Net,
-                   forest: SpanningForest | None = None,
-                   width: float = 800.0) -> str:
+                   forest: SpanningForest | None = None) -> str:
     """Draw the planar net: faces filled, fold edges light, cut and rim
     edges heavy, quadrant axes through the origin image dotted (when a
     forest is given)."""
-    cv = _Canvas(net.images.reshape(-1, 2), width)
+    cv = _Canvas(net.images.reshape(-1, 2))
 
     cv.polygons(net.images, "face")
 
@@ -150,12 +150,11 @@ def render_net_svg(cap: ConvexCap, net: Net,
 
 
 def render_forest_svg(cap: ConvexCap, forest: SpanningForest,
-                      strips: StripSystem | None = None,
-                      width: float = 800.0) -> str:
+                      strips: StripSystem | None = None) -> str:
     """Draw the projected cap with the spanning forest highlighted and,
     optionally, the waterfall paths dashed."""
     P = cap.vertices[:, :2]
-    cv = _Canvas(P, width)
+    cv = _Canvas(P)
 
     # every edge once (each rim side, and each interior side from face
     # f < g) that is not a forest edge, by its key lo*n + hi; then the

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from capunfold.mesh import ConvexCap
-from capunfold.monotone import _chain_checks, _concat
+from capunfold.monotone import _chain_checks
 from monotone_reference import _as_chain
 
 DEG = math.pi / 180
@@ -149,11 +149,28 @@ def leaf_paths(forest) -> list[np.ndarray]:
     return [forest.path_vertices[i:j] for i, j in zip(off[:-1], off[1:])]
 
 
+def chain_table(chains):
+    """Chains as the kernel of :mod:`capunfold.monotone` reads them: all
+    their points in one array, and each chain's first row and length."""
+    lens = np.array([len(c) for c in chains], dtype=np.intp)
+    return (np.concatenate([np.zeros((0, 2)), *chains]),
+            np.cumsum(lens) - lens, lens)
+
+
+def pair_table(pairs):
+    """Chain pairs of equal length as ``left_of``'s path table: the first
+    chains' points, the second chains' points, and the pairs' offsets."""
+    assert all(len(a) == len(b) for a, b in pairs)
+    A, starts, _ = chain_table([a for a, _ in pairs])
+    B, _, _ = chain_table([b for _, b in pairs])
+    return A, B, np.r_[starts, len(A)]
+
+
 def chain_radially_monotone(points) -> tuple[bool, tuple[int, int] | None]:
     """The angle kernel of :mod:`capunfold.monotone` on one chain:
     ``(True, None)``, or ``(False, (j, i))`` with the first violating pair.
     A malformed chain raises ``ValueError``."""
-    ok, witness = _chain_checks(*_concat([_as_chain(points)]), "angle")
+    ok, witness = _chain_checks(*chain_table([_as_chain(points)]), "angle")
     if ok[0]:
         return True, None
     return False, (int(witness[0, 0]), int(witness[0, 1]))
@@ -476,10 +493,11 @@ def certificate_pairs():
     developments of each leaf path, angle check) and ``"banks"`` (the two
     net banks of each leaf path, source check); and, as more test data for
     the kernel, ``"waterfall"`` (the global points of consecutive waterfall
-    paths of each quadrant, angle check, which the certificates decide on
-    the paths' oblique points instead; then two fixed pairs whose upper
-    chain breaks a precondition, one not simple and one not radially
-    monotone, since the waterfall paths of these caps break none)."""
+    paths of each quadrant, both cut to the shorter one's length, angle
+    check, which the certificates decide on the paths' whole oblique
+    points instead; then two fixed pairs whose upper chain breaks a
+    precondition, one not simple and one not radially monotone, since the
+    waterfall paths of these caps break none)."""
     from capunfold.strips import waterfall_strips
 
     out = {"chains": [], "banks": [], "waterfall": []}
@@ -494,10 +512,11 @@ def certificate_pairs():
         system = waterfall_strips(cap, forest)
         for ps in (system.paths[i] for i in range(4)):
             for lower, upper in zip(ps, ps[1:]):
-                up = upper.points.copy()
+                k = min(len(upper.points), len(lower.points))
+                up = upper.points[:k].copy()
                 up[0] = lower.points[0]
-                out["waterfall"].append((up, lower.points))
-    lower = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+                out["waterfall"].append((up, lower.points[:k]))
+    lower = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
     for upper in ([[0, 0], [2, 0], [1, 1], [1, -1]],
                   [[0, 0], [2, 0], [2, 1], [0.2, 1]]):
         out["waterfall"].append((np.array(upper, dtype=float), lower))

@@ -146,11 +146,12 @@ def left_of(A, B, check: str = "angle") -> tuple[bool, float | None]:
 
 def _first_hits(pts, dists, src, radii):
     """First point along a radially monotone chain at each distance in
-    ``radii``: one (x, y) row per radius, NaN on miss."""
+    ``radii``: one (x, y) row per radius, NaN on miss.  The hit segment is
+    the first with ``d0 <= r <= d1``; one whose ends lie less than 1e-15 of
+    the chain's reach apart in distance gives its first point."""
     d0, d1 = dists[:-1], dists[1:]
     R = np.asarray(radii)[:, None]
-    hit = ((d0[None, :] <= R) & (R <= d1[None, :])) \
-        | (np.abs(d0[None, :] - R) < 1e-12)
+    hit = (d0[None, :] <= R) & (R <= d1[None, :])
     out = np.full((len(radii), 2), np.nan)
     has = hit.any(axis=1)
     if not has.any():
@@ -174,7 +175,7 @@ def _first_hits(pts, dists, src, radii):
     t = np.clip(t, 0.0, 1.0)
     nearest = np.where((np.abs(d0[k] - r) <= np.abs(d1[k] - r))[:, None], a, b)
     res = np.where(valid[:, None], a + t[:, None] * d, nearest)
-    deg = np.abs(d1[k] - d0[k]) < 1e-15
+    deg = np.abs(d1[k] - d0[k]) < 1e-15 * dists.max()
     res[deg] = a[deg]
     out[has] = res
     return out

@@ -50,10 +50,9 @@ def verdicts(cap, res) -> list:
     path, as the pipeline's certificates compute them."""
     forest = res.forest
     turns = path_turns(cap, forest)
-    split = forest.path_offsets[1:-1]
-    chains = left_of(list(zip(
-        *(np.split(develop_chain(cap, forest, turns, side), split)
-          for side in ("left", "right")))))
+    chains = left_of(develop_chain(cap, forest, turns, "left"),
+                     develop_chain(cap, forest, turns, "right"),
+                     forest.path_offsets)
     return [chains, banks_ordered(cap, res.net, forest)]
 
 

@@ -29,7 +29,7 @@ from capunfold.monotone import left_of
 
 from fixtures import (adjacency_reference, bank_chains, certificate_caps,
                       certificate_pairs, develop_chain, flat_hex_disk,
-                      leaf_paths, oracle_set, path_angles,
+                      leaf_paths, oracle_set, pair_table, path_angles,
                       pentagonal_pyramid, turn_distortion)
 from lemmas import turn_angle, within_bound
 
@@ -224,14 +224,12 @@ class TestBanks:
             assert np.allclose(dl[0], dl[1], atol=1e-12)
 
     def test_per_path_chain_order_certificate(self):
-        from capunfold.monotone import left_of
-
         for seed in range(5):
             cap, forest = sample_cap(seed=seed)
             for path in leaf_paths(forest):
                 L = develop_chain(cap, path, "left")
                 R = develop_chain(cap, path, "right")
-                [(ok, radius)] = left_of([(L, R)])
+                [(ok, radius)] = left_of(L, R, [0, len(L)])
                 assert ok, (seed, path, radius)
 
 
@@ -604,7 +602,7 @@ class TestChainsAgainstReference:
             L, R = bank_chains(cap, net, path)
             R = R.copy()
             R[0] = L[0]
-            want += left_of([(L, R)], check="source")
+            want += left_of(L, R, [0, len(L)], check="source")
         assert banks_ordered(cap, net, forest) == want
 
     def test_table_matches_per_path_references(self):
@@ -632,7 +630,8 @@ class TestChainsAgainstReference:
             assert develop_mod.turn_distortion(
                 forest, path_turns(cap, forest)) == max(
                 turn_distortion(cap, p).max_abs for p in leaf_paths(forest))
-            assert left_of(list(zip(left, right))) == left_of(chains)
+            assert left_of(*pair_table(list(zip(left, right)))) == \
+                left_of(*pair_table(chains))
             assert banks_ordered(cap, net, forest) == \
-                left_of(banks, check="source")
+                left_of(*pair_table(banks), check="source")
         assert k == len(pairs["chains"]) > 4000

@@ -13,7 +13,8 @@ from capunfold import monotone as monotone_mod
 from capunfold.generate import generate_budget_cap
 from capunfold.monotone import left_of
 import monotone_reference as reference
-from fixtures import certificate_pairs, chain_radially_monotone, leaf_paths
+from fixtures import (certificate_pairs, chain_radially_monotone, chain_table,
+                      leaf_paths, pair_table)
 from monotone_reference import circle_crossing_oracle
 from lemmas import angle_monotone_implies_rm, cone_of, distances_nondecreasing
 
@@ -106,15 +107,13 @@ class TestOnePreconditionKernelPerFamily:
 
     def test_angle_test_implies_simple(self):
         chains = self.chains()
-        ok, _ = monotone_mod._chain_checks(*monotone_mod._concat(chains),
-                                           "angle")
+        ok, _ = monotone_mod._chain_checks(*chain_table(chains), "angle")
         assert ok.any() and not ok.all()
         assert all(reference.is_simple(chains[k]) for k in np.flatnonzero(ok))
 
     def test_source_test_is_the_circle_oracle(self):
         chains = self.chains()
-        ok, _ = monotone_mod._chain_checks(*monotone_mod._concat(chains),
-                                           "source")
+        ok, _ = monotone_mod._chain_checks(*chain_table(chains), "source")
         assert ok.any() and not ok.all()
         assert ok.tolist() == [circle_crossing_oracle(c, c[0]) for c in chains]
 
@@ -191,28 +190,42 @@ class TestConeOf:
             assert cone_of(P[path]).measure <= qs.theta + 1e-9 < math.pi / 2
 
 
+def pairs_left_of(pairs, check="angle"):
+    """``left_of`` over the path table of equal-length ``pairs``."""
+    return left_of(*pair_table(pairs), check=check)
+
+
 class TestLeftOf:
     def test_reflexive(self):
         pts = [[0, 0], [1, 0], [1, 1], [2, 1]]
-        assert left_of([(pts, pts)]) == [(True, None)]
+        assert pairs_left_of([(pts, pts)]) == [(True, None)]
 
     def test_rotated_ray(self):
         ray = np.array([[0, 0], [2, 0]])
         rot = 10 * DEG
         R = np.array([[math.cos(rot), -math.sin(rot)],
                       [math.sin(rot), math.cos(rot)]])
-        assert left_of([(ray @ R.T, ray)]) == [(True, None)]
-        [(ok, r)] = left_of([(ray, ray @ R.T)])
+        assert pairs_left_of([(ray @ R.T, ray)]) == [(True, None)]
+        [(ok, r)] = pairs_left_of([(ray, ray @ R.T)])
         # arc from A-chain to B-chain is now clockwise: still < pi ccw? no:
         # ccw arc from (rotated) to (base) is 350deg -> violation
         assert not ok and r is not None
 
+    def test_pair_may_start_where_the_one_before_ends(self):
+        # rows that meet across a pair boundary are no zero-length step
+        ray = np.array([[0.0, 0.0], [1.0, 0.0]])
+        assert pairs_left_of([(ray, ray), (ray + ray[-1], ray + ray[-1])]) \
+            == [(True, None)] * 2
+
     def test_requires_common_source(self):
-        assert left_of([([[0, 0], [1, 0]], [[0.5, 0], [1, 0.5]])]) == [None]
+        assert pairs_left_of([([[0, 0], [1, 0]], [[0.5, 0], [1, 0.5]])]) \
+            == [None]
 
     def test_requires_monotone(self):
         bad = [[0, 0], [2, 0], [2, 1], [0.2, 1]]
-        assert left_of([(bad, [[0, 0], [1, 0]])]) == [None]
+        ray = [[0, 0], [1, 0], [2, 0], [3, 0]]
+        assert pairs_left_of([(bad, ray)]) == [None]
+        assert pairs_left_of([(ray, bad)], check="source") == [None]
 
     def test_common_source_is_numpy_allclose(self):
         # two chains share their source as np.allclose has it: atol 1e-8
@@ -222,8 +235,8 @@ class TestLeftOf:
         tol = 1e-8 + 1e-5 * np.abs(q)
         p = q + tol * rng.choice([0.0, 0.5, 0.999999, 1.0, 1.000001, 3.0], (4000, 2)) \
             * rng.choice([-1.0, 1.0], (4000, 2))
-        got = left_of([([a, a + [1.0, 0.0]], [b, b + [1.0, 0.0]])
-                       for a, b in zip(p, q)])
+        got = pairs_left_of([([a, a + [1.0, 0.0]], [b, b + [1.0, 0.0]])
+                             for a, b in zip(p, q)])
         want = [np.allclose(a, b) for a, b in zip(p, q)]
         assert [v is not None for v in got] == want
         assert {True, False} <= set(want)
@@ -238,7 +251,7 @@ def outcome(fn, *args, **kwargs):
 
 
 def batch_expected(ref):
-    """What ``left_of(pairs)`` must give, given the per-pair reference
+    """What ``pairs_left_of(pairs)`` must give, given the per-pair reference
     outcomes: the verdicts, with None wherever the pair alone raises."""
     return [None if isinstance(o[0], str) else o for o in ref]
 
@@ -269,13 +282,13 @@ class TestBatchedKernel:
         assert {True, False} <= {o[0] for o in ref}
         assert ("NotRadiallyMonotoneError" in {o[0] for o in ref}
                 or ("ValueError", "chain is not simple") in ref)
-        assert outcome(left_of, pairs, check=check) == batch_expected(ref)
+        assert outcome(pairs_left_of, pairs, check=check) == \
+            batch_expected(ref)
 
     def test_chains_match_reference(self):
         chains = [c for family, _ in FAMILIES
                   for pair in certificate_pairs()[family] for c in pair]
-        flat, offsets, lens = monotone_mod._concat(chains)
-        ok, witness = monotone_mod._chain_checks(flat, offsets, lens, "angle")
+        ok, witness = monotone_mod._chain_checks(*chain_table(chains), "angle")
         for k in range(0, len(chains), 5):
             c = chains[k]
             if reference.is_simple(c):
@@ -292,22 +305,23 @@ class TestBatchedKernel:
     def test_short_chains_batched_with_chains_longer_than_a_block(self):
         long_k = int(math.isqrt(monotone_mod._BLOCK_CELLS)) + 40
         rng = np.random.default_rng(5)
-        pairs = [(spiral_out(2), spiral_out(3, turn=-0.3)),
+        pairs = [(spiral_out(3), spiral_out(3, turn=-0.3)),
                  (spiral_out(long_k), spiral_out(long_k, turn=0.021)),
-                 (spiral_out(3, turn=0.4), spiral_out(2)),
-                 (spiral_out(long_k, turn=0.019), spiral_out(3))]
-        pairs += [(random_chain(rng, int(rng.integers(1, 4)), 1.0),
-                   random_chain(rng, int(rng.integers(1, 4)), 1.0))
-                  for _ in range(40)]
+                 (spiral_out(3, turn=0.4), spiral_out(3)),
+                 (spiral_out(long_k, turn=0.019), spiral_out(long_k))]
+        pairs += [(random_chain(rng, k, 1.0), random_chain(rng, k, 1.0))
+                  for k in rng.integers(1, 4, 40).tolist()]
         for check in ("angle", "source"):
             ref = [outcome(reference.left_of, a, b, check=check)
                    for a, b in pairs]
-            assert outcome(left_of, pairs, check=check) == batch_expected(ref)
+            assert outcome(pairs_left_of, pairs, check=check) == \
+                batch_expected(ref)
             assert {True, False} <= {o[0] for o in ref}
         # a batch of two-point chains only
         twos = [([[0, 0], [1, 0]], [[0, 0], [0.5, 0.8]]),
                 ([[0, 0], [0.5, 0.8]], [[0, 0], [1, 0]])]
-        assert left_of(twos) == [reference.left_of(a, b) for a, b in twos]
+        assert pairs_left_of(twos) == \
+            [reference.left_of(a, b) for a, b in twos]
         assert chain_radially_monotone(twos[0][0]) == (True, None)
 
     def test_closed_chain(self):
@@ -327,12 +341,12 @@ class TestBatchedKernel:
         # the radius sweep scale with the chains
         ray = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.1]])
         below = ray * [1.0, -1.0]
-        [(ok, radius)] = left_of([(below, ray)])
+        [(ok, radius)] = left_of(below, ray, [0, 3])
         assert not ok and radius == pytest.approx(1.5012, abs=1e-4)
-        for s in 10.0 ** np.arange(-12, 10):
+        for s in 10.0 ** np.arange(-16, 10):
             for a, b in ((ray * s, below * s), (below * s, ray * s)):
-                assert left_of([(a, b)]) == [reference.left_of(a, b)], s
-            assert left_of([(below * s, ray * s)]) == \
+                assert left_of(a, b, [0, 3]) == [reference.left_of(a, b)], s
+            assert left_of(below * s, ray * s, [0, 3]) == \
                 [(False, pytest.approx(radius * s, rel=1e-12))], s
 
     def test_batch_gives_none_wherever_a_pair_raises(self):
@@ -342,23 +356,25 @@ class TestBatchedKernel:
         back = [[0, 0], [2, 0], [2, 1], [0.2, 1]]        # not radially monotone
         crossed = [[0, 0], [2, 0], [1, 1], [1, -1]]      # not simple
         cases = [
-            [good, (back, spiral_out(3)), (crossed, spiral_out(3))],
+            [good, (back, spiral_out(4)), (crossed, spiral_out(4))],
             [good, (crossed, back), (back, crossed)],
             [good, (spiral_out(3), [[0, 0], [0, 0], [1, 0]]),
-             (crossed, spiral_out(3))],
-            [good, ([[5, 5], [6, 5]], spiral_out(3)), (crossed, spiral_out(3))],
-            [good, ([0, 1, 2], spiral_out(3)), (crossed, spiral_out(3))],
-            [good, ([[0, 0], [1, math.nan]], spiral_out(3)),
+             (crossed, spiral_out(4))],
+            [good, ([[5, 5], [6, 5]], spiral_out(2)), (crossed, spiral_out(4))],
+            [good, ([[0, 0]], [[0, 0]]), (crossed, spiral_out(4))],
+            [good, ([[0, 0], [1, math.nan]], spiral_out(2)),
              (back, crossed)],
-            [good, (back, spiral_out(3))],
+            [good, ([[0, 0], [1, 0], [1, 0]], [[0, 0], [1, 0], [2, 0]]),
+             (spiral_out(2), [[0, 0], [math.inf, 0]])],
+            [good, (back, spiral_out(4))],
         ]
         for pairs in cases:
             ref = [outcome(reference.left_of, a, b) for a, b in pairs]
-            assert outcome(left_of, pairs) == batch_expected(ref), pairs
-            assert left_of(pairs)[1:] == [None] * (len(pairs) - 1)
-        assert left_of(cases[-1]) == [(True, None), None]
-        assert left_of([cases[-1][1]]) == [None]
-        assert left_of([]) == []
+            assert outcome(pairs_left_of, pairs) == batch_expected(ref), pairs
+            assert pairs_left_of(pairs)[1:] == [None] * (len(pairs) - 1)
+        assert pairs_left_of(cases[-1]) == [(True, None), None]
+        assert pairs_left_of([cases[-1][1]]) == [None]
+        assert pairs_left_of([]) == []
 
 
 def probe_radii(d, reach):
@@ -377,7 +393,7 @@ def probe_radii(d, reach):
 def arc_at_rounded_distance(r):
     """A chain whose second and third vertices both lie at ``r - 1e-12``
     rounded, where that rounding lands within 1e-12 of ``r``: the first hit
-    at radius ``r`` is the segment between them, not the one after it."""
+    at radius ``r`` is the segment after them, however close they lie."""
     f = r - 1e-12
     assert abs(f - r) < 1e-12
     pts = np.array([[0.0, 0.0], [f, 0.0], [0.0, f], [0.0, 2 * r]])
@@ -393,8 +409,8 @@ class TestFirstHits:
     @staticmethod
     def hits_match(chains):
         # the chains padded into one block, as _sweep gets them
-        flat, offsets, lens = monotone_mod._concat(chains)
-        P = monotone_mod._padded(flat, offsets, lens, np.arange(len(chains)),
+        flat, starts, lens = chain_table(chains)
+        P = monotone_mod._padded(flat, starts, lens, np.arange(len(chains)),
                                  int(lens.max()))
         src = P[:, 0]
         D = np.linalg.norm(P - src[:, None], axis=2)

@@ -11,7 +11,6 @@ import pytest
 from capunfold.generate import generate_budget_cap, generate_cap
 from capunfold import develop, pipeline
 from capunfold.mesh import ConvexCap
-from capunfold.monotone import left_of
 from capunfold.pipeline import (
     SCHEMA_VERSION,
     PipelineError,
@@ -20,6 +19,7 @@ from capunfold.pipeline import (
 )
 
 from fixtures import flat_hex_disk, pentagonal_pyramid, turned_defect_cap
+import monotone_reference as reference
 
 DEG = math.pi / 180
 
@@ -349,7 +349,7 @@ class TestLeafPathVerdicts:
 def test_turned_cap_certifies():
     # its rounded waterfall points once made a path read as not simple; a
     # path that rides only its predecessor has no such micro-segment, and
-    # left_of decides every consecutive pair of global points
+    # the reference left_of decides every consecutive pair of global points
     res = cut_and_unfold(turned_defect_cap())
     d = res.diagnostics
     assert (d["status"], d["errors"]) == ("proven_clean", [])
@@ -360,7 +360,9 @@ def test_turned_cap_certifies():
             up = upper.points.copy()
             up[0] = lower.points[0]
             pairs.append((up, lower.points))
-    assert pairs and None not in left_of(pairs)
+    assert pairs
+    for up, lo in pairs:
+        reference.left_of(up, lo)   # raises where a precondition fails
 
 
 def inject_strip_error(monkeypatch):

@@ -6,7 +6,6 @@ import numpy as np
 
 from capunfold.forest import build_forest, choose_origin
 from capunfold.generate import generate_budget_cap, generate_cap
-from capunfold.monotone import left_of
 from capunfold import strips as strips_mod
 from capunfold.strips import (
     WaterfallPath,
@@ -24,6 +23,7 @@ from capunfold.strips import (
 from fixtures import (large_net_cap, oracle_set, pentagonal_pyramid,
                       quarter_turn)
 from lemmas import verify_angle_monotone
+import monotone_reference as reference
 
 DEG = math.pi / 180
 
@@ -248,9 +248,9 @@ def staircase_system(cap, forest, quadrant, abs_):
 
 class TestArrayPassesAgainstReference:
     def test_repair_and_crossings_match_loop_references(self):
-        # the staircase order of every consecutive pair agrees with left_of
-        # on the global points, and no two paths of an ordered quadrant
-        # cross by the all-pairs test
+        # the staircase order of every consecutive pair agrees with the
+        # reference left_of on the global points, and no two paths of an
+        # ordered quadrant cross by the all-pairs test
         for cap, forest in oracle_set():
             system = waterfall_strips(cap, forest)
             for i in range(4):
@@ -261,7 +261,7 @@ class TestArrayPassesAgainstReference:
                     upper = up.points.copy()
                     upper[0] = lo.points[0]
                     pairs.append((upper, lo.points))
-                assert got == [v is not None and v[0] for v in left_of(pairs)]
+                assert got == [reference.left_of(*pair)[0] for pair in pairs]
                 assert all(got)
                 assert crossing_reference([wp.points for wp in ps]) == []
 
