@@ -424,9 +424,11 @@ def _contact_tolerance(tris: np.ndarray) -> float:
 
 def rasterize_overlap_oracle(net: Net) -> bool:
     """Coarse grid occupancy check: True when some cell center lies strictly
-    inside two different placed triangles.  Second opinion for
-    :func:`check_overlap`."""
+    inside two different placed triangles, of either orientation.  Second
+    opinion for :func:`check_overlap`."""
     tris = net.images
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    orient = np.sign(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     lo = tris.reshape(-1, 2).min(axis=0)
     hi = tris.reshape(-1, 2).max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1])) or 1.0
@@ -435,7 +437,7 @@ def rasterize_overlap_oracle(net: Net) -> bool:
     ny = int((hi[1] - lo[1]) / h) + 1
     counts = np.zeros((nx, ny), dtype=np.int16)
     margin = 0.25 * h
-    for tri in tris:
+    for tri, sign in zip(tris, orient):
         tlo = tri.min(axis=0)
         thi = tri.max(axis=0)
         i0 = max(int((tlo[0] - lo[0]) / h), 0)
@@ -451,6 +453,6 @@ def rasterize_overlap_oracle(net: Net) -> bool:
         for i in range(3):
             a, b = tri[i], tri[(i + 1) % 3]
             cross = (b[0] - a[0]) * (gy - a[1]) - (b[1] - a[1]) * (gx - a[0])
-            inside &= cross > margin * float(np.hypot(*(b - a)))
+            inside &= sign * cross > margin * float(np.hypot(*(b - a)))
         counts[i0:i1 + 1, j0:j1 + 1] += inside
     return bool((counts >= 2).any())

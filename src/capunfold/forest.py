@@ -314,38 +314,50 @@ def _settle_axes(cap: ConvexCap, qs: QuadrantSystem) -> QuadrantSystem | None:
 # --------------------------------------------------------------------------
 
 
-def build_forest(cap: ConvexCap, qs: QuadrantSystem,
-                 max_retries: int = 50) -> SpanningForest:
+def build_forest(cap: ConvexCap, qs: QuadrantSystem) -> SpanningForest:
     """Grow a boundary-rooted spanning forest of theta-monotone paths.
 
-    The origin q is spanned first and kept a leaf; if some later path is
-    forced through q, the whole construction retries with nudged axes.
+    q's own walk comes first, then each quadrant in order: every vertex
+    still unclaimed in it walks its quadrant's successors to the rim or a
+    claimed vertex, all walks advancing together one level at a time.  No
+    walk reaches q, which stays a leaf: a seed lies in q + C_i and every
+    step in wedge i widened by ``EPS_GEOM``, a pointed cone narrower than
+    pi.  A vertex with no step raises :class:`ForestError` naming the
+    smallest such label of the first level that has one.
     """
-    attempt_qs = qs
-    last_err: Exception | None = None
+    P = cap.vertices[:, :2]
+    q = qs.origin
     star = _star_directions(cap)
-    for _ in range(max_retries):
-        try:
-            return _build_once(cap, attempt_qs, star)
-        except _RetryThroughOrigin as err:
-            last_err = err
-            nudged = _settle_axes(
-                cap,
-                QuadrantSystem(
-                    origin=attempt_qs.origin,
-                    theta=attempt_qs.theta,
-                    gap_direction=attempt_qs.gap_direction + 37 * _PERTURB,
-                ),
-            )
-            if nudged is None:
-                break
-            attempt_qs = nudged
-    raise ForestError(f"forest construction kept routing through the origin: "
-                      f"{last_err}")
+    nxt = _successors(cap, qs, star)
+    parent = np.full(cap.n_vertices, -1)
+    quadrant = np.full(cap.n_vertices, -1)
+    stop = np.zeros(cap.n_vertices, dtype=bool)   # on the rim or claimed
+    stop[cap.rim] = True
 
+    others = cap.interior_vertices[cap.interior_vertices != q]
+    d = P[others] - P[q]
+    member = qs.quadrant_of(np.arctan2(d[:, 1], d[:, 0]))
+    walks = [(_best_quadrant_for_origin(cap, qs, star), np.array([q]))]
+    walks += [(i, others[member == i]) for i in range(4)]
+    for i, seeds in walks:
+        step = nxt[i]
+        for front in _levels(step, seeds[~stop[seeds]], stop):
+            to = step[front]
+            if (to < 0).any():
+                v = int(front[to < 0].min())
+                wedge = qs.quadrant(i)
+                raise ForestError(
+                    f"no admissible edge at vertex {v} for wedge "
+                    f"[{wedge.base:.6f}, +{wedge.width:.6f}]; "
+                    f"neighbor star: {cap.vertex_fan(v)[0]}")
+            parent[front], quadrant[front], stop[front] = to, i, True
 
-class _RetryThroughOrigin(ForestError):
-    pass
+    child = np.flatnonzero(parent >= 0)
+    missing = np.setdiff1d(cap.interior_vertices, child)
+    if len(missing):
+        raise ForestError(f"forest failed to span vertices {missing.tolist()}")
+    return SpanningForest(np.column_stack([child, parent[child]]),
+                          quadrant[child], qs, cap)
 
 
 def _star_directions(cap: ConvexCap):
@@ -371,18 +383,16 @@ def _successors(cap: ConvexCap, qs: QuadrantSystem, star) -> np.ndarray:
 
     Entry ``[i, v]`` is the neighbour of ``v`` whose edge lies in quadrant
     ``i``'s closed wedge closest to its bisector (ties to the smaller
-    label), stepping into the origin only when it is the sole choice; -1
-    where no edge lies in the wedge.  The step depends on nothing but the
-    vertex and the wedge, so one pass over the vertex-star table finds all.
+    label), or -1; q needs no rule, as no walk of a pointed wedge returns
+    to it.  The step depends on nothing but the vertex and the wedge, so
+    one pass over the vertex-star table finds all.
     """
     owner, nbr, ang = star
     n, first = cap.n_vertices, cap._star_start[:-1]
-    # an edge off the bisector by at most pi always beats one into q
-    penalty = np.where(nbr == qs.origin, 2 * math.pi, 0.0)
     out = np.full((4, n), -1)
     for i in range(4):
         wedge = qs.quadrant(i)
-        off = np.abs(unwrap_directions(ang, wedge.bisector)) + penalty
+        off = np.abs(unwrap_directions(ang, wedge.bisector))
         key = np.where(_in_wedge(wedge, ang) & (nbr >= 0), off, np.inf)
         best = np.minimum.reduceat(key, first)
         won = (key == best[owner]) & (key < np.inf)
@@ -404,65 +414,6 @@ def _levels(step: np.ndarray, seeds: np.ndarray, stop: np.ndarray):
         # walks that merge keep one copy: the last write to a slot wins
         slot[nxt] = np.arange(len(nxt))
         front = nxt[slot[nxt] == np.arange(len(nxt))]
-
-
-def _build_once(cap: ConvexCap, qs: QuadrantSystem, star) -> SpanningForest:
-    """Span q by its own walk, then each quadrant in order: every vertex
-    still unclaimed in it walks its quadrant's successors to the rim or to
-    a claimed vertex.  All walks of one quadrant advance together, and a
-    walk through q or off the wedge replays the quadrant walk by walk."""
-    P = cap.vertices[:, :2]
-    q = qs.origin
-    nxt = _successors(cap, qs, star)
-    parent = np.full(cap.n_vertices, -1)
-    quadrant = np.full(cap.n_vertices, -1)
-    stop = np.zeros(cap.n_vertices, dtype=bool)   # on the rim or claimed
-    stop[cap.rim] = True
-
-    others = cap.interior_vertices[cap.interior_vertices != q]
-    d = P[others] - P[q]
-    member = qs.quadrant_of(np.arctan2(d[:, 1], d[:, 0]))
-    # span the origin first so it stays a leaf of its tree
-    walks = [(_best_quadrant_for_origin(cap, qs, star), np.array([q]))]
-    walks += [(i, others[member == i]) for i in range(4)]
-    for i, seeds in walks:
-        step, claimed = nxt[i], stop.copy()
-        for front in _levels(step, seeds[~stop[seeds]], stop):
-            to = step[front]
-            if (to < 0).any() or (to == q).any():
-                _replay(cap, qs, i, step, seeds, claimed)
-            parent[front], quadrant[front], stop[front] = to, i, True
-
-    child = np.flatnonzero(parent >= 0)
-    missing = np.setdiff1d(cap.interior_vertices, child)
-    if len(missing):
-        raise ForestError(f"forest failed to span vertices {missing.tolist()}")
-    return SpanningForest(np.column_stack([child, parent[child]]),
-                          quadrant[child], qs, cap)
-
-
-def _replay(cap: ConvexCap, qs: QuadrantSystem, i: int, step: np.ndarray,
-            seeds: np.ndarray, stop: np.ndarray) -> None:
-    """Walk the seeds of quadrant ``i`` one at a time, farthest from q
-    first (ties by label), over the claimed set ``stop`` at the quadrant's
-    start, and raise the first failure met: a vertex with no step in the
-    wedge, or a walk forced into q."""
-    q = qs.origin
-    d = cap.vertices[seeds, :2] - cap.vertices[q, :2]
-    stop = stop.copy()
-    for v in seeds[np.lexsort((seeds, -np.hypot(d[:, 0], d[:, 1])))].tolist():
-        cur = v
-        while not stop[cur]:
-            if step[cur] < 0:
-                wedge = qs.quadrant(i)
-                raise ForestError(
-                    f"no admissible edge at vertex {cur} for wedge "
-                    f"[{wedge.base:.6f}, +{wedge.width:.6f}]; "
-                    f"neighbor star: {cap.vertex_fan(cur)[0]}")
-            stop[cur] = True
-            cur = int(step[cur])
-            if cur == q:
-                raise _RetryThroughOrigin(f"path from {v} forced through origin {q}")
 
 
 def _best_quadrant_for_origin(cap: ConvexCap, qs: QuadrantSystem, star) -> int:

@@ -158,11 +158,11 @@ def left_of(A, B, offsets, check: str = "angle") -> list:
     less than pi (equal points allowed).  Gives ``(True, None)`` or
     ``(False, violating_radius)`` per pair, and ``None`` where the pair
     fails a precondition: a malformed chain (fewer than two points, a point
-    that is not finite or a zero-length step), sources that differ (as
-    ``np.allclose`` has it) or a chain that fails ``check``, the radial
-    monotonicity test of its family (see the module docstring).  The
-    certificates call it on the leaf developments (``"angle"``) and on the
-    cut banks (``"source"``) of the forest's path table.
+    that is not finite or a zero-length step), sources farther apart than
+    ``EPS_GEOM`` times the pair's reach, or a chain that fails ``check``,
+    the radial monotonicity test of its family (see the module docstring).
+    The certificates call it on the leaf developments (``"angle"``) and on
+    the cut banks (``"source"``) of the forest's path table.
     """
     if check not in ("angle", "source"):
         raise ValueError("check must be 'angle' or 'source'")
@@ -176,9 +176,6 @@ def left_of(A, B, offsets, check: str = "angle") -> list:
     ok[good], _ = _chain_checks(flat, table[good], np.diff(table)[good],
                                 check)
     pending = np.flatnonzero(ok[:len(lens)] & ok[len(lens):])
-    a, b = A[starts[pending]], B[starts[pending]]
-    pending = pending[np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b),
-                             axis=1)]
     outs: list = [None] * len(lens)
     # a pair's sweep arrays are linear in K: (4K - 1) radii, and two hit
     # coordinates per radius on each chain
@@ -188,7 +185,8 @@ def left_of(A, B, offsets, check: str = "angle") -> list:
         radius = _sweep(_padded(A, starts, lens, p, K),
                         _padded(B, starts, lens, p, K), lens[p])
         for i, r in zip(p.tolist(), radius.tolist()):
-            outs[i] = (True, None) if r == math.inf else (False, r)
+            if not math.isnan(r):
+                outs[i] = (True, None) if r == math.inf else (False, r)
     return outs
 
 
@@ -197,8 +195,9 @@ def _sweep(A, B, lens) -> np.ndarray:
     ``B[c]``, both ``lens[c]`` points long (inf where it always is), over
     every vertex distance of both chains and every midpoint of two
     consecutive ones, beyond ``EPS_GEOM`` times the larger reach of the
-    two and within the smaller.  A distance that repeats only repeats
-    radii, so no deduplication is needed."""
+    two and within the smaller; NaN where B's source lies farther than that
+    bound from A's.  A distance that repeats only repeats radii, so no
+    deduplication is needed."""
     src = A[:, 0]
     da = np.linalg.norm(A - src[:, None], axis=2)
     db = np.linalg.norm(B - src[:, None], axis=2)
@@ -219,7 +218,8 @@ def _sweep(A, B, lens) -> np.ndarray:
     slack = 1e-9
     viol = (live & ~(np.isnan(pa[..., 0]) | np.isnan(pb[..., 0]))
             & (arc >= math.pi) & (arc <= 2 * math.pi - slack))
-    return np.where(viol, radii, np.inf).min(axis=1)
+    apart = np.hypot(*(B[:, 0] - src).T) > e[:, 0]
+    return np.where(apart, np.nan, np.where(viol, radii, np.inf).min(axis=1))
 
 
 def _first_hits(P, D, lens, src, R) -> np.ndarray:

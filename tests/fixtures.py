@@ -50,6 +50,19 @@ def flat_hex_disk(lift: float = 0.0) -> ConvexCap:
     return ConvexCap(vertices, triangles)
 
 
+def flat_grid(k: int) -> ConvexCap:
+    """``k`` x ``k`` points on [-1, 1]^2 at z = 0, each square split along
+    the same diagonal: rows and columns of vertices lie on the axes of a
+    plain frame."""
+    t = np.linspace(-1.0, 1.0, k)
+    x, y = np.meshgrid(t, t)
+    vertices = np.column_stack([x.ravel(), y.ravel(), np.zeros(k * k)])
+    a = (np.arange(k - 1)[:, None] * k + np.arange(k - 1)).ravel()
+    triangles = np.concatenate([np.column_stack([a, a + 1, a + k + 1]),
+                                np.column_stack([a, a + k + 1, a + k])])
+    return ConvexCap(vertices, triangles)
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_set():
     """The caps on which the array passes are checked against their loop
@@ -220,11 +233,11 @@ def wedge_contains(wedge, direction: float, slack: float = 1e-9) -> bool:
     return delta >= 2.0 * math.pi - slack
 
 
-def grow_path(cap, in_forest, v, wedge, avoid=None):
+def grow_path(cap, in_forest, v, wedge):
     """One greedy walk from interior vertex ``v``, neighbour by neighbour:
     each step takes the edge in ``wedge`` closest to its bisector (ties to
-    the smaller label), into ``avoid`` only when it is the sole choice,
-    until the walk reaches the rim or a vertex of ``in_forest``."""
+    the smaller label), until the walk reaches the rim or a vertex of
+    ``in_forest``."""
     from capunfold.forest import ForestError
     from capunfold.geom import normalize_angle
 
@@ -243,8 +256,7 @@ def grow_path(cap, in_forest, v, wedge, avoid=None):
                 f"no admissible edge at vertex {cur} for wedge "
                 f"[{wedge.base:.6f}, +{wedge.width:.6f}]; "
                 f"neighbor star: {neighbors}")
-        admissible.sort()
-        chosen = next((u for _, u in admissible if u != avoid), admissible[0][1])
+        chosen = min(admissible)[1]
         if chosen in visited:
             raise ForestError(f"path revisited vertex {chosen}")
         path.append(chosen)
@@ -255,73 +267,48 @@ def grow_path(cap, in_forest, v, wedge, avoid=None):
     raise ForestError("path growth failed to terminate")
 
 
-def forest_growth_reference(cap, qs, max_retries: int = 50) -> SimpleNamespace:
+def forest_growth_reference(cap, qs) -> SimpleNamespace:
     """:func:`capunfold.forest.build_forest` grown path by path: q's own
     walk first, then each quadrant's vertices, farthest from q first (ties
     by label), each walking by :func:`grow_path` to the rim or the forest
-    grown so far.  A walk forced into q retries with nudged axes, as
-    ``build_forest`` does.  Returns ``parent``, ``quadrant_of_vertex``,
-    ``system`` and the number of ``retries``."""
-    from capunfold import forest as forest_mod
+    grown so far.  Returns ``parent``, ``quadrant_of_vertex`` and
+    ``system``."""
+    from capunfold.forest import ForestError
     from capunfold.geom import unwrap_directions
 
-    def once(qs):
-        P = cap.vertices[:, :2]
-        q = qs.origin
-        parent, quadrant_of_vertex = {}, {}
+    P = cap.vertices[:, :2]
+    q = qs.origin
+    parent, quadrant_of_vertex = {}, {}
 
-        def commit(path, quad):
-            for a, b in zip(path, path[1:]):
-                parent[a] = b
-                quadrant_of_vertex.setdefault(a, quad)
+    def commit(path, quad):
+        for a, b in zip(path, path[1:]):
+            parent[a] = b
+            quadrant_of_vertex.setdefault(a, quad)
 
-        neighbors, _ = cap.vertex_fan(q)
-        d = P[neighbors] - P[q]
-        ang = np.arctan2(d[:, 1], d[:, 0])
-        i = qs.quadrant_of(ang)
-        off = np.abs(unwrap_directions(
-            ang, qs.base + i * qs.theta + 0.5 * qs.theta))
-        off[i < 0] = np.inf
-        if np.isinf(off.min(initial=np.inf)):
-            raise forest_mod.ForestError(
-                f"no edge at origin {q} lies in any quadrant")
-        quad0 = int(i[off.argmin()])
-        commit(grow_path(cap, parent, q, qs.quadrant(quad0)), quad0)
-        others = cap.interior_vertices[cap.interior_vertices != q]
-        d = P[others] - P[q]
-        order = np.lexsort((others, -np.hypot(d[:, 0], d[:, 1])))
-        quad = qs.quadrant_of(np.arctan2(d[:, 1], d[:, 0]))[order]
-        for i in range(4):
-            for v in others[order][quad == i].tolist():
-                if v in parent:
-                    continue
-                path = grow_path(cap, parent, v, qs.quadrant(i), avoid=q)
-                if q in path[1:]:
-                    raise forest_mod._RetryThroughOrigin(
-                        f"path from {v} forced through origin {q}")
-                commit(path, i)
-        missing = set(cap.interior_vertices.tolist()) - set(parent)
-        if missing:
-            raise forest_mod.ForestError(
-                f"forest failed to span vertices {sorted(missing)}")
-        return parent, quadrant_of_vertex
-
-    last_err = None
-    for retries in range(max_retries):
-        try:
-            parent, quadrant_of_vertex = once(qs)
-            return SimpleNamespace(parent=parent,
-                                   quadrant_of_vertex=quadrant_of_vertex,
-                                   system=qs, retries=retries)
-        except forest_mod._RetryThroughOrigin as err:
-            last_err = err
-            qs = forest_mod._settle_axes(cap, forest_mod.QuadrantSystem(
-                origin=qs.origin, theta=qs.theta,
-                gap_direction=qs.gap_direction + 37 * forest_mod._PERTURB))
-            if qs is None:
-                break
-    raise forest_mod.ForestError(
-        f"forest construction kept routing through the origin: {last_err}")
+    neighbors, _ = cap.vertex_fan(q)
+    d = P[neighbors] - P[q]
+    ang = np.arctan2(d[:, 1], d[:, 0])
+    i = qs.quadrant_of(ang)
+    off = np.abs(unwrap_directions(
+        ang, qs.base + i * qs.theta + 0.5 * qs.theta))
+    off[i < 0] = np.inf
+    if np.isinf(off.min(initial=np.inf)):
+        raise ForestError(f"no edge at origin {q} lies in any quadrant")
+    quad0 = int(i[off.argmin()])
+    commit(grow_path(cap, parent, q, qs.quadrant(quad0)), quad0)
+    others = cap.interior_vertices[cap.interior_vertices != q]
+    d = P[others] - P[q]
+    order = np.lexsort((others, -np.hypot(d[:, 0], d[:, 1])))
+    quad = qs.quadrant_of(np.arctan2(d[:, 1], d[:, 0]))[order]
+    for i in range(4):
+        for v in others[order][quad == i].tolist():
+            if v not in parent:
+                commit(grow_path(cap, parent, v, qs.quadrant(i)), i)
+    missing = set(cap.interior_vertices.tolist()) - set(parent)
+    if missing:
+        raise ForestError(f"forest failed to span vertices {sorted(missing)}")
+    return SimpleNamespace(parent=parent,
+                           quadrant_of_vertex=quadrant_of_vertex, system=qs)
 
 
 def rim_fan(k: int, lift: float = 0.1) -> ConvexCap:

@@ -102,7 +102,9 @@ def left_of(A, B, check: str = "angle") -> tuple[bool, float | None]:
     At every sampled radius where a circle about the source meets both
     chains, the counterclockwise arc from B's intersection to A's must be
     less than pi (equal points allowed).  Returns ``(True, None)`` or
-    ``(False, violating_radius)``.
+    ``(False, violating_radius)``.  The sources must lie within
+    ``EPS_GEOM`` times the pair's reach, the farthest point of either chain
+    from A's source.
 
     ``check`` selects the monotonicity precondition test: ``"angle"`` (the
     strict vertex-angle form, on a simple chain) or ``"source"`` (circle
@@ -110,7 +112,9 @@ def left_of(A, B, check: str = "angle") -> tuple[bool, float | None]:
     """
     a = _as_chain(A)
     b = _as_chain(B)
-    if not np.allclose(a[0], b[0]):
+    reach = max(np.linalg.norm(a - a[0], axis=1).max(),
+                np.linalg.norm(b - a[0], axis=1).max())
+    if np.linalg.norm(b[0] - a[0]) > EPS_GEOM * reach:
         raise ValueError("chains must share their source point")
     if check not in ("angle", "source"):
         raise ValueError("check must be 'angle' or 'source'")

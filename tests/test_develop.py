@@ -247,6 +247,27 @@ class TestOverlap:
         assert not rep.clean and rep.pairs[0][:2] == (0, 1)
         assert rasterize_overlap_oracle(net)
 
+    def test_oracle_sees_clockwise_images(self):
+        # the overlapping pair of test_detects_genuine_overlap, corners
+        # listed clockwise
+        net = self._net_of([
+            [[0, 0], [0, 1], [1, 0]],
+            [[0.1, 0.1], [0.1, 1.1], [1.1, 0.1]],
+        ])
+        assert not check_overlap(net).clean
+        assert rasterize_overlap_oracle(net)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reflected_face_is_reported_by_both(self, seed):
+        # face 10 flipped across its side 0-1 onto its neighbour there
+        cap = generate_budget_cap(200, seed=seed)
+        net = layout_net(cap, build_forest(cap, choose_origin(cap, "central")))
+        a, b, c = net.images[10]
+        u = (b - a) / np.linalg.norm(b - a)
+        net.images[10, 2] = a + 2 * ((c - a) @ u) * u - (c - a)
+        assert not check_overlap(net).clean
+        assert rasterize_overlap_oracle(net)
+
     def test_contact_along_shared_edge_is_clean(self):
         net = self._net_of([
             [[0, 0], [1, 0], [0, 1]],

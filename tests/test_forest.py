@@ -200,7 +200,7 @@ class TestGrowPath:
         qs = choose_origin(cap)
         nxt = forest_mod._successors(cap, qs, forest_mod._star_directions(cap))
         for i in range(4):
-            path = grow_path(cap, set(), 5, qs.quadrant(i), avoid=5)
+            path = grow_path(cap, set(), 5, qs.quadrant(i))
             assert len(path) == 2
             assert path == [5, nxt[i, 5]]
             assert path[1] in cap.rim_vertex_set
@@ -213,8 +213,7 @@ class TestGrowPath:
                                          forest_mod._star_directions(cap))
             everything = set(range(cap.n_vertices))
             for i in range(4):
-                want = [grow_path(cap, everything, v, qs.quadrant(i),
-                                  avoid=qs.origin)[1]
+                want = [grow_path(cap, everything, v, qs.quadrant(i))[1]
                         for v in cap.interior_vertices.tolist()]
                 assert nxt[i, cap.interior_vertices].tolist() == want
 
@@ -269,7 +268,6 @@ class TestForestGrowth:
     @staticmethod
     def _same(cap, forest):
         ref = forest_growth_reference(cap, forest.system)
-        assert ref.retries == 0
         assert forest.parent == ref.parent
         assert quadrant_of_vertex(forest) == ref.quadrant_of_vertex
         assert forest.system == ref.system
@@ -289,25 +287,18 @@ class TestForestGrowth:
         self._same(cap, build_forest(cap, choose_origin(cap, "central")))
 
     @pytest.mark.parametrize("n, seed", [(60, 0), (200, 1)])
-    def test_walk_into_q_retries_alike(self, n, seed):
+    def test_walk_into_q_grows_alike_and_is_flagged(self, n, seed):
+        # wedges turned toward q walk into it, and verify_forest reports
+        # the broken invariant
         cap = generate_budget_cap(n, seed=seed)
         qs = Swapped(*dataclasses.astuple(choose_origin(cap, "central")))
-        with pytest.raises(ForestError) as ref:
-            forest_growth_reference(cap, qs, max_retries=1)
-        with pytest.raises(ForestError) as got:
-            build_forest(cap, qs, max_retries=1)
-        assert "forced through origin" in str(ref.value)
-        assert str(got.value) == str(ref.value)
-        # the retry runs in nudged plain axes, the same for both
-        ref = forest_growth_reference(cap, qs)
         forest = build_forest(cap, qs)
-        assert ref.retries == 1
-        assert type(forest.system) is QuadrantSystem
-        assert forest.system == ref.system
-        assert forest.system.gap_direction != qs.gap_direction
+        ref = forest_growth_reference(cap, qs)
+        assert forest.system is qs
         assert forest.parent == ref.parent
         assert quadrant_of_vertex(forest) == ref.quadrant_of_vertex
-        assert verify_forest(cap, forest) == []
+        assert qs.origin in forest.edges[:, 1]
+        assert "origin q is not a leaf" in verify_forest(cap, forest)
 
 
 class TestBuildForest:
@@ -356,6 +347,68 @@ class TestBuildForest:
         qs = choose_origin(cap)
         forest = build_forest(cap, qs)
         assert verify_forest(cap, forest) == []
+
+
+class TestVerifyForest:
+    """Each check of ``verify_forest`` on a valid forest table, or its
+    frame, edited to break it."""
+
+    @pytest.fixture(scope="class")
+    def grown(self):
+        cap = generate_budget_cap(60, seed=0)
+        forest = build_forest(cap, choose_origin(cap))
+        assert verify_forest(cap, forest) == []
+        return cap, forest
+
+    @staticmethod
+    def _issues(cap, forest, rows=None, edges=None, system=None):
+        """Issues of ``forest`` cut to ``rows``, with ``edges`` in place of
+        its edges and ``system`` in place of its frame."""
+        rows = np.arange(len(forest.edges)) if rows is None else rows
+        edges = forest.edges if edges is None else edges
+        return verify_forest(cap, SpanningForest(
+            edges[rows], forest.quadrant[rows], system or forest.system, cap))
+
+    def test_not_spanning(self, grown):
+        cap, forest = grown
+        rows = forest.edges[:, 0] != forest.leaves[0]
+        assert self._issues(cap, forest, rows) == [
+            "forest does not span the interior vertices exactly"]
+
+    def test_path_ends_off_the_rim(self, grown):
+        # cut the edge from an inner vertex to the rim: its tree's leaves
+        # now end on it
+        cap, forest = grown
+        E = forest.edges
+        v = E[np.isin(E[:, 1], cap.rim) & np.isin(E[:, 0], E[:, 1]), 0][0]
+        issues = self._issues(cap, forest, E[:, 0] != v)
+        assert any(s.endswith(f"ends off the rim at {v}") for s in issues)
+
+    def test_path_not_monotone(self, grown):
+        cap, forest = grown
+        qs = forest.system
+        issues = self._issues(cap, forest,
+                              system=dataclasses.replace(qs, theta=qs.theta / 2))
+        assert any(s.endswith(f"is not {qs.theta / 2:.4f}-monotone")
+                   for s in issues)
+
+    def test_non_mesh_edge(self, grown):
+        cap, forest = grown
+        v = int(forest.leaves[0])
+        r = int(np.setdiff1d(cap.rim, cap.vertex_fan(v)[0])[0])
+        edges = forest.edges.copy()
+        edges[edges[:, 0] == v, 1] = r
+        assert (f"forest edge ({v}, {r}) is not a mesh edge"
+                in self._issues(cap, forest, edges=edges))
+
+    def test_interior_vertex_in_gap_cone(self, grown):
+        cap, forest = grown
+        qs = forest.system
+        u = forest.leaves[forest.leaves != qs.origin][0]
+        d = cap.vertices[u, :2] - cap.vertices[qs.origin, :2]
+        aimed = dataclasses.replace(qs, gap_direction=math.atan2(d[1], d[0]))
+        assert self._issues(cap, forest, system=aimed) == [
+            "gap cone contains an interior vertex"]
 
 
 class TestForestTable:

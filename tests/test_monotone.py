@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from capunfold.forest import build_forest, choose_origin
 from capunfold import monotone as monotone_mod
 from capunfold.generate import generate_budget_cap
+from capunfold.geom import EPS_GEOM
 from capunfold.monotone import left_of
 import monotone_reference as reference
 from fixtures import (certificate_pairs, chain_radially_monotone, chain_table,
@@ -227,19 +228,24 @@ class TestLeftOf:
         assert pairs_left_of([(bad, ray)]) == [None]
         assert pairs_left_of([(ray, bad)], check="source") == [None]
 
-    def test_common_source_is_numpy_allclose(self):
-        # two chains share their source as np.allclose has it: atol 1e-8
-        # and rtol 1e-5 of the second chain's, per coordinate
-        rng = np.random.default_rng(2)
-        q = rng.uniform(-3, 3, (4000, 2)) * 10.0 ** rng.integers(-9, 4, (4000, 1))
-        tol = 1e-8 + 1e-5 * np.abs(q)
-        p = q + tol * rng.choice([0.0, 0.5, 0.999999, 1.0, 1.000001, 3.0], (4000, 2)) \
-            * rng.choice([-1.0, 1.0], (4000, 2))
-        got = pairs_left_of([([a, a + [1.0, 0.0]], [b, b + [1.0, 0.0]])
-                             for a, b in zip(p, q)])
-        want = [np.allclose(a, b) for a, b in zip(p, q)]
-        assert [v is not None for v in got] == want
-        assert {True, False} <= set(want)
+    def test_common_source_is_within_eps_of_the_reach(self):
+        # two chains share their source when it lies within EPS_GEOM times
+        # the pair's reach, the farthest point of either chain from A's
+        # source: a rule without units or a place
+        A = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        B = np.array([[0.5, 0.0], [1.5, 0.2], [2.5, 0.3]])
+        for s in 10.0 ** np.arange(-16, 10):
+            for t in (0.0, 1e5, 1e7):
+                assert left_of(A * s + t, B * s + t, [0, 3]) == [None], (s, t)
+        # a chain below A, reach 2, its source moved off A's by f bounds
+        below = np.array([[0.0, 0.0], [1.0, -0.1], [1.9, -0.2]])
+        for s in 10.0 ** np.arange(-12, 10, 3):
+            for f in (0.0, 0.5, 0.99, 1.01, 2.0):
+                b = (below + [0.0, 2 * f * EPS_GEOM]) * s
+                got = left_of(A * s, b, [0, 3])
+                assert got == ([(True, None)] if f < 1 else [None]), (s, f)
+                assert got == batch_expected(
+                    [outcome(reference.left_of, A * s, b)]), (s, f)
 
 
 def outcome(fn, *args, **kwargs):

@@ -18,7 +18,8 @@ from capunfold.pipeline import (
     cut_and_unfold,
 )
 
-from fixtures import flat_hex_disk, pentagonal_pyramid, turned_defect_cap
+from fixtures import (flat_grid, flat_hex_disk, pentagonal_pyramid,
+                      turned_defect_cap)
 import monotone_reference as reference
 
 DEG = math.pi / 180
@@ -45,6 +46,15 @@ class TestEndToEnd:
         for f in range(cap.n_triangles):
             tri = cap.vertices[cap.triangles[f], :2]
             assert np.allclose(res.net.placed[f], tri, atol=1e-9)
+
+    @pytest.mark.parametrize("k", [5, 7, 9])
+    def test_flat_grid_needs_the_axis_nudge(self, k):
+        # the nearest vertex to the rim sees whole rows and columns of
+        # vertices on its plain axes; unnudged, a leaf sits on an axis and
+        # the strips stage fails
+        res = cut_and_unfold(flat_grid(k), "closest_to_boundary")
+        assert res.diagnostics["status"] == "proven_clean"
+        assert res.forest.system.axis_rotation == 1e-6
 
     def test_pentagonal_pyramid_clean(self):
         res = cut_and_unfold(pentagonal_pyramid())
