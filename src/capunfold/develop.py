@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from .forest import SpanningForest
-from .geom import unwrap_directions
+from .geom import EPS_GEOM, unwrap_directions
 from .mesh import ConvexCap
 from .monotone import left_of
 
@@ -43,25 +43,6 @@ def _path_cumsum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.cumsum(pad, axis=1)[inside]
 
 
-def _path_positions(forest: SpanningForest) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in ``forest.path_vertices`` that have an edge to the next
-    one (all but each path's root), and the interior ones among them (not
-    the leaf either)."""
-    off = forest.path_offsets
-    step = np.ones(off[-1], dtype=bool)
-    step[off[1:] - 1] = False
-    inner = step.copy()
-    inner[off[:-1]] = False
-    return np.flatnonzero(step), np.flatnonzero(inner)
-
-
-def _leaving_directions(forest: SpanningForest, positions) -> np.ndarray:
-    """Planar direction of the forest edge leaving each of these positions
-    in ``forest.path_vertices``."""
-    return forest.directions[np.searchsorted(
-        forest.edges[:, 0], forest.path_vertices[positions])]
-
-
 def path_turns(cap: ConvexCap, forest: SpanningForest) -> np.ndarray:
     """Turns of the left and right developments of every leaf path, (2,
     len(forest.path_vertices)) aligned with ``path_vertices``, ccw positive:
@@ -73,7 +54,7 @@ def path_turns(cap: ConvexCap, forest: SpanningForest) -> np.ndarray:
     back to the incoming one, so ``lam + omega + rho == 2*pi``.
     """
     pv = forest.path_vertices
-    _, inner = _path_positions(forest)
+    inner = np.setdiff1d(forest.path_steps, forest.path_offsets[:-1])
     v = pv[inner]
     cone = cap.fan_totals()[v]
     lam = (cap.star_angles(v, pv[inner - 1])
@@ -88,45 +69,45 @@ def turn_distortion(forest: SpanningForest, turns: np.ndarray) -> float:
     """Largest difference, over every prefix of every leaf path and both
     sides, between the cumulative turning of the developed chain (``turns``
     of :func:`path_turns`) and that of the projected path, whose edge
-    directions the forest table holds.  The bound it must keep,
+    headings the forest table holds.  The bound it must keep,
     3*delta_perp(Phi) + 2*Omega, is the cap's (see
     :class:`capunfold.mesh.CapMetrics`)."""
-    step, inner = _path_positions(forest)
-    ang = np.zeros(len(forest.path_vertices))
-    ang[step] = _leaving_directions(forest, step)
-    planar = np.zeros(len(ang))
-    planar[inner] = unwrap_directions(ang[inner], ang[inner - 1])
+    h, step = forest.path_headings, forest.path_steps
+    # a path's planar turn at each step after its first
+    planar = np.zeros(len(h))
+    planar[step] = unwrap_directions(h[step], h[step - 1])
+    planar[forest.path_offsets[:-1]] = 0.0
     prefix = _path_cumsum((turns - planar).T, forest.path_offsets)
     return float(np.abs(prefix).max(initial=0.0))
 
 
-def develop_chain(cap: ConvexCap, forest: SpanningForest, turns: np.ndarray,
-                  side: str) -> np.ndarray:
-    """Isometric planar development of every leaf path along one of its
-    banks, (len(forest.path_vertices), 2) aligned with ``path_vertices``.
+def develop_chain(cap: ConvexCap, forest: SpanningForest,
+                  turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Isometric planar developments of every leaf path along its left and
+    its right bank, each (len(forest.path_vertices), 2) aligned with
+    ``path_vertices``.
 
     The right chain starts along the projected direction of the first edge;
     the left chain starts rotated counterclockwise by the leaf curvature
     (opening the leaf cone flat separates the two copies of the first edge
     by exactly that defect).  Each then turns by its row of ``turns`` (see
-    :func:`path_turns`) at every interior vertex.
+    :func:`path_turns`) at every interior vertex.  Both run as the two
+    columns of one pass; ``np.cumsum`` adds each column as it would alone.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     V = cap.vertices
-    pv, off = forest.path_vertices, forest.path_offsets
-    first, (step, _) = off[:-1], _path_positions(forest)
-    heading = turns[int(side == "right")].copy()
-    heading[first] = _leaving_directions(forest, first)
-    if side == "left":
-        heading[first] += 2 * math.pi - cap.fan_totals()[pv[first]]
+    pv, off, step = forest.path_vertices, forest.path_offsets, forest.path_steps
+    first = off[:-1]
+    heading = turns.T.copy()
+    heading[first] = forest.path_headings[first, None]
+    heading[first, 0] += 2 * math.pi - cap.fan_totals()[pv[first]]
     heading = _path_cumsum(heading, off)[step]
     lengths = np.linalg.norm(V[pv[step + 1]] - V[pv[step]], axis=1)
-    x = np.empty((len(pv), 2))
-    x[first] = V[pv[first], :2]
-    x[step + 1] = lengths[:, None] * np.column_stack([np.cos(heading),
-                                                      np.sin(heading)])
-    return _path_cumsum(x, off)
+    x = np.empty((len(pv), 2, 2))
+    x[first] = V[pv[first], None, :2]
+    x[step + 1] = lengths[:, None, None] * np.stack([np.cos(heading),
+                                                     np.sin(heading)], axis=2)
+    x = _path_cumsum(x, off)
+    return x[:, 0], x[:, 1]
 
 
 # --------------------------------------------------------------------------
@@ -273,8 +254,7 @@ def _banks(cap: ConvexCap, net: Net,
     gaps introduce.
     """
     pv, off = forest.path_vertices, forest.path_offsets
-    first, last = off[:-1], off[1:] - 1
-    step, _ = _path_positions(forest)
+    first, last, step = off[:-1], off[1:] - 1, forest.path_steps
     a, b = pv[step], pv[step + 1]
     # the face left of each path edge holds it forwards, the right one back
     faces = cap.side_faces(np.r_[a, b], np.r_[b, a])
@@ -311,14 +291,22 @@ def banks_ordered(cap: ConvexCap, net: Net, forest: SpanningForest) -> list:
     (split at ``path_offsets``): one verdict per path, ``None`` where the
     banks do not share the leaf image or a bank's distance from the leaf
     image decreases (left_of's ``"source"`` test).  :func:`_banks` has
-    already dropped the nearer image of every double point."""
+    already dropped the nearer image of every double point.
+
+    The banks share the leaf image when the right one lies within
+    ``EPS_GEOM`` times the pair's reach of the left one, plus eight ulps of
+    the net's largest coordinate (the rounding of a net laid out far from
+    the origin)."""
     L, R = _banks(cap, net, forest)
-    first = forest.path_offsets[:-1]
-    # the leaf images agree as np.allclose(L, R, atol=1e-9) has it
-    shared = np.all(np.abs(L[first] - R[first])
-                    <= 1e-9 + 1e-5 * np.abs(R[first]), axis=1)
+    off = forest.path_offsets
+    first = off[:-1]
+    src = np.repeat(L[first], np.diff(off), axis=0)
+    reach = np.maximum.reduceat(np.maximum(np.hypot(*(L - src).T),
+                                           np.hypot(*(R - src).T)), first)
+    ulp = 8 * np.finfo(float).eps * np.abs(net.images).max()
+    shared = np.hypot(*(R[first] - L[first]).T) <= EPS_GEOM * reach + ulp
     R[first] = L[first]
-    verdicts = left_of(L, R, forest.path_offsets, check="source")
+    verdicts = left_of(L, R, off, check="source")
     return [v if ok else None for v, ok in zip(verdicts, shared.tolist())]
 
 

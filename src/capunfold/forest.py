@@ -86,10 +86,12 @@ class SpanningForest:
     by child, and ``quadrant`` the quadrant whose wedge each row's edge was
     grown in.  The rest of the table is built once from the edges: their
     planar ``directions``, the sorted ``leaves``, each leaf's path to the
-    rim (``path_vertices`` split at ``path_offsets``), the tree ``root`` of
-    every vertex and the edges tree by tree (``tree_order``, roots then
-    children ascending; tree ``t`` starts at ``tree_starts[t]``).  A cycle
-    raises :class:`ForestError`.
+    rim (``path_vertices`` split at ``path_offsets``; ``path_steps`` are the
+    positions with an edge to the next, all but each root, and
+    ``path_headings`` that edge's direction, 0 at a root), the tree
+    ``root`` of every vertex and the edges tree by tree (``tree_order``,
+    roots then children ascending; tree ``t`` starts at ``tree_starts[t]``).
+    A cycle raises :class:`ForestError`.
     """
 
     edges: np.ndarray
@@ -100,6 +102,8 @@ class SpanningForest:
     leaves: np.ndarray = field(init=False, repr=False)
     path_vertices: np.ndarray = field(init=False, repr=False)
     path_offsets: np.ndarray = field(init=False, repr=False)
+    path_steps: np.ndarray = field(init=False, repr=False)
+    path_headings: np.ndarray = field(init=False, repr=False)
     root: np.ndarray = field(init=False, repr=False)
     tree_order: np.ndarray = field(init=False, repr=False)
     tree_starts: np.ndarray = field(init=False, repr=False)
@@ -136,6 +140,10 @@ class SpanningForest:
         self.leaves, self.root = leaves, root
         self.directions = np.arctan2(d[:, 1], d[:, 0])
         self.path_vertices, self.path_offsets = flat, offsets
+        self.path_steps = np.delete(np.arange(len(flat)), offsets[1:] - 1)
+        heading = np.zeros(cap.n_vertices)
+        heading[child] = self.directions
+        self.path_headings = heading[flat]
         self.tree_order = order
         self.tree_starts = np.flatnonzero(np.diff(root[child][order], prepend=-1))
 
@@ -446,9 +454,8 @@ def verify_forest(cap: ConvexCap, forest: SpanningForest) -> list[str]:
     # every leaf path ends on the rim and its edge directions fit in theta
     ends = forest.root[forest.leaves]
     on_rim = np.isin(ends, cap.rim)
-    steps = np.delete(forest.path_vertices, forest.path_offsets[1:] - 1)
     spreads = direction_spreads(
-        forest.directions[np.searchsorted(E[:, 0], steps)],
+        forest.path_headings[forest.path_steps],
         forest.path_offsets[:-1] - np.arange(len(forest.leaves)))
     monotone = spreads <= qs.theta + EPS_GEOM
     for j in np.flatnonzero(~on_rim | ~monotone).tolist():

@@ -41,7 +41,7 @@ def generate_cap(
     last = None
     for _ in range(_MAX_TRIES):
         pts = _jittered_lattice(n, jitter, rng)
-        cap = _lift_points(pts, phi, lift)
+        cap = _lift_points(pts, _triangulate(pts), phi, lift)
         issues = validate_cap(cap, angle_mode=angle_mode)
         if not issues:
             return cap
@@ -67,11 +67,12 @@ def generate_budget_cap(
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         pts = _jittered_lattice(n, jitter, rng)
-        alpha_planar = math.pi / 2 - corner_angles(pts[_triangulate(pts)]).max()
+        faces = _triangulate(pts)
+        alpha_planar = math.pi / 2 - corner_angles(pts[faces]).max()
         if alpha_planar <= 0:
             continue
         phi = safety * phi_budget(alpha_planar)
-        cap = _lift_points(pts, phi, lift)
+        cap = _lift_points(pts, faces, phi, lift)
         if not validate_cap(cap, angle_mode=angle_mode):
             return cap
     raise RuntimeError("budget cap generation failed")
@@ -134,15 +135,16 @@ def _triangulate(pts: np.ndarray) -> np.ndarray:
     return faces
 
 
-def _lift_points(pts: np.ndarray, phi: float, lift: str) -> ConvexCap:
-    """Lift planar points onto a convex surface, then rescale the height so
-    the maximum face tilt equals ``phi`` exactly.
+def _lift_points(pts: np.ndarray, faces: np.ndarray, phi: float,
+                 lift: str) -> ConvexCap:
+    """Lift planar points, triangulated by ``faces`` (ccw, from
+    :func:`_triangulate`), onto a convex surface, then rescale the height
+    so the maximum face tilt equals ``phi`` exactly.
 
     A face whose height function has planar gradient ``g`` tilts by
     ``atan(|g|)``, and scaling all heights by ``s`` scales ``g`` by ``s``, so
     the calibration is ``s = tan(phi) / max |g|``.
     """
-    faces = _triangulate(pts)
     r2 = np.einsum("ij,ij->i", pts, pts)
     if lift == "paraboloid":
         z0 = (math.tan(phi) / 2) * (1.0 - r2)

@@ -166,9 +166,7 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
     bound = 3 * m["delta_perp_max"] + 2 * m["omega_total"]
     turns = path_turns(cap, forest)
     max_dq = turn_distortion(forest, turns)
-    chains = left_of(develop_chain(cap, forest, turns, "left"),
-                     develop_chain(cap, forest, turns, "right"),
-                     forest.path_offsets)
+    chains = left_of(*develop_chain(cap, forest, turns), forest.path_offsets)
     banks = banks_ordered(cap, net, forest)
     paths_ordered = all(v is not None and v[0] for v in chains)
     banks_ok = all(v is not None and v[0] for v in banks)
@@ -181,14 +179,19 @@ def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
     }
     # within the tilt budget these are theorems, so a failure is an error
     failures = diag["errors"] if m["within_budget"] else diag["warnings"]
-    for key, msg in (
-            ("within_distortion_bound",
-             "turn distortion exceeds 3*delta_perp + 2*omega"),
-            ("chains_ordered",
+    if not diag["paths"]["within_distortion_bound"]:
+        failures.append("turn distortion exceeds 3*delta_perp + 2*omega")
+    # a None verdict is a failed precondition, (False, r) an order violation
+    for verdicts, unmet, unordered in (
+            (chains, "developed chains not radially monotone on some path",
              "left development not left of right development on some path"),
-            ("banks_ordered", "cut banks out of order on some leaf path")):
-        if not diag["paths"][key]:
-            failures.append(msg)
+            (banks, "cut banks not radially monotone from a shared leaf "
+             "image on some leaf path",
+             "cut banks out of order on some leaf path")):
+        if None in verdicts:
+            failures.append(unmet)
+        if any(v is not None and not v[0] for v in verdicts):
+            failures.append(unordered)
 
     # per-tree layout preconditions
     curvs = forest.tree_curvatures(cap)

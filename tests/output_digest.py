@@ -49,9 +49,7 @@ def verdicts(cap, res) -> list:
     """The developed chains' and the net banks' left_of verdicts, per leaf
     path, as the pipeline's certificates compute them."""
     forest = res.forest
-    turns = path_turns(cap, forest)
-    chains = left_of(develop_chain(cap, forest, turns, "left"),
-                     develop_chain(cap, forest, turns, "right"),
+    chains = left_of(*develop_chain(cap, forest, path_turns(cap, forest)),
                      forest.path_offsets)
     return [chains, banks_ordered(cap, res.net, forest)]
 

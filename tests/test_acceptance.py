@@ -540,13 +540,18 @@ def _leaf_labels(errors, label):
 def test_verdicts_do_not_depend_on_frame_or_labels():
     # a certificate's verdict may not hang on units, orientation or labels:
     # each cap under three seeded general rotations about z, translations
-    # of 10 units and vertex relabellings gives the same status and errors
+    # of 10 units and vertex relabellings, the third also mirrored (x -> -x,
+    # corners reversed), gives the same status, errors and warnings; the
+    # caps at 33 and 70 degrees carry over-budget warnings and, at 70,
+    # failed path certificates
     rng = np.random.default_rng(12)
+    caps = [generate_budget_cap(300, seed=seed) for seed in range(100)]
+    caps += [generate_cap(300, phi=phi * DEG, seed=seed)
+             for phi in (33, 70) for seed in range(5)]
     differ = []
-    for seed in range(100):
-        cap = generate_budget_cap(300, seed=seed)
+    for k, cap in enumerate(caps):
         want = cut_and_unfold(cap).diagnostics
-        for _ in range(3):
+        for t in range(3):
             a = rng.uniform(0.0, 2 * math.pi)
             shift = rng.normal(size=3)
             shift *= 10.0 / np.linalg.norm(shift)
@@ -555,11 +560,17 @@ def test_verdicts_do_not_depend_on_frame_or_labels():
             V[:, :2] = V[:, :2] @ np.array([[math.cos(a), math.sin(a)],
                                             [-math.sin(a), math.cos(a)]])
             V += shift
+            T = cap.triangles
+            if t == 2:
+                V[:, 0] = -V[:, 0]
+                T = T[:, ::-1]
             W = np.empty_like(V)
             W[perm] = V
-            got = cut_and_unfold(ConvexCap(W, perm[cap.triangles])).diagnostics
+            got = cut_and_unfold(ConvexCap(W, perm[T])).diagnostics
             back = np.argsort(perm)
-            if (got["status"], _leaf_labels(got["errors"], back)) != (
-                    want["status"], want["errors"]):
-                differ.append((seed, a, got["status"], got["errors"]))
+            if (got["status"], _leaf_labels(got["errors"], back),
+                    _leaf_labels(got["warnings"], back)) != (
+                    want["status"], want["errors"], want["warnings"]):
+                differ.append((k, t, a, got["status"], got["errors"],
+                               got["warnings"]))
     assert not differ, differ

@@ -591,8 +591,8 @@ def table_chains(cap, forest, net=None):
     its two banks, from the passes over the forest table, split per path."""
     split = forest.path_offsets[1:-1]
     turns = path_turns(cap, forest)
-    out = [np.split(develop_mod.develop_chain(cap, forest, turns, side), split)
-           for side in ("left", "right")]
+    out = [np.split(c, split)
+           for c in develop_mod.develop_chain(cap, forest, turns)]
     if net is not None:
         out += [np.split(b, split) for b in develop_mod._banks(cap, net, forest)]
     return out

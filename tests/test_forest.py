@@ -425,6 +425,11 @@ class TestForestTable:
             # the table's one arctan2 call gives each edge the same bits as
             # arctan2 over each path's steps
             assert forest.directions.tolist() == [ref.directions[v] for v in child.tolist()]
+            # every path position but the root steps along its edge
+            steps = [v for path in ref.paths for v in path[:-1]]
+            assert forest.path_vertices[forest.path_steps].tolist() == steps
+            assert forest.path_headings[forest.path_steps].tolist() == [
+                ref.directions[v] for v in steps]
 
     @staticmethod
     def _rebuilt(cap, forest, parent):

@@ -88,6 +88,10 @@ class TestEndToEnd:
             assert diag["status"] == "empirical_clean", (seed, diag["errors"])
             assert not (diag["paths"]["chains_ordered"]
                         and diag["paths"]["banks_ordered"]), seed
+            # every failing verdict is None, a failed precondition
+            paths = [w for w in diag["warnings"] if "path" in w]
+            assert paths and all("not radially monotone" in w
+                                 for w in paths), (seed, paths)
 
     def test_boundary_origin_mode(self):
         cap = generate_cap(50, phi=20 * DEG, seed=5)
@@ -136,6 +140,31 @@ class TestEndToEnd:
             images[10, 0] += 0.5 * side[::-1] * [-1.0, 1.0]
             moved = develop.Net(images, net.cut_edges)
             assert not develop.net_congruent(cap, moved), seed
+
+    @pytest.mark.parametrize("scale, shift", [
+        (1e-12, 0.0), (1.0, 0.0), (1e9, 0.0), (1.0, 2e7)])
+    def test_banks_apart_at_the_leaf_read_none(self, monkeypatch, scale,
+                                               shift):
+        # a leaf-image test of 1e-9 + 1e-5 * |R| passed this move at scale
+        # 1e-12 and at 2e7 from the coordinate origin
+        cap, _ = unscaled_verdict(0)
+        res = cut_and_unfold(cap)
+        want = develop.banks_ordered(cap, res.net, res.forest)
+        cap = ConvexCap(cap.vertices * scale + [shift, -shift, 0.0],
+                        cap.triangles)
+        res = cut_and_unfold(cap)
+        assert develop.banks_ordered(cap, res.net, res.forest) == want
+        banks = develop._banks
+
+        def moved(cap, net, forest):
+            L, R = banks(cap, net, forest)
+            i = forest.path_offsets[:-1]
+            R[i] += 0.5 * (R[i + 1] - R[i])[:, ::-1] * [-1.0, 1.0]
+            return L, R
+
+        monkeypatch.setattr(develop, "_banks", moved)
+        got = develop.banks_ordered(cap, res.net, res.forest)
+        assert got == [None] * len(want)
 
 
 class TestDiagnostics:
@@ -284,6 +313,8 @@ class TestTracerTargets:
         m = tracer.per_op_metrics()
         # one batched call for the chains and one inside banks_ordered
         assert m["monotone.left_of.calls"] == 2
+        # one development call for both banks of every leaf path
+        assert m["develop.chain.calls"] == 1
         assert m["develop.banks.calls"] == 1
         assert m["monotone.left_of_s"] > 0
         # one strip more than paths in each quadrant
@@ -291,24 +322,31 @@ class TestTracerTargets:
         assert m["strips.count"] == paths + 4
 
 
-def break_leaf_paths(monkeypatch, crossed=None, moved=None):
-    """Make the left development of leaf path ``crossed`` not simple, and
-    move the right bank's leaf image of leaf path ``moved`` off the left
-    one's; both are indices into ``forest.leaves``."""
+def break_leaf_paths(monkeypatch, crossed=None, moved=None, swapped=None):
+    """Make the left development of leaf path ``crossed`` not simple, move
+    the right bank's leaf image of leaf path ``moved`` off the left one's,
+    and swap the left and right developments and banks of leaf path
+    ``swapped``; all three are indices into ``forest.leaves``."""
     develop_chain, banks = pipeline.develop_chain, develop._banks
 
-    def chain(cap, forest, turns, side):
-        out = develop_chain(cap, forest, turns, side)
-        if crossed is not None and side == "left":
+    def swap(forest, L, R):
+        if swapped is not None:
+            i, j = forest.path_offsets[swapped:swapped + 2]
+            L[i:j], R[i:j] = R[i:j].copy(), L[i:j].copy()
+        return L, R
+
+    def chain(cap, forest, turns):
+        left, right = develop_chain(cap, forest, turns)
+        if crossed is not None:
             i = forest.path_offsets[crossed]
-            out[i + 1:i + 4] = out[i] + np.array([[2, 0], [1, 1], [1, -1.0]])
-        return out
+            left[i + 1:i + 4] = left[i] + np.array([[2, 0], [1, 1], [1, -1.0]])
+        return swap(forest, left, right)
 
     def moved_banks(cap, net, forest):
         L, R = banks(cap, net, forest)
         if moved is not None:
             R[forest.path_offsets[moved]] += 1e-3
-        return L, R
+        return swap(forest, L, R)
 
     monkeypatch.setattr(pipeline, "develop_chain", chain)
     monkeypatch.setattr(develop, "_banks", moved_banks)
@@ -342,6 +380,24 @@ class TestLeafPathVerdicts:
             assert d["status"] == "certificate_failed"
             assert len(d["errors"]) == 2 - sum(want), d["errors"]
             assert not d["warnings"]
+
+    def test_each_failure_names_its_kind(self, monkeypatch):
+        # a path that fails left_of's precondition reads as one, and only a
+        # pair seen in the wrong order reads as out of order
+        cap, (crossed, moved) = self._leaves()
+        for kw, want in (
+                ({"crossed": crossed},
+                 ["developed chains not radially monotone on some path"]),
+                ({"moved": moved},
+                 ["cut banks not radially monotone from a shared leaf image "
+                  "on some leaf path"]),
+                ({"swapped": moved},
+                 ["left development not left of right development on some "
+                  "path", "cut banks out of order on some leaf path"])):
+            break_leaf_paths(monkeypatch, **kw)
+            d = cut_and_unfold(cap).diagnostics
+            monkeypatch.undo()
+            assert d["errors"] == want, kw
 
     def test_bad_leaf_in_the_cli_exits_three(self, tmp_path, monkeypatch):
         from capunfold.cli import main
