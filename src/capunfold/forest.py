@@ -172,7 +172,7 @@ def choose_origin(cap: ConvexCap, mode: str = "closest_to_boundary",
     if mode not in ("closest_to_boundary", "central"):
         raise ValueError(f"unknown origin mode {mode!r}")
     if theta is None:
-        theta = math.pi / 2 - compute_metrics(cap).alpha_planar
+        theta = compute_metrics(cap).theta
     if not 0 < theta <= math.pi / 2:
         raise ForestError(f"invalid wedge width theta={theta}")
 

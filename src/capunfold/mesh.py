@@ -211,9 +211,12 @@ class CapMetrics:
     n_triangles: int
 
     # the budget rule: the tilt budget of the planar margin (0 without
-    # one), and the curvature bound and angle distortion at the actual tilt
+    # one) and its verdict, the quadrant width (alpha' may round to -1 ulp),
+    # and the curvature bound and angle distortion at the actual tilt
     phi_budget = property(lambda m: geom.phi_budget(m.alpha_planar)
                           if m.alpha_planar > 0 else 0.0)
+    within_budget = property(lambda m: m.phi_actual <= m.phi_budget + 1e-12)
+    theta = property(lambda m: min(math.pi / 2, math.pi / 2 - m.alpha_planar))
     omega_bound = property(lambda m: geom.omega_bound(m.phi_actual))
     delta_perp_max = property(lambda m: geom.delta_perp(m.phi_actual))
 

@@ -1,10 +1,12 @@
-"""End-to-end cut-and-unfold pipeline with a full certificate bundle.
+"""End-to-end cut-and-unfold pipeline with one table of certificates.
 
-Composes: metrics -> origin choice -> spanning forest -> waterfall strips ->
-development -> overlap check.  Every stage contributes certificates to a
-JSON-serializable diagnostics dictionary; theorem-precondition failures
-(e.g. tilt over budget) are warnings, not errors — the unfolding still runs
-and the overlap verdict is reported as empirical rather than proven.
+Stages: validate -> metrics -> forest -> develop -> strips -> certify ->
+overlap; a failure in one raises a :class:`PipelineError` naming it.  Each
+check is one row ``(key, holds, is_error, message)``, in pipeline order.
+The paper's certificates are theorems within the tilt budget, so they fail
+as errors there and as warnings over it, where a clean net is only
+empirically clean.  :func:`cut_and_unfold` alone turns the rows into the
+``certificates`` map, ``errors``, ``warnings`` and ``status``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .mesh import ConvexCap, compute_metrics, validate_cap
 from .monotone import left_of
 from .strips import StripSystem, strip_certificates, waterfall_strips
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 class PipelineError(RuntimeError):
@@ -57,15 +59,14 @@ class UnfoldResult:
 
 def cut_and_unfold(cap: ConvexCap, origin_mode: str = "central",
                    rasterize: bool = False) -> UnfoldResult:
-    diag: dict = {"schema_version": SCHEMA_VERSION, "warnings": [],
-                  "errors": []}
+    diag: dict = {"schema_version": SCHEMA_VERSION}
 
     # a failure in any stage is re-raised as a PipelineError naming it
     stage = "validate"
     try:
         _validate(cap)
         stage = "metrics"
-        metrics = _metrics(cap, diag)
+        metrics, rows = _metrics(cap, diag)
         stage = "forest"
         forest = _forest(cap, origin_mode, diag, metrics)
         stage = "develop"
@@ -73,7 +74,7 @@ def cut_and_unfold(cap: ConvexCap, origin_mode: str = "central",
         stage = "strips"
         strips = waterfall_strips(cap, forest)
         stage = "certify"
-        _certify(cap, forest, strips, net, diag)
+        rows += _certify(cap, forest, strips, net, diag, metrics)
         stage = "overlap"
         report = check_overlap(net)
     except Exception as exc:
@@ -86,9 +87,14 @@ def cut_and_unfold(cap: ConvexCap, origin_mode: str = "central",
     }
     if rasterize:
         diag["overlap"]["raster_oracle_overlap"] = rasterize_overlap_oracle(net)
+
+    # the one place where verdicts become errors, warnings and the status
+    diag["certificates"] = {key: holds for key, holds, _, _ in rows}
+    failed = [(error, msg) for _, holds, error, msg in rows if not holds]
+    diag["errors"] = [msg for error, msg in failed if error]
+    diag["warnings"] = [msg for error, msg in failed if not error]
     if not report.clean:
         diag["errors"].append(f"net has {len(report.pairs)} overlapping pairs")
-
     diag["status"] = (
         "overlap" if not report.clean
         else "certificate_failed" if diag["errors"]
@@ -105,6 +111,8 @@ def _validate(cap: ConvexCap):
 
 def _metrics(cap: ConvexCap, diag: dict):
     m = compute_metrics(cap)
+    # rim angle comparison: surface angle >= projected angle at each rim vertex
+    psi, psi_p = cap.rim_angles()
     diag["metrics"] = {
         "n_vertices": cap.n_vertices,
         "n_triangles": cap.n_triangles,
@@ -115,27 +123,19 @@ def _metrics(cap: ConvexCap, diag: dict):
         "omega_bound": m.omega_bound,
         "delta_perp_max": m.delta_perp_max,
         "phi_budget": m.phi_budget,
-        "within_budget": m.phi_actual <= m.phi_budget + 1e-12,
+        "rim_angle_worst_violation": max(0.0, float((psi_p - psi).max())),
     }
-    if not diag["metrics"]["within_budget"]:
-        diag["warnings"].append(
-            f"tilt {math.degrees(m.phi_actual):.3f} deg exceeds budget "
-            f"{math.degrees(m.phi_budget):.3f} deg; certificates are empirical")
-
-    # rim angle comparison: surface angle >= projected angle at each rim vertex
-    psi, psi_p = cap.rim_angles()
-    rim_ok = not (psi + 1e-9 < psi_p).any()
-    worst = max(0.0, float((psi_p - psi).max()))
-    diag["metrics"]["rim_angle_ok"] = rim_ok
-    diag["metrics"]["rim_angle_worst_violation"] = worst
-    if not rim_ok:
-        diag["warnings"].append("projected rim angle exceeds surface angle")
-    return m
+    return m, [
+        ("within_budget", m.within_budget, False,
+         f"tilt {math.degrees(m.phi_actual):.3f} deg exceeds budget "
+         f"{math.degrees(m.phi_budget):.3f} deg; certificates are empirical"),
+        ("rim_angle_ok", not (psi + 1e-9 < psi_p).any(), False,
+         "projected rim angle exceeds surface angle"),
+    ]
 
 
 def _forest(cap: ConvexCap, origin_mode: str, diag: dict, metrics):
-    qs = choose_origin(cap, origin_mode,
-                       theta=math.pi / 2 - metrics.alpha_planar)
+    qs = choose_origin(cap, origin_mode, theta=metrics.theta)
     forest = build_forest(cap, qs)
     violations = verify_forest(cap, forest)
     diag["forest"] = {
@@ -154,61 +154,45 @@ def _forest(cap: ConvexCap, origin_mode: str, diag: dict, metrics):
 
 
 def _certify(cap: ConvexCap, forest: SpanningForest, strips: StripSystem,
-             net: Net, diag: dict):
-    m = diag["metrics"]
-
-    if not net_congruent(cap, net):
-        diag["errors"].append("net placement not congruent to the surface")
-
-    # leaf-path certificates, every path at once over the forest table; a
-    # pair that breaks a precondition of left_of gives None, so the
-    # certificate fails (warning over budget, error within) instead of raising
-    bound = 3 * m["delta_perp_max"] + 2 * m["omega_total"]
+             net: Net, diag: dict, m) -> list:
+    """Rows of the net, leaf paths, trees and waterfall paths."""
+    # leaf-path certificates, every path at once over the forest table: a
+    # pair that breaks a precondition of left_of reads None and fails the
+    # *_monotone row, a pair seen out of order (False, r) the *_ordered row
+    bound = 3 * m.delta_perp_max + 2 * m.omega_total
     turns = path_turns(cap, forest)
     max_dq = turn_distortion(forest, turns)
     chains = left_of(*develop_chain(cap, forest, turns), forest.path_offsets)
     banks = banks_ordered(cap, net, forest)
-    paths_ordered = all(v is not None and v[0] for v in chains)
-    banks_ok = all(v is not None and v[0] for v in banks)
-    diag["paths"] = {
-        "max_turn_distortion": max_dq,
-        "turn_distortion_bound": bound,
-        "within_distortion_bound": max_dq <= bound + 1e-9,
-        "chains_ordered": paths_ordered,
-        "banks_ordered": banks_ok,
-    }
-    # within the tilt budget these are theorems, so a failure is an error
-    failures = diag["errors"] if m["within_budget"] else diag["warnings"]
-    if not diag["paths"]["within_distortion_bound"]:
-        failures.append("turn distortion exceeds 3*delta_perp + 2*omega")
-    # a None verdict is a failed precondition, (False, r) an order violation
-    for verdicts, unmet, unordered in (
-            (chains, "developed chains not radially monotone on some path",
-             "left development not left of right development on some path"),
-            (banks, "cut banks not radially monotone from a shared leaf "
-             "image on some leaf path",
-             "cut banks out of order on some leaf path")):
-        if None in verdicts:
-            failures.append(unmet)
-        if any(v is not None and not v[0] for v in verdicts):
-            failures.append(unordered)
+    diag["paths"] = {"max_turn_distortion": max_dq,
+                     "turn_distortion_bound": bound}
 
-    # per-tree layout preconditions
+    # per-tree layout preconditions: the curvature each tree encloses and
+    # its cone of edge directions, child to parent
     curvs = forest.tree_curvatures(cap)
-    # each tree's cone of edge directions, child to parent
     spreads = direction_spreads(forest.directions[forest.tree_order],
                                 forest.tree_starts)
-    diag["trees"] = {
-        "max_curvature": max(curvs, default=0.0),
-        "max_direction_spread": float(spreads.max(initial=0.0)),
-        "curvature_below_pi": all(c < math.pi for c in curvs),
-        "spread_below_pi": bool((spreads < math.pi).all()),
-    }
-    for key, msg in (("curvature_below_pi", "a tree encloses curvature >= pi"),
-                     ("spread_below_pi", "a tree's direction cone >= pi")):
-        if not diag["trees"][key]:
-            diag["warnings"].append(msg)
+    diag["trees"] = {"max_curvature": max(curvs, default=0.0),
+                     "max_direction_spread": float(spreads.max(initial=0.0))}
 
-    diag["strips"] = strip_certificates(strips)
-    if not diag["strips"]["clean"]:
-        diag["errors"].extend(diag["strips"]["errors"])
+    theorem = m.within_budget
+    return [
+        ("net_congruent", net_congruent(cap, net), True,
+         "net placement not congruent to the surface"),
+        ("within_distortion_bound", max_dq <= bound + 1e-9, theorem,
+         "turn distortion exceeds 3*delta_perp + 2*omega"),
+        ("chains_monotone", None not in chains, theorem,
+         "developed chains not radially monotone on some path"),
+        ("chains_ordered", all(v is None or v[0] for v in chains), theorem,
+         "left development not left of right development on some path"),
+        ("banks_monotone", None not in banks, theorem,
+         "cut banks not radially monotone from a shared leaf image on some "
+         "leaf path"),
+        ("banks_ordered", all(v is None or v[0] for v in banks), theorem,
+         "cut banks out of order on some leaf path"),
+        ("curvature_below_pi", all(c < math.pi for c in curvs), False,
+         "a tree encloses curvature >= pi"),
+        ("spread_below_pi", bool((spreads < math.pi).all()), False,
+         "a tree's direction cone >= pi"),
+        *strip_certificates(strips),
+    ]

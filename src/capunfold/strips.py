@@ -255,24 +255,21 @@ def _ordered(lower: np.ndarray, upper: np.ndarray) -> bool:
     return bool((_heights(upper, x)[0] >= _heights(lower, x)[1]).all())
 
 
-def strip_certificates(system: StripSystem) -> dict:
-    """Certificate bundle for the waterfall paths: every path a staircase,
-    and every path nowhere below the one before it, which orders them all
-    and so keeps any two from crossing."""
-    out: dict = {"errors": [], "paths_monotone": True, "paths_ordered": True}
+def strip_certificates(system: StripSystem) -> list[tuple]:
+    """Certificate rows ``(key, holds, is_error, message)`` for the waterfall
+    paths: every path a staircase (``paths_monotone``), and every path
+    nowhere below the one before it (``paths_ordered``), which orders them
+    all and so keeps any two from crossing.  A failure is always an error,
+    and its message names every failing path."""
+    bent, crossed = [], []
     for i in range(4):
         ps = system.paths[i]
         monotone = [_staircase(wp.ab) for wp in ps]
-        for wp, ok in zip(ps, monotone):
-            if not ok:
-                out["paths_monotone"] = False
-                out["errors"].append(
-                    f"waterfall path to leaf {wp.leaf} not angle-monotone")
-        for j in range(len(ps) - 1):
-            if not (monotone[j] and monotone[j + 1]
-                    and _ordered(ps[j].ab, ps[j + 1].ab)):
-                out["paths_ordered"] = False
-                out["errors"].append(
-                    f"quadrant {i}: path {j + 1} not left of path {j}")
-    out["clean"] = not out["errors"]
-    return out
+        bent += [f"waterfall path to leaf {wp.leaf} not angle-monotone"
+                 for wp, ok in zip(ps, monotone) if not ok]
+        crossed += [f"quadrant {i}: path {j + 1} not left of path {j}"
+                    for j in range(len(ps) - 1)
+                    if not (monotone[j] and monotone[j + 1]
+                            and _ordered(ps[j].ab, ps[j + 1].ab))]
+    return [("paths_monotone", not bent, True, "; ".join(bent)),
+            ("paths_ordered", not crossed, True, "; ".join(crossed))]

@@ -5,17 +5,27 @@ checkouts can be compared line by line.
 
 Caps: every ``oracle_set()`` cap, the ``large-net`` cap at four quarter
 turns and, for each ``N:SEED`` argument, ``generate_budget_cap(N,
-seed=SEED)``.  Each line holds the cap's name and the digests of the forest
-``edges``, the ``Net.images`` bytes, the cut edges, the waterfall
-``points`` and ``json.dumps(diagnostics, sort_keys=True)``; then the
-digest of the diagnostics without ``paths.max_turn_distortion``, and that
-value's ``repr``, so a move of that one float can be read off; last the
-digest of ``check_overlap(net, eps=-1e-3).pairs``, every candidate pair
-whose boxes overlap by more than 1e-3 with its separating-axis depth, so
-that the narrow phase shows on caps whose nets are clean; last the digest
-of the per-path verdicts of the two left_of certificates, the developed
-chains' ``left_of`` list and ``banks_ordered``, so that one path's verdict
-or violating radius shows where the diagnostics only hold their ``all()``.
+seed=SEED)``.  Each line holds the cap's name, then these columns:
+
+1. the forest ``edges``;
+2. the ``Net.images`` bytes;
+3. the cut edges;
+4. the waterfall ``points``;
+5. ``json.dumps(diagnostics, sort_keys=True)``;
+6. the same without ``paths.max_turn_distortion``;
+7. that value's ``repr``, so a move of that one float can be read off;
+8. ``check_overlap(net, eps=-1e-3).pairs``: every candidate pair whose
+   boxes overlap by more than 1e-3, with its separating-axis depth, so the
+   narrow phase shows on caps whose nets are clean;
+9. the per-path verdicts of the two left_of certificates (the developed
+   chains' ``left_of`` list and ``banks_ordered``), so that one path's
+   verdict or violating radius shows where the diagnostics hold only each
+   family's ``*_monotone`` and ``*_ordered`` verdicts;
+10. ``json.dumps([status, errors, warnings])``, so a change that reshapes
+    the diagnostics (moving columns 5 and 6) can show that the verdicts
+    did not move.
+
+Every column but 7 is a SHA-256 prefix.
 Not a test module: pytest does not collect it.
 """
 
@@ -70,6 +80,7 @@ def digest(cap) -> list[str]:
         repr(mtd),
         _sha(json.dumps(check_overlap(res.net, eps=-1e-3).pairs)),
         _sha(json.dumps(verdicts(cap, res))),
+        _sha(json.dumps([diag["status"], diag["errors"], diag["warnings"]])),
     ]
 
 

@@ -135,15 +135,10 @@ class TestProvenRegime:
             res = cut_and_unfold(cap)
             d = res.diagnostics
             ok = (res.clean and res.proven
-                  and d["metrics"]["within_budget"]
-                  and d["metrics"]["rim_angle_ok"]
+                  and all(d["certificates"].values())
                   and d["metrics"]["omega_total"]
                   <= d["metrics"]["omega_bound"] + 1e-12
-                  and d["paths"]["within_distortion_bound"]
-                  and d["paths"]["chains_ordered"]
-                  and d["paths"]["banks_ordered"]
-                  and not d["forest"]["violations"]
-                  and d["strips"]["clean"])
+                  and not d["forest"]["violations"])
             if not ok:
                 failures.append((seed, n, d["status"], d["warnings"],
                                  d["errors"]))
@@ -344,8 +339,8 @@ class TestWorkCounts:
         seen = []
         monkeypatch.setattr(strips_mod, "_heights", lambda ab, x: (
             seen.append((len(ab), len(x))), heights(ab, x))[1])
-        cert = strips_mod.strip_certificates(system)
-        assert cert["paths_ordered"]
+        rows = strips_mod.strip_certificates(system)
+        assert ("paths_ordered", True) in [row[:2] for row in rows]
         pairs = [(lo, up) for i in range(4) for lo, up in
                  zip(system.paths[i], system.paths[i][1:])]
         assert len(pairs) > 100

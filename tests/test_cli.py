@@ -152,7 +152,7 @@ class TestVerify:
     def test_single_cap_report(self, capsys):
         assert run(["verify", "--n", 40, "--seed", 1]) == 0
         d = json.loads(capsys.readouterr().out)
-        for key in ("metrics", "paths", "strips", "overlap", "status"):
+        for key in ("metrics", "paths", "certificates", "overlap", "status"):
             assert key in d
 
     def test_suite_runs_in_parallel(self, capsys):

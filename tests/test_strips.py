@@ -28,6 +28,16 @@ import monotone_reference as reference
 DEG = math.pi / 180
 
 
+def failures(system) -> list[str]:
+    """Messages of the failing strip certificate rows, in row order."""
+    return [msg for _, holds, _, msg in strip_certificates(system)
+            if not holds]
+
+
+def verdicts(system) -> dict:
+    return {key: holds for key, holds, _, _ in strip_certificates(system)}
+
+
 def unfolded(seed=3, n=60, phi=25 * DEG, mode="central"):
     cap = generate_cap(n, phi=phi, seed=seed)
     forest = build_forest(cap, choose_origin(cap, mode))
@@ -88,29 +98,25 @@ class TestStripAssignment:
         system = waterfall_strips(cap, forest)
         assert all(not system.paths[i] for i in range(4))
         assert system.strips == [(0, 0), (1, 0), (2, 0), (3, 0)]
-        cert = strip_certificates(system)
-        assert cert["clean"], cert["errors"]
+        assert failures(system) == []
 
 
 class TestCertificates:
     def test_random_caps_certify_clean(self):
         for seed in range(5):
             cap, forest, system = unfolded(seed=seed)
-            cert = strip_certificates(system)
-            assert cert["clean"], (seed, cert["errors"])
+            assert failures(system) == [], seed
 
     def test_budget_caps_certify_clean(self):
         for seed in range(3):
             cap = generate_budget_cap(80, seed=seed)
             forest = build_forest(cap, choose_origin(cap, "central"))
             system = waterfall_strips(cap, forest)
-            cert = strip_certificates(system)
-            assert cert["clean"], (seed, cert["errors"])
+            assert failures(system) == [], seed
 
     def test_boundary_mode_origin_also_works(self):
         cap, forest, system = unfolded(seed=7, mode="closest_to_boundary")
-        cert = strip_certificates(system)
-        assert cert["clean"], cert["errors"]
+        assert failures(system) == []
 
 
 def epsilon_reference(cap, forest, quadrant, leaves, ob, r):
@@ -295,19 +301,21 @@ class TestArrayPassesAgainstReference:
         # consecutive paths swapped: the pair is out of order
         swapped = [wp.ab for wp in ps]
         swapped[1], swapped[2] = swapped[2], swapped[1]
-        cert = strip_certificates(staircase_system(cap, forest, i, swapped))
-        assert not cert["paths_ordered"]
-        assert cert["paths_monotone"]
-        assert f"quadrant {i}: path 2 not left of path 1" in cert["errors"]
+        system_swapped = staircase_system(cap, forest, i, swapped)
+        assert verdicts(system_swapped) == {"paths_monotone": True,
+                                            "paths_ordered": False}
+        assert (f"quadrant {i}: path 2 not left of path 1"
+                in failures(system_swapped)[0].split("; "))
         # two staircases that properly cross, and one touching the lower
         # from above at a vertex
         r = system.radius[i]
         low = r * np.array([[0, 0], [1, 0], [1, 1], [3, 1], [3, 2.0]])
         cross = r * np.array([[0, 0], [2, 0.5], [2, 3.0]])
         touch = r * np.array([[0, 0], [0, 1], [1, 1], [4, 4.0]])
-        cert = strip_certificates(staircase_system(cap, forest, i, [low, cross]))
-        assert not cert["paths_ordered"] and not cert["clean"]
-        assert cert["errors"] == [f"quadrant {i}: path 1 not left of path 0"]
+        system_cross = staircase_system(cap, forest, i, [low, cross])
+        assert not verdicts(system_cross)["paths_ordered"]
+        assert failures(system_cross) == [
+            f"quadrant {i}: path 1 not left of path 0"]
         sys_cross = staircase_system(cap, forest, i, [low, cross, touch])
         assert crossing_reference(
             [wp.points for wp in sys_cross.paths[i]]) == [(0, 1), (1, 2)]
@@ -318,10 +326,16 @@ class TestArrayPassesAgainstReference:
         # nor ordered
         assert not _staircase(np.vstack([low[:2], low[1:]]))
         back = r * np.array([[0, 0], [0, 2], [2, 3], [1.5, 4.0]])
-        cert = strip_certificates(staircase_system(cap, forest, i, [low, back]))
-        assert cert["errors"] == [
+        assert failures(staircase_system(cap, forest, i, [low, back])) == [
             "waterfall path to leaf 1 not angle-monotone",
             f"quadrant {i}: path 1 not left of path 0"]
+        # one row per kind, whose message names every failing path
+        assert failures(staircase_system(cap, forest, i,
+                                         [low, back, back])) == [
+            "waterfall path to leaf 1 not angle-monotone; "
+            "waterfall path to leaf 2 not angle-monotone",
+            f"quadrant {i}: path 1 not left of path 0; "
+            f"quadrant {i}: path 2 not left of path 1"]
 
     def test_staircase_order_matches_exact_reference(self):
         rng = np.random.default_rng(2)
